@@ -7,8 +7,8 @@ Run:  python3 demos/05_joins_and_morse.py
 from braidedthompson import (HeightFunction, complete_join_check,
                              d_matching_linear, duplicated_cover,
                              is_homology_wcm, morse_check,
-                             morse_descending_link, mutual_link,
-                             reduced_homology, wcm_violation)
+                             morse_descending_link, morse_max_degree,
+                             mutual_link, wcm_violation)
 
 k = d_matching_linear(2, 6)
 print("complex:", k)
@@ -37,8 +37,6 @@ h = HeightFunction({v: v + 1 for v in range(k.vertices)})
 print("\nMorse filtration by initial position:")
 for t in h.levels(k):
     links = [morse_descending_link(k, h, v) for v in k.vertex_set() if h(v) == t]
-    kk = -1
-    while kk <= k.dim + 1 and all(reduced_homology(x).is_zero_through(kk) for x in links):
-        kk += 1
+    kk = morse_max_degree(k, h, t)
     print("  level %d: %d descending link(s), implication holds for k=%d: %s"
           % (t, len(links), kk, morse_check(k, h, t, kk)))

@@ -124,15 +124,24 @@ def _get(elements, name):
     return elements[name]
 
 
+def _read_json(args):
+    """The JSON object in --file, or on stdin without it."""
+    try:
+        if getattr(args, "file", None):
+            with open(args.file, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        else:
+            data = json.load(sys.stdin)
+    except OSError as exc:
+        raise CliError(str(exc)) from None
+    if not isinstance(data, dict):
+        raise CliError("the input JSON must be an object")
+    return data
+
+
 def _read_complex(args):
-    if getattr(args, "file", None):
-        with open(args.file, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    else:
-        data = json.load(sys.stdin)
-    if "complex" in data:
-        data = data["complex"]
-    return cx.SimplicialComplex.from_json_dict(data)
+    data = _read_json(args)
+    return cx.SimplicialComplex.from_json_dict(data.get("complex", data))
 
 
 def _homology_json(report):
@@ -264,11 +273,7 @@ def cmd_join_check(args):
         cover, vmap = cx.duplicated_cover(k)
         res = cx.complete_join_check(cover, k, vmap)
     else:
-        if getattr(args, "file", None):
-            with open(args.file, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        else:
-            data = json.load(sys.stdin)
+        data = _read_json(args)
         source = cx.SimplicialComplex.from_json_dict(data["source"])
         target = cx.SimplicialComplex.from_json_dict(data["target"])
         res = cx.complete_join_check(source, target, data["vertex_map"])
@@ -288,16 +293,7 @@ def cmd_morse(args):
     all_hold = True
     ts = [args.t] if args.t is not None else h.levels(k)
     for t in ts:
-        if args.k is not None:
-            kk = args.k
-        else:
-            # largest k whose hypothesis holds at this level
-            links = [cx.morse_descending_link(k, h, v)
-                     for v in k.vertex_set() if h(v) == t]
-            kk = -1
-            while kk <= k.dim + 1 and all(
-                    cx.reduced_homology(L).is_zero_through(kk) for L in links):
-                kk += 1
+        kk = args.k if args.k is not None else cx.morse_max_degree(k, h, t)
         holds = cx.morse_check(k, h, t, kk)
         all_hold = all_hold and holds
         levels.append({"t": t, "k": kk, "holds": holds})

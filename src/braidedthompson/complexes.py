@@ -127,7 +127,16 @@ class SimplicialComplex:
 
     @classmethod
     def from_json_dict(cls, data):
-        return cls(data["vertices"], data["maximal_faces"])
+        """Inverse of to_json_dict; ValueError on anything of another shape."""
+        if not isinstance(data, dict) or not {"vertices", "maximal_faces"} <= data.keys():
+            raise ValueError('a complex is an object with "vertices" and "maximal_faces"')
+        vertices, faces = data["vertices"], data["maximal_faces"]
+        if type(vertices) is not int:
+            raise ValueError("vertices must be an integer, got %r" % (vertices,))
+        if not isinstance(faces, list) or not all(
+                isinstance(f, list) and all(type(v) is int for v in f) for f in faces):
+            raise ValueError("maximal_faces must be a list of lists of integers")
+        return cls(vertices, faces)
 
 
 # -- link, star, join, mutual link ------------------------------------------
@@ -322,46 +331,40 @@ class HomologyReport:
 
 def _boundary_matrix(lower, upper):
     """Matrix of the boundary map from the span of `upper` (p-faces) to
-    the span of `lower` ((p-1)-faces), lexicographic orientation."""
+    the span of `lower` ((p-1)-faces), lexicographic orientation; faces
+    missing from `lower` are projected away."""
     index = {f: i for i, f in enumerate(lower)}
     rows = [[0] * len(upper) for _ in lower]
     for j, f in enumerate(upper):
         for drop in range(len(f)):
-            sub = f[:drop] + f[drop + 1:]
-            rows[index[sub]][j] += (-1) ** drop
+            i = index.get(f[:drop] + f[drop + 1:])
+            if i is not None:
+                rows[i][j] += (-1) ** drop
     return rows
 
 
-def reduced_homology(k: SimplicialComplex) -> HomologyReport:
-    by_dim = {}
-    for f in k.faces:
-        by_dim.setdefault(len(f) - 1, []).append(f)
-    for fs in by_dim.values():
+def _homology(chains, low):
+    """Homology of the chain complex with basis `chains` (degree ->
+    faces), reported in degrees low .. top chain degree."""
+    for fs in chains.values():
         fs.sort()
-    top = k.dim
-    # augmented complex: C_{-1} = Z
-    ranks = {}
+    top = max(chains, default=-1)
     invs = {}
-    n_faces = {p: len(by_dim.get(p, [])) for p in range(-1, top + 1)}
-    n_faces[-1] = 1
-    for p in range(0, top + 1):
-        if p == 0:
-            mat = [[1] * n_faces[0]] if n_faces[0] else [[]]
-        else:
-            mat = _boundary_matrix(by_dim.get(p - 1, []), by_dim.get(p, []))
-        inv = smith_invariants(mat) if n_faces[p] else []
-        invs[p] = inv
-        ranks[p] = len(inv)
-    ranks[top + 1] = 0
-    invs[top + 1] = []
-    betti = {}
-    torsion = {}
-    betti[-1] = 1 - ranks.get(0, 0)
-    for p in range(0, top + 1):
-        betti[p] = n_faces[p] - ranks[p] - ranks.get(p + 1, 0)
-        torsion[p] = [d for d in invs.get(p + 1, []) if d > 1]
-    counts = [n_faces.get(p, 0) for p in range(0, top + 1)]
-    return HomologyReport(betti, torsion, counts)
+    for p in range(low, top + 2):
+        lower, upper = chains.get(p - 1), chains.get(p)
+        invs[p] = smith_invariants(_boundary_matrix(lower, upper)) if lower and upper else []
+    degrees = range(low, top + 1)
+    betti = {p: len(chains.get(p, ())) - len(invs[p]) - len(invs[p + 1]) for p in degrees}
+    torsion = {p: [d for d in invs[p + 1] if d > 1] for p in degrees}
+    return HomologyReport(betti, torsion, [len(chains.get(p, ())) for p in range(0, top + 1)])
+
+
+def reduced_homology(k: SimplicialComplex) -> HomologyReport:
+    """Reduced homology: the empty face spans the augmentation C_{-1} = Z."""
+    chains = {-1: [()]}
+    for f in k.faces:
+        chains.setdefault(len(f) - 1, []).append(f)
+    return _homology(chains, -1)
 
 
 def relative_homology(k: SimplicialComplex, sub: SimplicialComplex):
@@ -369,40 +372,10 @@ def relative_homology(k: SimplicialComplex, sub: SimplicialComplex):
     sub, boundary projected.  Returns a HomologyReport (no degree -1)."""
     if not sub.faces <= k.faces:
         raise ValueError("second complex is not a subcomplex")
-    excl = sub.faces
-    by_dim = {}
-    for f in k.faces:
-        if f not in excl:
-            by_dim.setdefault(len(f) - 1, []).append(f)
-    for fs in by_dim.values():
-        fs.sort()
-    top = max(by_dim) if by_dim else -1
-    ranks = {}
-    invs = {}
-    for p in range(0, top + 2):
-        lower = by_dim.get(p - 1, [])
-        upper = by_dim.get(p, [])
-        if not upper or not lower:
-            invs[p] = []
-            ranks[p] = 0
-            continue
-        idx = {f: i for i, f in enumerate(lower)}
-        rows = [[0] * len(upper) for _ in lower]
-        for j, f in enumerate(upper):
-            for drop in range(len(f)):
-                g = f[:drop] + f[drop + 1:]
-                if g in idx:
-                    rows[idx[g]][j] += (-1) ** drop
-        invs[p] = smith_invariants(rows)
-        ranks[p] = len(invs[p])
-    betti = {}
-    torsion = {}
-    for p in range(0, top + 1):
-        n_p = len(by_dim.get(p, []))
-        betti[p] = n_p - ranks.get(p, 0) - ranks.get(p + 1, 0)
-        torsion[p] = [d for d in invs.get(p + 1, []) if d > 1]
-    counts = [len(by_dim.get(p, [])) for p in range(0, top + 1)]
-    return HomologyReport(betti, torsion, counts)
+    chains = {}
+    for f in k.faces - sub.faces:
+        chains.setdefault(len(f) - 1, []).append(f)
+    return _homology(chains, 0)
 
 
 # -- matching complexes -------------------------------------------------------
@@ -598,3 +571,15 @@ def morse_check(k: SimplicialComplex, h: HeightFunction, t: int, kk: int) -> boo
     strictly = sublevel(k, h, t, strict=True)
     rel = relative_homology(below, strictly)
     return rel.is_zero_through(kk)
+
+
+def morse_max_degree(k: SimplicialComplex, h: HeightFunction, t: int) -> int:
+    """The largest kk <= dim + 2 whose morse_check hypothesis holds at
+    level t: every descending link of a height-t vertex has vanishing
+    reduced homology through degree kk-1 (-1 when some link is empty)."""
+    reports = [reduced_homology(morse_descending_link(k, h, v))
+               for v in k.vertex_set() if h(v) == t]
+    kk = -1
+    while kk <= k.dim + 1 and all(r.is_zero_through(kk) for r in reports):
+        kk += 1
+    return kk

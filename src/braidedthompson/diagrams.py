@@ -12,8 +12,8 @@ and to the leaf paired with it in the merging forest, replaces the i-th
 strand of the braid by a d-strand cable with the realized label braid
 inserted at the top of the tube, and labels the d new strands by the
 old label.  Reduction is the reverse move; whether it applies at a
-caret is decided with the braid-word primitives (strand deletion
-followed by re-cabling must reproduce the braid exactly).
+caret is decided by `labeled.labeled_uncable`, the inverse of the
+`labeled.labeled_cable` move that expansion makes.
 
 The GroupContext object fixes (d, r, H, flavor) and carries all the
 operations; spraiges themselves are plain immutable data.
@@ -21,12 +21,12 @@ operations; spraiges themselves are plain immutable data.
 
 from __future__ import annotations
 
-from .braids import (BraidWord, Permutation, braid_equal, cable, delete_strands,
-                     is_cyclic, is_pure, is_trivial, permutation_of, shifted)
+from .braids import BraidWord, Permutation, is_cyclic, is_pure, permutation_of
 from .forests import (Forest, attach_caret, elementary_caret_spans,
                       elementary_forest, forest_to_matching, join,
                       remove_elementary_caret)
-from .labeled import Label, LabeledBraid, lb_invert, lb_multiply
+from .labeled import (Label, LabeledBraid, labeled_cable, labeled_uncable,
+                      lb_invert, lb_is_identity, lb_multiply)
 
 
 class Spraige:
@@ -156,17 +156,9 @@ class GroupContext:
         l = s.leaves
         if not 1 <= i <= l:
             raise ValueError("leaf index %d out of range 1..%d" % (i, l))
-        d = self.d
-        rho = permutation_of(s.lb.braid)
-        minus = attach_caret(s.minus, i)
-        plus = attach_caret(s.plus, rho(i))
-        lam = s.lb.labels[i - 1]
-        braid = cable(s.lb.braid, [d if j == i else 1 for j in range(1, l + 1)])
-        inner = lam.realize(self.spec)
-        if inner.letters:
-            braid = shifted(inner, i - 1, l + d - 1) * braid
-        labels = s.lb.labels[:i - 1] + (lam,) * d + s.lb.labels[i:]
-        return Spraige(minus, LabeledBraid(braid, labels), plus)
+        lb = labeled_cable(self.spec, s.lb, [1] * (i - 1) + [self.d] + [1] * (l - i))
+        return Spraige(attach_caret(s.minus, i), lb,
+                       attach_caret(s.plus, permutation_of(s.lb.braid)(i)))
 
     def try_reduce_at(self, s: Spraige, start: int):
         """Undo an expansion at the elementary caret of minus whose leaves
@@ -176,8 +168,9 @@ class GroupContext:
         Conditions: (a) the block lands on a set of consecutive positions
         forming an elementary caret of plus (a non-pure label braid
         scrambles the block internally, so the order within the block is
-        left to condition (c)); (b) the d labels realize a common element
-        h; (c) deleting the non-leader strands and re-cabling with h
+        left to the next step); then `labeled_uncable` with width d at
+        the block checks (b) the d labels realize a common element h and
+        (c) deleting the non-leader strands and re-cabling with h
         inserted reproduces the braid.
         """
         d = self.d
@@ -191,23 +184,12 @@ class GroupContext:
             return None
         if p not in elementary_caret_spans(s.plus):
             return None
-        lam = s.lb.labels[start - 1]
-        lam_real = lam.realize(self.spec)
-        for j in range(1, d):
-            other = s.lb.labels[start - 1 + j]
-            if other != lam and not braid_equal(other.realize(self.spec), lam_real):
-                return None
-        b = s.lb.braid
-        bh = delete_strands(b, range(start + 1, start + d))
-        recon = cable(bh, [d if j == start else 1 for j in range(1, bh.strands + 1)])
-        if lam_real.letters:
-            recon = shifted(lam_real, start - 1, b.strands) * recon
-        if not braid_equal(b, recon):
+        lb = labeled_uncable(self.spec, s.lb,
+                             [1] * (start - 1) + [d] + [1] * (s.leaves - start - d + 1))
+        if lb is None:
             return None
-        minus = remove_elementary_caret(s.minus, start)
-        plus = remove_elementary_caret(s.plus, p)
-        labels = s.lb.labels[:start] + s.lb.labels[start + d - 1:]
-        return Spraige(minus, LabeledBraid(bh, labels), plus)
+        return Spraige(remove_elementary_caret(s.minus, start), lb,
+                       remove_elementary_caret(s.plus, p))
 
     def reduce(self, s: Spraige, order="asc") -> Spraige:
         """Apply reductions until none is possible.  The reduced
@@ -257,12 +239,7 @@ class GroupContext:
         self.validate(s)
         if s.heads != s.feet:
             raise ValueError("only (n,n)-spraiges can be the identity")
-        if s.minus != s.plus:
-            return False
-        if not is_trivial(s.lb.braid):
-            return False
-        return all(lab.is_identity_word() or is_trivial(lab.realize(self.spec))
-                   for lab in s.lb.labels)
+        return s.minus == s.plus and lb_is_identity(self.spec, s.lb)
 
     def equal(self, g: Spraige, h: Spraige) -> bool:
         if g.heads != h.heads or g.feet != h.feet:
@@ -301,13 +278,12 @@ class GroupContext:
         braiges carrying the same merge forest F.
 
         y must differ from x by right multiplication with a labeled braid
-        on the feet, cabled along F; concretely z = x.lb^-1 * y.lb has to
-        be a full F-cable: block-constant labels, and deleting the
-        non-leader strands then re-cabling (with each caret's common label
-        braid inserted) reproduces z.  The extracted multiplier must also
-        send caret slots to caret slots, otherwise the right action would
-        have changed the forest.  `flavor` restricts the multiplier braid:
-        pure for F, cyclic for T, unrestricted for V.
+        on the feet, cabled along F: z = x.lb^-1 * y.lb has to be a
+        labeled cable (`labeled_uncable` with the widths of F), and the
+        extracted multiplier must send caret slots to caret slots,
+        otherwise the right action would have changed the forest.
+        `flavor` restricts the multiplier braid: pure for F, cyclic for T,
+        unrestricted for V.
         """
         self._check_elementary_braige(x)
         self._check_elementary_braige(y)
@@ -317,71 +293,31 @@ class GroupContext:
             return False
         if flavor not in ("V", "F", "T"):
             raise ValueError("flavor must be V, F or T")
-        d = self.d
-        z = lb_multiply(lb_invert(x.lb), y.lb)
-        m = z.strands
-        blocks = []
-        pos = 1
-        for t in x.plus.trees:
-            w = 1 if t is None else d
-            blocks.append((pos, w))
-            pos += w
-        mus = []
-        for s0, w in blocks:
-            lam = z.labels[s0 - 1]
-            lam_real = None
-            for t in range(1, w):
-                other = z.labels[s0 - 1 + t]
-                if other == lam:
-                    continue
-                if lam_real is None:
-                    lam_real = lam.realize(self.spec)
-                if not braid_equal(other.realize(self.spec), lam_real):
-                    return False
-            mus.append(lam)
-        leaders = {s0 for s0, _ in blocks}
-        killed = [q for q in range(1, m + 1) if q not in leaders]
-        c = delete_strands(z.braid, killed) if killed else z.braid
-        rho_c = permutation_of(c)
-        widths = [w for _, w in blocks]
-        if any(widths[j - 1] != widths[rho_c(j) - 1] for j in range(1, len(blocks) + 1)):
+        widths = _widths(x)
+        mult = labeled_uncable(self.spec, lb_multiply(lb_invert(x.lb), y.lb), widths)
+        if mult is None:
             return False
+        rho_c = permutation_of(mult.braid)
         if flavor == "F" and not rho_c.is_identity():
             return False
         if flavor == "T" and not rho_c.is_cyclic():
             return False
-        recon = cable(c, widths)
-        inserted = BraidWord(m)
-        for (s0, w), mu in zip(blocks, mus):
-            if w > 1 and mu.word:
-                inserted = inserted * shifted(mu.realize(self.spec), s0 - 1, m)
-        return braid_equal(z.braid, inserted * recon)
+        return _keeps_slots(widths, rho_c)
 
     def cable_on_feet(self, x: Spraige, c: BraidWord, mus) -> Spraige:
         """Right-multiply the elementary braige x by the labeled braid
         (c, mus) on its feet, cabled along the merge forest (the forest is
         kept, so c must send caret slots to caret slots)."""
         self._check_elementary_braige(x)
-        d = self.d
         if c.strands != x.feet:
             raise ValueError("multiplier braid must live on the feet")
         mus = tuple(mus)
         if len(mus) != x.feet:
             raise ValueError("one label per foot")
-        widths = [1 if t is None else d for t in x.plus.trees]
-        rho_c = permutation_of(c)
-        if any(widths[j - 1] != widths[rho_c(j) - 1] for j in range(1, len(widths) + 1)):
+        widths = _widths(x)
+        if not _keeps_slots(widths, permutation_of(c)):
             raise ValueError("the multiplier permutation must preserve caret slots")
-        m = x.leaves
-        braid = cable(c, widths)
-        labels = []
-        pos = 1
-        for w, mu in zip(widths, mus):
-            if w > 1 and mu.word:
-                braid = shifted(mu.realize(self.spec), pos - 1, m) * braid
-            labels.extend([mu] * w)
-            pos += w
-        ext = LabeledBraid(braid, labels)
+        ext = labeled_cable(self.spec, LabeledBraid(c, mus), widths)
         return Spraige(x.minus, lb_multiply(x.lb, ext), x.plus)
 
     def arc_support(self, x: Spraige):
@@ -401,6 +337,17 @@ class GroupContext:
             raise ValueError("not a braige: splitting forest is nontrivial")
         if not x.plus.is_elementary():
             raise ValueError("merge forest is not elementary")
+
+
+def _widths(x: Spraige):
+    """Cable widths along the merge forest of an elementary braige: d
+    under a caret, 1 under a bare root."""
+    return [1 if t is None else x.plus.degree for t in x.plus.trees]
+
+
+def _keeps_slots(widths, rho: Permutation) -> bool:
+    """Whether rho sends every foot to a foot of the same width."""
+    return all(widths[j - 1] == widths[rho(j) - 1] for j in range(1, len(widths) + 1))
 
 
 # ---------------------------------------------------------------------------

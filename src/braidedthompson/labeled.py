@@ -11,11 +11,17 @@ stored as words in those generators (never as raw B_d words), which
 keeps them inside H without ever solving a membership problem; label
 equality is decided after realization in B_d, which is sound and
 complete because H embeds in B_d.
+
+Cabling is the one move through which that embedding enters the diagram
+groups: `labeled_cable` turns a strand labeled h into d parallel strands
+labeled h with the braid of h on top of the bundle, and
+`labeled_uncable` recognizes such bundles and undoes the move.
 """
 
 from __future__ import annotations
 
-from .braids import BraidWord, braid_equal, half_twist, is_pure, permutation_of
+from .braids import (BraidWord, braid_equal, cable, delete_strands, half_twist,
+                     is_pure, is_trivial, permutation_of, shifted)
 
 
 class LabelGroupSpec:
@@ -193,23 +199,82 @@ def lb_invert(x: LabeledBraid) -> LabeledBraid:
     return LabeledBraid(x.braid.inverse(), labels)
 
 
+def label_equal(spec: LabelGroupSpec, a: Label, b: Label) -> bool:
+    """Equality in H: the same word, or the same realized braid in B_d."""
+    return a == b or braid_equal(a.realize(spec), b.realize(spec))
+
+
 def lb_equal(spec: LabelGroupSpec, x: LabeledBraid, y: LabeledBraid) -> bool:
     """Equality in B_l(H): equal braids and equal realized labels."""
     if x.strands != y.strands:
         raise ValueError("strand count mismatch")
     if not braid_equal(x.braid, y.braid):
         return False
-    for a, b in zip(x.labels, y.labels):
-        if a == b:
-            continue
-        if not braid_equal(a.realize(spec), b.realize(spec)):
-            return False
-    return True
+    return all(label_equal(spec, a, b) for a, b in zip(x.labels, y.labels))
 
 
 def lb_is_identity(spec: LabelGroupSpec, x: LabeledBraid) -> bool:
-    from .braids import is_trivial
     if not is_trivial(x.braid):
         return False
     return all(lab.is_identity_word() or is_trivial(lab.realize(spec))
                for lab in x.labels)
+
+
+def _bundles(spec, widths):
+    """(strand, first cable strand), 0-based, of each strand that `widths`
+    (one per uncabled strand) widens; a bundle carries B_d, so it is d wide."""
+    d = spec.degree
+    wide = [j for j, w in enumerate(widths) if w > 1]
+    if any(widths[j] != d for j in wide):
+        raise ValueError("a cabled strand must become %d strands" % d)
+    return [(j, j + k * (d - 1)) for k, j in enumerate(wide)]
+
+
+def _cabled_braid(braid, widths, tops):
+    """cable(braid, widths) after `tops` (first cable strand, realized label), last first."""
+    out = cable(braid, widths)
+    top = []
+    for pos, real in reversed(tops):
+        top.extend(shifted(real, pos, out.strands).letters)
+    return BraidWord(out.strands, top + list(out.letters)) if top else out
+
+
+def labeled_cable(spec: LabelGroupSpec, x: LabeledBraid, widths) -> LabeledBraid:
+    """Cable x by `widths`: strand j becomes widths[j] parallel strands,
+    all labeled x.labels[j], and each bundle whose label word is not
+    empty gets the realized label braid in front of the cabled braid."""
+    widths = list(widths)
+    bundles = _bundles(spec, widths)
+    labels = list(x.labels)
+    for j, _ in reversed(bundles):
+        labels[j:j + 1] = (x.labels[j],) * widths[j]
+    tops = [(pos, x.labels[j].realize(spec)) for j, pos in bundles if x.labels[j].word]
+    return LabeledBraid(_cabled_braid(x.braid, widths, tops), labels)
+
+
+def labeled_uncable(spec: LabelGroupSpec, x: LabeledBraid, widths):
+    """The y on the leader (leftmost) strand of each bundle with
+    labeled_cable(spec, y, widths) equal to x in B_l(H), or None.  Labels
+    must agree per bundle up to label_equal (y keeps the leader's word)
+    and re-cabling the braid left on the leaders must give x.braid."""
+    widths = list(widths)
+    d = spec.degree
+    labels = []
+    killed = []
+    tops = []
+    done = 0
+    for _, pos in _bundles(spec, widths):
+        lead = x.labels[pos]
+        real = lead.realize(spec)  # label_equal, with the leader realized once
+        if any(lab != lead and not braid_equal(lab.realize(spec), real)
+               for lab in x.labels[pos + 1:pos + d]):
+            return None
+        labels.extend(x.labels[done:pos + 1])
+        killed.extend(range(pos + 2, pos + d + 1))
+        tops.append((pos, real))
+        done = pos + d
+    labels.extend(x.labels[done:])
+    braid = delete_strands(x.braid, killed) if killed else x.braid
+    if not braid_equal(x.braid, _cabled_braid(braid, widths, tops)):
+        return None
+    return LabeledBraid(braid, labels)

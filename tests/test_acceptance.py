@@ -17,7 +17,7 @@ from braidedthompson import (BraidWord, Forest, Label, LabeledBraid,
                              format_element, format_header, format_session,
                              HeightFunction, is_homology_wcm, is_trivial,
                              join, matching_to_forest, morse_check,
-                             morse_descending_link, parse_session,
+                             morse_max_degree, parse_session,
                              permutation_of, reduced_homology, simplex_counts,
                              v_equal, v_multiply, v_reduce)
 from braidedthompson.cli import RESULT_SCHEMA, main as cli_main
@@ -258,21 +258,12 @@ def test_criterion_09_complete_join_desk_check():
 def test_criterion_10_morse_desk_check():
     rng = seeded("acceptance-10")
 
-    def max_supported(k, h, t):
-        links = [morse_descending_link(k, h, v)
-                 for v in k.vertex_set() if h(v) == t]
-        kk = -1
-        while kk <= k.dim + 1 and all(
-                reduced_homology(L).is_zero_through(kk) for L in links):
-            kk += 1
-        return kk
-
     cases = 0
     for k in (d_matching_linear(2, 6), d_matching_linear(3, 9)):
         h = HeightFunction({v: v + 1 for v in range(k.vertices)})
         assert h.is_valid_for(k)
         for t in h.levels(k):
-            kk = max_supported(k, h, t)
+            kk = morse_max_degree(k, h, t)
             assert morse_check(k, h, t, kk)
             for smaller in range(0, kk):
                 assert morse_check(k, h, t, smaller)
@@ -283,7 +274,7 @@ def test_criterion_10_morse_desk_check():
         rng.shuffle(heights)
         h = HeightFunction({v: heights[v] for v in range(k.vertices)})
         for t in h.levels(k):
-            assert morse_check(k, h, t, max_supported(k, h, t))
+            assert morse_check(k, h, t, morse_max_degree(k, h, t))
             cases += 1
     report(10, "Morse implication verified at %d filtration levels" % cases)
 

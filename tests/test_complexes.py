@@ -7,7 +7,8 @@ from braidedthompson import (HeightFunction, SimplicialComplex,
                              d_matching_linear, duplicated_cover,
                              forest_to_matching, is_homology_wcm, join, link,
                              matching_to_forest, morse_check,
-                             morse_descending_link, mutual_link,
+                             morse_descending_link, morse_max_degree,
+                             mutual_link,
                              reduced_homology, relative_homology,
                              restrict_initial, simplex_counts,
                              smith_invariants, star, sublevel, wcm_violation)
@@ -92,6 +93,23 @@ def test_relative_homology_disk_boundary():
     assert rel.betti_number(1) == 0 and rel.betti_number(0) == 0
     with pytest.raises(ValueError):
         relative_homology(HOLLOW, SimplicialComplex(3, [(0, 1, 2)]))
+
+
+def test_relative_homology_of_cone_pair_shifts_reduced_homology():
+    # the cone is contractible, so H_{p+1}(CK, K) = H~_p(K), torsion included
+    point = SimplicialComplex(1, [(0,)])
+    rng = seeded("cone-pair")
+    rp2 = complex_library()["rp2"]
+    cases = [SimplicialComplex.empty(), rp2] + [random_complex(rng) for _ in range(25)]
+    for k in cases:
+        red = reduced_homology(k)
+        rel = relative_homology(join(k, point), k)
+        for p in range(-1, k.dim + 2):
+            assert rel.betti_number(p + 1) == red.betti_number(p), (k, p)
+            assert rel.torsion_coefficients(p + 1) == red.torsion_coefficients(p), (k, p)
+    # the cases that pin the torsion and the augmentation degree
+    assert relative_homology(join(rp2, point), rp2).torsion_coefficients(2) == (2,)
+    assert relative_homology(point, SimplicialComplex.empty()).betti_number(0) == 1
 
 
 # -- links, stars, joins -------------------------------------------------------
@@ -254,20 +272,12 @@ def test_sublevel_complexes():
     assert strict.vertex_set() == {0, 1}
 
 
-def _max_supported_degree(k, h, t):
-    links = [morse_descending_link(k, h, v) for v in k.vertex_set() if h(v) == t]
-    kk = -1
-    while kk <= k.dim + 1 and all(reduced_homology(L).is_zero_through(kk) for L in links):
-        kk += 1
-    return kk
-
-
 def test_morse_on_matching_filtrations():
     for k in (d_matching_linear(2, 6), d_matching_linear(3, 9)):
         h = HeightFunction({v: v + 1 for v in range(k.vertices)})
         assert h.is_valid_for(k)
         for t in h.levels(k):
-            kk = _max_supported_degree(k, h, t)
+            kk = morse_max_degree(k, h, t)
             assert morse_check(k, h, t, kk)
             for smaller in range(0, kk):
                 assert morse_check(k, h, t, smaller)
@@ -282,7 +292,28 @@ def test_morse_on_random_complexes():
         h = HeightFunction({v: heights[v] for v in range(k.vertices)})
         assert h.is_valid_for(k)
         for t in h.levels(k):
-            assert morse_check(k, h, t, _max_supported_degree(k, h, t))
+            assert morse_check(k, h, t, morse_max_degree(k, h, t))
+
+
+def test_morse_max_degree_matches_its_definition():
+    # the largest kk <= dim + 2 such that every descending link at level t
+    # has vanishing reduced homology through degree kk - 1
+    rng = seeded("morse-max-degree")
+    for trial in range(30):
+        k = random_complex(rng) if trial else d_matching_linear(3, 9)
+        heights = list(range(k.vertices))
+        rng.shuffle(heights)
+        h = HeightFunction({v: heights[v] for v in range(k.vertices)})
+        for t in h.levels(k) + [k.vertices + 5]:
+            kk = morse_max_degree(k, h, t)
+            links = [reduced_homology(morse_descending_link(k, h, v))
+                     for v in k.vertex_set() if h(v) == t]
+            assert -1 <= kk <= k.dim + 2
+            assert all(r.is_zero_through(kk - 1) for r in links)
+            if kk <= k.dim + 1:
+                assert not all(r.is_zero_through(kk) for r in links)
+            if not links:
+                assert kk == k.dim + 2
 
 
 def test_json_roundtrip():

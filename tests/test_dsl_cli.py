@@ -219,6 +219,55 @@ def test_cli_morse_with_heights(capsys, tmp_path):
     assert code == 0 and data["levels"][0]["holds"] is True
 
 
+# -- complex input contract: a JSON error and exit code 2 --------------------------
+
+COMPLEX_COMMANDS = (["homology"], ["wcm", "--n", "1"], ["morse", "--filter", "start"],
+                    ["join-check", "--duplicated"], ["join-check"])
+
+
+def assert_input_error(capsys, tmp_path, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    for cmd in COMPLEX_COMMANDS:
+        if cmd == ["join-check"] and isinstance(payload, dict):
+            args = cmd + ["--file", str(tmp_path / "pair.json")]
+            (tmp_path / "pair.json").write_text(json.dumps(
+                {"source": payload, "target": payload, "vertex_map": [0]}), encoding="utf-8")
+        else:
+            args = cmd + ["--file", str(path)]
+        code = main(args)
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert code == 2 and err["ok"] is False and err["error"], cmd
+        assert captured.out == ""
+
+
+def test_cli_missing_file_is_a_json_error(capsys, tmp_path):
+    for cmd in COMPLEX_COMMANDS:
+        code = main(cmd + ["--file", str(tmp_path / "missing.json")])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 2 and err["ok"] is False, cmd
+
+
+def test_cli_top_level_array_is_a_json_error(capsys, tmp_path):
+    assert_input_error(capsys, tmp_path, [[0, 1]])
+
+
+def test_cli_non_integer_vertex_is_a_json_error(capsys, tmp_path):
+    assert_input_error(capsys, tmp_path, {"vertices": 3, "maximal_faces": [["a", 1]]})
+    assert_input_error(capsys, tmp_path, {"maximal_faces": [["a", 1]]})
+
+
+def test_cli_fractional_vertex_is_a_json_error(capsys, tmp_path):
+    assert_input_error(capsys, tmp_path, {"vertices": 3, "maximal_faces": [[0, 1.5]]})
+    assert_input_error(capsys, tmp_path, {"vertices": 3, "maximal_faces": [[0, 1.0]]})
+
+
+def test_cli_bad_vertex_count_is_a_json_error(capsys, tmp_path):
+    for vertices in (True, 3.0, "3", None):
+        assert_input_error(capsys, tmp_path, {"vertices": vertices, "maximal_faces": [[0, 1]]})
+
+
 def test_cli_plain_mode(capsys, session_file):
     code = main(["--plain", "eq", "--input", session_file, "a", "a"])
     out = capsys.readouterr().out

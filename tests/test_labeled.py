@@ -4,6 +4,7 @@ from braidedthompson import (BraidWord, Label, LabeledBraid, LabelGroupSpec,
                              braid_equal, half_twist, is_pure, is_trivial,
                              lb_equal, lb_invert, lb_multiply, permutation_of,
                              ribbon_spec)
+from braidedthompson.labeled import labeled_cable, labeled_uncable
 from conftest import seeded
 
 
@@ -148,3 +149,74 @@ def test_label_parsing_and_realization():
         Label.parse("h2")
     with pytest.raises(ValueError):
         Label((2,)).realize(spec)
+
+
+# -- the labeled cable -----------------------------------------------------------
+
+def random_widths(rng, n, d):
+    return [d if rng.random() < 0.5 else 1 for _ in range(n)]
+
+
+def test_uncable_inverts_cable_word_for_word():
+    rng = seeded("labeled-cable")
+    for spec in (spec_half_twist_b3(), spec_full_twist_b2()):
+        d = spec.degree
+        for _ in range(60):
+            x = random_lb(rng, rng.randint(1, 5), spec)
+            widths = random_widths(rng, x.strands, d)
+            y = labeled_cable(spec, x, widths)
+            assert y.strands == sum(widths)
+            assert labeled_uncable(spec, y, widths) == x
+    # all widths 1: cabling changes nothing
+    x = random_lb(rng, 4, spec_half_twist_b3())
+    assert labeled_cable(spec_half_twist_b3(), x, [1] * 4) == x
+
+
+def test_cable_copies_labels_and_inserts_label_braid():
+    spec = spec_full_twist_b2()
+    g = Label((1,))
+    y = labeled_cable(spec, LabeledBraid(BraidWord(2, [1]), (Label(), g)), [1, 2])
+    assert y.labels == (Label(), g, g)
+    # the full twist of the second bundle sits on top of the cabled crossing
+    assert y.braid == BraidWord(3, [2, 2, 1, 2])
+
+
+def test_uncable_accepts_labels_equal_after_realization():
+    spec = spec_full_twist_b2()
+    g = Label((1,))
+    y = LabeledBraid(BraidWord(3, [2, 2, 1, 2]), (Label(), g, Label((1, 1, -1))))
+    x = labeled_uncable(spec, y, [1, 2])
+    assert x == LabeledBraid(BraidWord(2, [1]), (Label(), g))
+
+
+def test_uncable_rejects_a_bundle_label_of_another_element():
+    rng = seeded("labeled-uncable-label")
+    for spec in (spec_half_twist_b3(), spec_full_twist_b2()):
+        d = spec.degree
+        for _ in range(30):
+            x = random_lb(rng, rng.randint(1, 4), spec)
+            widths = random_widths(rng, x.strands, d)
+            k = rng.randrange(x.strands)
+            widths[k] = d
+            y = labeled_cable(spec, x, widths)
+            # g1 has infinite order, so h and h*g1 realize different braids
+            labels = list(y.labels)
+            j = sum(widths[:k]) + rng.randint(1, d - 1)
+            labels[j] = labels[j] * Label((1,))
+            assert labeled_uncable(spec, LabeledBraid(y.braid, labels), widths) is None
+
+
+def test_uncable_rejects_a_crossing_inside_a_bundle():
+    rng = seeded("labeled-uncable-crossing")
+    for spec in (spec_half_twist_b3(), spec_full_twist_b2()):
+        d = spec.degree
+        for _ in range(30):
+            x = random_lb(rng, rng.randint(1, 4), spec)
+            widths = random_widths(rng, x.strands, d)
+            k = rng.randrange(x.strands)
+            widths[k] = d
+            y = labeled_cable(spec, x, widths)
+            first = sum(widths[:k]) + 1
+            crossing = BraidWord(y.strands, [rng.choice([1, -1]) * rng.randint(first, first + d - 2)])
+            extra = LabeledBraid(crossing * y.braid, y.labels)
+            assert labeled_uncable(spec, extra, widths) is None

@@ -144,6 +144,33 @@ def _read_complex(args):
     return cx.SimplicialComplex.from_json_dict(data.get("complex", data))
 
 
+def _heights(text, k):
+    """--heights: a JSON list of integers, one per vertex of k."""
+    try:
+        heights = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CliError("--heights is not JSON: %s" % exc) from None
+    if (not isinstance(heights, list) or len(heights) != k.vertices
+            or not all(type(x) is int for x in heights)):
+        raise CliError("--heights must be a JSON list of %d integers, one per vertex"
+                       % k.vertices)
+    return dict(enumerate(heights))
+
+
+def _vertex_map(data, source):
+    """"vertex_map": a list of integers, one per source vertex, or an
+    object from decimal vertex ids to integers."""
+    vmap = data.get("vertex_map")
+    if isinstance(vmap, list):
+        if len(vmap) == source.vertices and all(type(w) is int for w in vmap):
+            return vmap
+    elif isinstance(vmap, dict):
+        if all(v.isascii() and v.isdigit() and type(w) is int for v, w in vmap.items()):
+            return {int(v): w for v, w in vmap.items()}
+    raise CliError('"vertex_map" must be a list of %d integers, one per source vertex, '
+                   "or an object from decimal vertex ids to integers" % source.vertices)
+
+
 def _homology_json(report):
     return report.to_json_dict()["reduced_homology"]
 
@@ -276,7 +303,7 @@ def cmd_join_check(args):
         data = _read_json(args)
         source = cx.SimplicialComplex.from_json_dict(data["source"])
         target = cx.SimplicialComplex.from_json_dict(data["target"])
-        res = cx.complete_join_check(source, target, data["vertex_map"])
+        res = cx.complete_join_check(source, target, _vertex_map(data, source))
     return {"command": "join-check", "ok": True, "complete_join": res}, res
 
 
@@ -285,7 +312,7 @@ def cmd_morse(args):
     if args.filter == "start":
         heights = {v: v + 1 for v in range(k.vertices)}
     else:
-        heights = {i: int(x) for i, x in enumerate(json.loads(args.heights))}
+        heights = _heights(args.heights, k)
     h = cx.HeightFunction(heights)
     if not h.is_valid_for(k):
         raise CliError("invalid height function: some cell has no unique maximum")
@@ -401,7 +428,7 @@ def build_parser():
     p.add_argument("--file")
     p.add_argument("--filter", choices=["start"],
                    help="height = initial position (for matching complexes)")
-    p.add_argument("--heights", help="JSON array of per-vertex heights")
+    p.add_argument("--heights", help="JSON list of integer heights, one per vertex")
     p.add_argument("--t", type=int, help="single level to check (default: all)")
     p.add_argument("--k", type=int, help="connectivity degree (default: derived from links)")
     p.set_defaults(fn=cmd_morse)

@@ -3,10 +3,12 @@
 Complexes are stored by their maximal faces over a fixed ambient vertex
 set 0..V-1 (a vertex belongs to the complex iff it spans a face, so an
 ambient id may be unused, e.g. after passing to a full subcomplex).
-Reduced homology is computed from the augmented boundary matrices via
-Smith normal form over Python integers, so torsion is exact and there is
-no overflow.  Orientation: faces are ordered by ascending vertex id and
-boundary signs alternate accordingly.
+Reduced homology is computed from the augmented boundary maps, stored as
+sparse columns: columns are eliminated against +-1 pivots first, and only
+the block left without a unit pivot goes through the dense Smith normal
+form (`smith_invariants`).  All arithmetic is on Python integers, so
+torsion is exact and there is no overflow.  Orientation: faces are
+ordered by ascending vertex id and boundary signs alternate accordingly.
 
 Connectivity is only ever certified HOMOLOGICALLY here: "homology
 n-connected" means vanishing reduced homology through degree n; the
@@ -329,30 +331,85 @@ class HomologyReport:
         return "HomologyReport(%s)" % ("; ".join(parts) or "trivial")
 
 
-def _boundary_matrix(lower, upper):
-    """Matrix of the boundary map from the span of `upper` (p-faces) to
-    the span of `lower` ((p-1)-faces), lexicographic orientation; faces
-    missing from `lower` are projected away."""
-    index = {f: i for i, f in enumerate(lower)}
-    rows = [[0] * len(upper) for _ in lower]
-    for j, f in enumerate(upper):
-        for drop in range(len(f)):
-            i = index.get(f[:drop] + f[drop + 1:])
-            if i is not None:
-                rows[i][j] += (-1) ** drop
-    return rows
+def _sparse_invariants(columns):
+    """Invariant factors of the integer matrix with the given sparse
+    columns ({row: entry} dicts), as smith_invariants lists them.
+
+    A column is reduced at its lowest row against the columns holding a
+    unit pivot there; it becomes a pivot itself if its lowest entry is
+    +-1, and is set aside otherwise.  The pivot block is unitriangular,
+    so each pivot gives a factor 1 and row operations clear its other
+    rows without touching the remaining columns.  Those are reduced
+    against the final pivots until no entry is left in a pivot row; only
+    that leftover block goes through the dense Smith form.
+    """
+    pivots = {}
+    aside = []
+    for col in columns:
+        col = dict(col)
+        while col:
+            low = max(col)
+            piv = pivots.get(low)
+            if piv is None:
+                break
+            _eliminate(col, piv, low)
+        if not col:
+            continue
+        if col[low] in (1, -1):
+            pivots[low] = col
+        else:
+            aside.append(col)
+    leftover = []
+    for col in aside:
+        # a pivot's other entries lie above its row, so this ends
+        while hit := [r for r in col if r in pivots]:
+            r = max(hit)
+            _eliminate(col, pivots[r], r)
+        if col:
+            leftover.append(col)
+    invs = [1] * len(pivots)
+    if leftover:
+        used = sorted(set().union(*leftover))
+        invs += smith_invariants([[col.get(i, 0) for col in leftover] for i in used])
+    return invs
+
+
+def _eliminate(col, piv, r):
+    """Subtract from `col` the multiple of `piv` (entry +-1 at row r) that
+    clears row r."""
+    q = col[r] * piv[r]
+    for i, v in piv.items():
+        w = col.get(i, 0) - q * v
+        if w:
+            col[i] = w
+        else:
+            del col[i]
 
 
 def _homology(chains, low):
     """Homology of the chain complex with basis `chains` (degree ->
-    faces), reported in degrees low .. top chain degree."""
+    faces), reported in degrees low .. top chain degree.  Boundary maps
+    are sparse columns over the lexicographic face order; faces missing
+    from the degree below are projected away."""
     for fs in chains.values():
         fs.sort()
     top = max(chains, default=-1)
     invs = {}
     for p in range(low, top + 2):
         lower, upper = chains.get(p - 1), chains.get(p)
-        invs[p] = smith_invariants(_boundary_matrix(lower, upper)) if lower and upper else []
+        if not (lower and upper):
+            invs[p] = []
+            continue
+        index = {f: i for i, f in enumerate(lower)}
+        columns = []
+        for f in upper:
+            col = {}
+            for drop in range(len(f)):
+                i = index.get(f[:drop] + f[drop + 1:])
+                if i is not None:
+                    col[i] = -1 if drop % 2 else 1
+            columns.append(col)
+        invs[p] = _sparse_invariants(columns)
     degrees = range(low, top + 1)
     betti = {p: len(chains.get(p, ())) - len(invs[p]) - len(invs[p + 1]) for p in degrees}
     torsion = {p: [d for d in invs[p + 1] if d > 1] for p in degrees}

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -12,6 +13,7 @@ from braidedthompson import (HeightFunction, SimplicialComplex,
                              reduced_homology, relative_homology,
                              restrict_initial, simplex_counts,
                              smith_invariants, star, sublevel, wcm_violation)
+from braidedthompson.complexes import _sparse_invariants
 from conftest import complex_library, random_complex, seeded
 
 HOLLOW = SimplicialComplex(3, [(0, 1), (1, 2), (0, 2)])
@@ -110,6 +112,82 @@ def test_relative_homology_of_cone_pair_shifts_reduced_homology():
     # the cases that pin the torsion and the augmentation degree
     assert relative_homology(join(rp2, point), rp2).torsion_coefficients(2) == (2,)
     assert relative_homology(point, SimplicialComplex.empty()).betti_number(0) == 1
+
+
+# -- sparse elimination against the dense Smith form ---------------------------
+
+def test_sparse_invariants_match_dense_smith_form():
+    # small entries in -3..3 leave non-unit pivots, so the dense leftover
+    # block and torsion are exercised, not only the unit pivots
+    rng = random.Random("sparse-vs-dense")
+    with_torsion = 0
+    for _ in range(400):
+        m, n = rng.randint(0, 8), rng.randint(0, 8)
+        rows = [[rng.choice((0, 0, 0, 1, -1, 2, -2, 3, -3)) for _ in range(n)]
+                for _ in range(m)]
+        columns = [{i: rows[i][j] for i in range(m) if rows[i][j]} for j in range(n)]
+        dense = smith_invariants(rows)
+        assert _sparse_invariants(columns) == dense, rows
+        with_torsion += any(d > 1 for d in dense)
+    assert with_torsion > 50
+    assert _sparse_invariants([{0: 2}, {0: 3}]) == [1]
+    assert _sparse_invariants([{0: 2, 1: 2}, {0: 2, 1: -2}]) == [2, 4]
+
+
+def dense_homology(chains, low):
+    """Betti numbers, torsion and face counts of the chain complex with
+    basis `chains` (degree -> faces), from dense boundary matrices and
+    smith_invariants; faces missing from the degree below are projected
+    away.  The reference for the library's sparse elimination."""
+    top = max(chains, default=-1)
+    invs = {}
+    for p in range(low, top + 2):
+        lower, upper = sorted(chains.get(p - 1, ())), sorted(chains.get(p, ()))
+        index = {f: i for i, f in enumerate(lower)}
+        rows = [[0] * len(upper) for _ in lower]
+        for j, f in enumerate(upper):
+            for drop in range(len(f)):
+                i = index.get(f[:drop] + f[drop + 1:])
+                if i is not None:
+                    rows[i][j] = (-1) ** drop
+        invs[p] = smith_invariants(rows) if lower and upper else []
+    degrees = range(low, top + 1)
+    betti = {p: len(chains.get(p, ())) - len(invs[p]) - len(invs[p + 1]) for p in degrees}
+    torsion = {p: tuple(d for d in invs[p + 1] if d > 1) for p in degrees}
+    counts = [len(chains.get(p, ())) for p in range(0, top + 1)]
+    return betti, {p: t for p, t in torsion.items() if t}, counts
+
+
+def chains_of(faces, low):
+    chains = {-1: [()]} if low == -1 else {}
+    for f in faces:
+        chains.setdefault(len(f) - 1, []).append(f)
+    return chains
+
+
+def report_of(h):
+    return h.betti, h.torsion, h.face_counts
+
+
+def test_homology_matches_dense_reference():
+    rng = random.Random("homology-vs-dense")
+    rp2 = complex_library()["rp2"]
+    s0 = SimplicialComplex(2, [(0,), (1,)])
+    cases = ([SimplicialComplex.empty(), rp2, join(rp2, s0)]
+             + list(complex_library().values())
+             + [random_complex(rng, max_vertices=9, max_faces=8, max_size=5)
+                for _ in range(150)])
+    for k in cases:
+        assert report_of(reduced_homology(k)) == dense_homology(chains_of(k.faces, -1), -1), k
+        for _ in range(3):
+            sub = k.full_subcomplex(v for v in range(k.vertices) if rng.random() < 0.6)
+            assert (report_of(relative_homology(k, sub))
+                    == dense_homology(chains_of(k.faces - sub.faces, 0), 0)), (k, sub)
+    assert reduced_homology(rp2).torsion == {1: (2,)}
+    assert reduced_homology(join(rp2, s0)).torsion == {2: (2,)}
+    # Kuenneth for joins: Z/2 (x) Z/2 in degree 3 and Tor(Z/2, Z/2) in degree 4
+    h = reduced_homology(join(rp2, rp2))
+    assert h.torsion == {3: (2,), 4: (2,)} and not any(h.betti.values())
 
 
 # -- links, stars, joins -------------------------------------------------------
@@ -212,6 +290,46 @@ def test_m2_homology_regression_table():
         got = {p: h.betti_number(p) for p in h.betti if h.betti_number(p)}
         assert got == expected, (m, got)
         assert not h.torsion
+
+
+def test_m2_homology_follows_kozlov_at_scale():
+    # M_2(P_m) is the independence complex of the path on n = m - 1
+    # vertices: S^{k-1} for n = 3k - 1 or 3k, contractible for n = 3k + 1
+    # (Kozlov, "Complexes of directed trees", JCTA 1999)
+    for m in range(13, 18):
+        k, rest = divmod(m, 3)  # m = n + 1
+        expected = {} if rest == 2 else {k - 1: 1}
+        h = reduced_homology(d_matching_linear(2, m))
+        assert {p: b for p, b in h.betti.items() if b} == expected, m
+        assert not h.torsion
+
+
+# frozen from the dense Smith-form homology; no torsion occurs
+M3_LINEAR_TABLE = {
+    3: {}, 4: {0: 1}, 5: {0: 2}, 6: {0: 2}, 7: {0: 1}, 8: {1: 1}, 9: {1: 3},
+    10: {1: 4}, 11: {1: 3}, 12: {1: 1, 2: 1}, 13: {2: 4}, 14: {2: 7},
+    15: {2: 7}, 16: {2: 4, 3: 1}, 17: {2: 1, 3: 5},
+}
+M2_CYCLIC_TABLE = {
+    2: {0: 1}, 3: {0: 2}, 4: {0: 1}, 5: {1: 1}, 6: {1: 2}, 7: {1: 1},
+    8: {2: 1}, 9: {2: 2}, 10: {2: 1}, 11: {3: 1}, 12: {3: 2}, 13: {3: 1},
+    14: {4: 1}, 15: {4: 2},
+}
+M3_CYCLIC_TABLE = {
+    3: {0: 2}, 4: {0: 3}, 5: {0: 4}, 6: {0: 2}, 7: {1: 1}, 8: {1: 5},
+    9: {1: 7}, 10: {1: 6}, 11: {1: 1}, 12: {2: 6}, 13: {2: 12}, 14: {2: 13},
+    15: {2: 7},
+}
+
+
+def test_matching_homology_regression_tables():
+    for build, d, table in ((d_matching_linear, 3, M3_LINEAR_TABLE),
+                            (d_matching_cyclic, 2, M2_CYCLIC_TABLE),
+                            (d_matching_cyclic, 3, M3_CYCLIC_TABLE)):
+        for m, expected in table.items():
+            h = reduced_homology(build(d, m))
+            assert {p: b for p, b in h.betti.items() if b} == expected, (d, m)
+            assert not h.torsion, (d, m)
 
 
 # -- weak Cohen-Macaulay and complete joins -----------------------------------

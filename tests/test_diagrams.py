@@ -126,6 +126,24 @@ def test_group_axioms_per_context():
             assert ctx.equal(ctx.multiply(ctx.identity(), a), a)
 
 
+def test_half_twist_multiply_then_cancel():
+    # (a*b)*b^-1 reduces to the reduced form of a: same forests, and a
+    # braid with the same permutation and exponent sum.  This pins how
+    # multiply moves the half-twist labels along with the strands.
+    for d in (2, 3):
+        ctx = context_half_twist(d, 1)
+        rng = seeded("half-twist-cancel-%d" % d)
+        for _ in range(25):
+            a = random_element(ctx, rng, steps=4)
+            b = random_element(ctx, rng, steps=4)
+            back = ctx.multiply(ctx.multiply(a, b), ctx.invert(b))
+            got, want = ctx.reduce(back), ctx.reduce(a)
+            assert (got.minus, got.plus) == (want.minus, want.plus)
+            assert permutation_of(got.lb.braid) == permutation_of(want.lb.braid)
+            assert got.lb.braid.exponent_sum() == want.lb.braid.exponent_sum()
+            assert ctx.equal(back, a)
+
+
 def test_invert_swaps_heads_and_feet():
     ctx = context_trivial(2, 1)
     lam = ctx.lambda_spraige(3, {1, 3})

@@ -268,6 +268,61 @@ def test_cli_bad_vertex_count_is_a_json_error(capsys, tmp_path):
         assert_input_error(capsys, tmp_path, {"vertices": vertices, "maximal_faces": [[0, 1]]})
 
 
+def assert_field_error(capsys, argv, field):
+    code = main(argv)
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert code == 2 and err["ok"] is False and field in err["error"], err
+    assert captured.out == ""
+
+
+@pytest.fixture
+def path3_file(tmp_path):
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps({"vertices": 3, "maximal_faces": [[0, 1], [1, 2]]}),
+                    encoding="utf-8")
+    return str(path)
+
+
+def test_cli_heights_not_a_list_is_a_json_error(capsys, path3_file):
+    assert_field_error(capsys, ["morse", "--file", path3_file, "--heights", "5"], "--heights")
+    assert_field_error(capsys, ["morse", "--file", path3_file, "--heights", "[1, 2"],
+                       "--heights")
+
+
+def test_cli_fractional_heights_are_a_json_error(capsys, path3_file):
+    for heights in ("[1.5, 2.7, 3.2]", "[1.0, 2, 3]", "[true, 2, 3]", '["1", 2, 3]'):
+        assert_field_error(capsys, ["morse", "--file", path3_file, "--heights", heights],
+                           "--heights")
+
+
+def test_cli_heights_of_wrong_length_are_a_json_error(capsys, path3_file):
+    for heights in ("[1, 2]", "[]", "[1, 2, 3, 4]"):
+        assert_field_error(capsys, ["morse", "--file", path3_file, "--heights", heights],
+                           "--heights")
+
+
+def write_pair(tmp_path, vertex_map):
+    tri = {"vertices": 3, "maximal_faces": [[0, 1], [1, 2], [0, 2]]}
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"source": tri, "target": tri, "vertex_map": vertex_map}),
+                    encoding="utf-8")
+    return str(path)
+
+
+def test_cli_bad_vertex_map_is_a_json_error(capsys, tmp_path):
+    for vertex_map in (5, None, "012", [0, 1], [0, 1, 2.0], [0, 1, True],
+                       {"a": 0, "1": 1, "2": 2}, {"-1": 0}, {"0": 0, "1": 1, "2": "2"}):
+        assert_field_error(capsys, ["join-check", "--file", write_pair(tmp_path, vertex_map)],
+                           "vertex_map")
+
+
+def test_cli_vertex_map_object_keys_are_vertex_ids(capsys, tmp_path):
+    path = write_pair(tmp_path, {"0": 1, "1": 2, "2": 0})
+    code, data = run_cli(capsys, "join-check", "--file", path)
+    assert code == 0 and data["complete_join"] is True
+
+
 def test_cli_plain_mode(capsys, session_file):
     code = main(["--plain", "eq", "--input", session_file, "a", "a"])
     out = capsys.readouterr().out

@@ -18,7 +18,7 @@ import sys
 
 from . import complexes as cx
 from .diagrams import Spraige, v_reduce
-from .dsl import DslError, format_element, parse_session
+from .dsl import format_element, parse_session
 from .forests import encode as encode_forest
 from .labeled import Label
 
@@ -110,12 +110,8 @@ def _element_json(name, s: Spraige):
 def _load_session(args):
     if not getattr(args, "input", None):
         raise CliError("this command needs --input FILE with a group header and elements")
-    try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise CliError(str(exc)) from None
-    return parse_session(text)
+    with open(args.input, "r", encoding="utf-8") as fh:
+        return parse_session(fh.read())
 
 
 def _get(elements, name):
@@ -126,14 +122,11 @@ def _get(elements, name):
 
 def _read_json(args):
     """The JSON object in --file, or on stdin without it."""
-    try:
-        if getattr(args, "file", None):
-            with open(args.file, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        else:
-            data = json.load(sys.stdin)
-    except OSError as exc:
-        raise CliError(str(exc)) from None
+    if getattr(args, "file", None):
+        with open(args.file, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    else:
+        data = json.load(sys.stdin)
     if not isinstance(data, dict):
         raise CliError("the input JSON must be an object")
     return data
@@ -171,97 +164,62 @@ def _vertex_map(data, source):
                    "or an object from decimal vertex ids to integers" % source.vertices)
 
 
-def _homology_json(report):
-    return report.to_json_dict()["reduced_homology"]
-
-
 # -- element commands ---------------------------------------------------------
 
 
-def cmd_reduce(args):
-    ctx, elements = _load_session(args)
-    s = _get(elements, args.name)
+def _reduce(ctx, args, s):
     red = ctx.reduce(s)
-    out = {"command": "reduce", "ok": True,
-           "leaves_before": s.leaves, "leaves_after": red.leaves,
-           "element": _element_json(args.name, red)}
     if args.dot:
         _write_dot(args.dot, args.name, red)
-    return out, True
+    return {"leaves_before": s.leaves, "leaves_after": red.leaves,
+            "element": _element_json(args.name, red)}, True
 
 
-def cmd_mul(args):
-    ctx, elements = _load_session(args)
-    a, b = _get(elements, args.a), _get(elements, args.b)
-    prod = ctx.multiply(a, b)
-    return {"command": "mul", "ok": True,
-            "element": _element_json("%s*%s" % (args.a, args.b), prod)}, True
+def _embed(ctx, args):
+    label = Label.parse(args.label)
+    if args.prime:
+        return {"element": _element_json("iota'(%s)" % args.label, ctx.iota_prime(label))}, True
+    return {"element": _element_json("iota(%s)" % args.label, ctx.iota_label(label))}, True
 
 
-def cmd_inv(args):
-    ctx, elements = _load_session(args)
-    s = ctx.reduce(ctx.invert(_get(elements, args.name)))
-    return {"command": "inv", "ok": True,
-            "element": _element_json("%s^-1" % args.name, s)}, True
-
-
-def cmd_eq(args):
-    ctx, elements = _load_session(args)
-    res = ctx.equal(_get(elements, args.a), _get(elements, args.b))
-    return {"command": "eq", "ok": True, "equal": res}, res
-
-
-def cmd_is_identity(args):
-    ctx, elements = _load_session(args)
-    res = ctx.is_identity(_get(elements, args.name))
-    return {"command": "is-identity", "ok": True, "identity": res}, res
-
-
-def cmd_member(args):
-    ctx, elements = _load_session(args)
-    s = _get(elements, args.name)
-    if args.sub == "F":
-        res = ctx.in_bF(s)
-    else:
-        res = ctx.in_bT(s)
-    return {"command": "member", "ok": True, "member": res}, res
-
-
-def cmd_project_v(args):
-    ctx, elements = _load_session(args)
-    pfd = v_reduce(ctx.project_to_v(_get(elements, args.name)))
-    return {"command": "project-v", "ok": True,
-            "diagram": {"minus": encode_forest(pfd.minus),
+def _project_v(ctx, args, s):
+    pfd = v_reduce(ctx.project_to_v(s))
+    return {"diagram": {"minus": encode_forest(pfd.minus),
                         "permutation": list(pfd.perm.image),
                         "plus": encode_forest(pfd.plus)}}, True
 
 
-def cmd_retract(args):
+def _answer(field, truth):
+    return {field: truth}, truth
+
+
+# command -> (operand names, fn(ctx, args, *operand elements) -> (fields, truth))
+ELEMENT_COMMANDS = {
+    "reduce": (["name"], _reduce),
+    "mul": (["a", "b"], lambda ctx, args, a, b: (
+        {"element": _element_json("%s*%s" % (args.a, args.b), ctx.multiply(a, b))}, True)),
+    "inv": (["name"], lambda ctx, args, s: (
+        {"element": _element_json("%s^-1" % args.name, ctx.reduce(ctx.invert(s)))}, True)),
+    "eq": (["a", "b"], lambda ctx, args, a, b: _answer("equal", ctx.equal(a, b))),
+    "is-identity": (["name"], lambda ctx, args, s: _answer("identity", ctx.is_identity(s))),
+    "member": (["name"], lambda ctx, args, s: _answer(
+        "member", ctx.in_bF(s) if args.sub == "F" else ctx.in_bT(s))),
+    "project-v": (["name"], _project_v),
+    "retract": (["name"], lambda ctx, args, s: ({"braid": str(ctx.r_label(s))}, True)),
+    "embed": ([], _embed),
+    "dangling-eq": (["a", "b"], lambda ctx, args, a, b: _answer(
+        "dangling_equal", ctx.dangling_equal(a, b, flavor=args.flavor))),
+    "arc-support": (["name"], lambda ctx, args, s: (
+        {"supports": sorted(sorted(block) for block in ctx.arc_support(s))}, True)),
+}
+
+
+def cmd_element(args):
+    """Any command of ELEMENT_COMMANDS, on the elements named in --input."""
+    operands, fn = ELEMENT_COMMANDS[args.command]
     ctx, elements = _load_session(args)
-    w = ctx.r_label(_get(elements, args.name))
-    return {"command": "retract", "ok": True, "braid": str(w)}, True
-
-
-def cmd_embed(args):
-    ctx, _ = _load_session(args)
-    label = Label.parse(args.label)
-    s = ctx.iota_prime(label) if args.prime else ctx.iota_label(label)
-    name = "iota'(%s)" % args.label if args.prime else "iota(%s)" % args.label
-    return {"command": "embed", "ok": True, "element": _element_json(name, s)}, True
-
-
-def cmd_dangling_eq(args):
-    ctx, elements = _load_session(args)
-    res = ctx.dangling_equal(_get(elements, args.a), _get(elements, args.b),
-                             flavor=args.flavor)
-    return {"command": "dangling-eq", "ok": True, "dangling_equal": res}, res
-
-
-def cmd_arc_support(args):
-    ctx, elements = _load_session(args)
-    sup = ctx.arc_support(_get(elements, args.name))
-    return {"command": "arc-support", "ok": True,
-            "supports": sorted(sorted(block) for block in sup)}, True
+    fields, truth = fn(ctx, args, *[_get(elements, getattr(args, n)) for n in operands])
+    return dict(fields, command=args.command, ok=True), truth
 
 
 # -- complex commands ----------------------------------------------------------
@@ -279,10 +237,9 @@ def cmd_complex(args):
 
 
 def cmd_homology(args):
-    k = _read_complex(args)
-    rep = cx.reduced_homology(k)
+    rep = cx.reduced_homology(_read_complex(args))
     return {"command": "homology", "ok": True,
-            "reduced_homology": _homology_json(rep),
+            "reduced_homology": rep.to_json_dict()["reduced_homology"],
             "euler_characteristic": rep.euler_characteristic()}, True
 
 
@@ -301,6 +258,9 @@ def cmd_join_check(args):
         res = cx.complete_join_check(cover, k, vmap)
     else:
         data = _read_json(args)
+        for key in ("source", "target"):
+            if key not in data:
+                raise CliError('the input JSON has no "%s" complex' % key)
         source = cx.SimplicialComplex.from_json_dict(data["source"])
         target = cx.SimplicialComplex.from_json_dict(data["target"])
         res = cx.complete_join_check(source, target, _vertex_map(data, source))
@@ -332,23 +292,24 @@ def cmd_morse(args):
 
 
 def _write_dot(path, name, s: Spraige):
+    """Each forest from its encoding: "(" opens a caret, "." is a leaf and
+    ")" closes the innermost open caret; nodes are numbered in that order."""
     lines = ["digraph element {", '  label="%s";' % name]
     for tag, forest in (("minus", s.minus), ("plus", s.plus)):
-        counter = [0]
-
-        def walk(tree, parent):
-            nid = "%s%d" % (tag, counter[0])
-            counter[0] += 1
-            shape = "point" if tree is None else "circle"
-            lines.append('  %s [shape=%s, label=""];' % (nid, shape))
-            if parent:
-                lines.append("  %s -> %s;" % (parent, nid))
-            if tree is not None:
-                for child in tree:
-                    walk(child, nid)
-
-        for t in forest.trees:
-            walk(t, None)
+        open_carets = []
+        nodes = 0
+        for ch in encode_forest(forest):
+            if ch == ")":
+                open_carets.pop()
+            elif ch in "(.":
+                nid = "%s%d" % (tag, nodes)
+                nodes += 1
+                lines.append('  %s [shape=%s, label=""];'
+                             % (nid, "circle" if ch == "(" else "point"))
+                if open_carets:
+                    lines.append("  %s -> %s;" % (open_carets[-1], nid))
+                if ch == "(":
+                    open_carets.append(nid)
     lines.append('  braid [shape=box, label="braid: %s"];' % s.lb.braid)
     lines.append('  labels [shape=box, label="labels: %s"];'
                  % "; ".join(str(l) for l in s.lb.labels))
@@ -357,7 +318,11 @@ def _write_dot(path, name, s: Spraige):
         fh.write("\n".join(lines) + "\n")
 
 
-def _emit_plain(out, fh):
+def _emit(out, fh, plain):
+    """One JSON object, or with --plain sorted key<TAB>value lines."""
+    if not plain:
+        fh.write(json.dumps(out, sort_keys=True) + "\n")
+        return
     for key in sorted(out):
         if key == "command":
             continue
@@ -375,32 +340,18 @@ def build_parser():
     ap.add_argument("--plain", action="store_true", help="line output instead of JSON")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def elem_cmd(name, fn, names, extra=None):
-        p = sub.add_parser(name)
+    elem = {}
+    for name, (operands, _) in ELEMENT_COMMANDS.items():
+        p = elem[name] = sub.add_parser(name)
         p.add_argument("--input", required=False, help="DSL file with header and elements")
-        for n in names:
+        for n in operands:
             p.add_argument(n)
-        if extra:
-            extra(p)
-        p.set_defaults(fn=fn)
-        return p
-
-    p = elem_cmd("reduce", cmd_reduce, ["name"])
-    p.add_argument("--dot", help="also write a DOT sketch of the reduced element")
-    elem_cmd("mul", cmd_mul, ["a", "b"])
-    elem_cmd("inv", cmd_inv, ["name"])
-    elem_cmd("eq", cmd_eq, ["a", "b"])
-    elem_cmd("is-identity", cmd_is_identity, ["name"])
-    p = elem_cmd("member", cmd_member, ["name"])
-    p.add_argument("--sub", choices=["F", "T"], required=True)
-    elem_cmd("project-v", cmd_project_v, ["name"])
-    elem_cmd("retract", cmd_retract, ["name"])
-    p = elem_cmd("embed", cmd_embed, [])
-    p.add_argument("--label", required=True, help="label word, e.g. 'g1 g2^-1' or 'e'")
-    p.add_argument("--prime", action="store_true", help="first-strand embedding")
-    p = elem_cmd("dangling-eq", cmd_dangling_eq, ["a", "b"])
-    p.add_argument("--flavor", choices=["V", "F", "T"], default="V")
-    elem_cmd("arc-support", cmd_arc_support, ["name"])
+        p.set_defaults(fn=cmd_element)
+    elem["reduce"].add_argument("--dot", help="also write a DOT sketch of the reduced element")
+    elem["member"].add_argument("--sub", choices=["F", "T"], required=True)
+    elem["embed"].add_argument("--label", required=True, help="label word, e.g. 'g1 g2^-1' or 'e'")
+    elem["embed"].add_argument("--prime", action="store_true", help="first-strand embedding")
+    elem["dangling-eq"].add_argument("--flavor", choices=["V", "F", "T"], default="V")
 
     p = sub.add_parser("complex")
     p.add_argument("kind", choices=["linear-matching", "cyclic-matching"])
@@ -442,19 +393,10 @@ def main(argv=None):
         ap.error("morse needs --filter start or --heights")
     try:
         out, truth = args.fn(args)
-    except (CliError, DslError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        err = {"command": args.command, "ok": False, "error": str(exc)}
-        if args.plain:
-            _emit_plain(err, sys.stderr)
-        else:
-            json.dump(err, sys.stderr, sort_keys=True)
-            sys.stderr.write("\n")
+    except (CliError, OSError, ValueError, KeyError) as exc:  # DslError, JSONDecodeError too
+        _emit({"command": args.command, "ok": False, "error": str(exc)}, sys.stderr, args.plain)
         return 2
-    if args.plain:
-        _emit_plain(out, sys.stdout)
-    else:
-        json.dump(out, sys.stdout, sort_keys=True)
-        sys.stdout.write("\n")
+    _emit(out, sys.stdout, args.plain)
     return 0 if (truth or not args.strict) else 1
 
 

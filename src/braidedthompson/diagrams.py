@@ -133,11 +133,13 @@ class GroupContext:
 
     def iota_label(self, h: Label) -> Spraige:
         """h |-> (1_r, (id, all strands labeled h), 1_r)."""
+        h.realize(self.spec)  # ValueError on an undeclared generator
         t = Forest.trivial(self.d, self.r)
         return Spraige(t, LabeledBraid(BraidWord(self.r), (h,) * self.r), t)
 
     def iota_prime(self, h: Label) -> Spraige:
         """h on the first strand only, under a single caret on the first root."""
+        h.realize(self.spec)  # ValueError on an undeclared generator
         t1 = elementary_forest(self.r, {1}, self.d)
         l = t1.leaves
         labels = (h,) + (Label(),) * (l - 1)

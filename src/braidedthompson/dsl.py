@@ -17,12 +17,16 @@ reject the header otherwise.
 
 from __future__ import annotations
 
+import re
+
 from .braids import BraidWord, is_pure
 from .diagrams import GroupContext, Spraige
 from .forests import decode as decode_forest, encode as encode_forest
 from .labeled import Label, LabeledBraid, LabelGroupSpec
 
-_PUNCT = set("{}[],;:")
+# A punctuation character, or a run of anything but whitespace and
+# punctuation.  `\s` matches exactly the characters `str.isspace` accepts.
+_TOKEN = re.compile(r"[{}\[\],;:]|[^\s{}\[\],;:]+")
 
 
 class DslError(ValueError):
@@ -42,33 +46,10 @@ class _Token:
 
 
 def _tokenize(text):
-    tokens = []
-    line, col = 1, 1
-    word = None
-    for ch in text + "\n":
-        if ch == "\n":
-            if word:
-                tokens.append(word)
-                word = None
-            line += 1
-            col = 1
-            continue
-        if ch.isspace():
-            if word:
-                tokens.append(word)
-                word = None
-        elif ch in _PUNCT:
-            if word:
-                tokens.append(word)
-                word = None
-            tokens.append(_Token(ch, line, col))
-        else:
-            if word is None:
-                word = _Token(ch, line, col)
-            else:
-                word.text += ch
-        col += 1
-    return tokens
+    # Only "\n" ends a line; columns count characters from 1.
+    return [_Token(m.group(), line, m.start() + 1)
+            for line, row in enumerate(text.split("\n"), 1)
+            for m in _TOKEN.finditer(row)]
 
 
 class _Parser:
@@ -84,6 +65,13 @@ class _Parser:
             raise DslError(message + " (at end of input)", last.line, last.col)
         raise DslError(message, token.line, token.col)
 
+    def check(self, token, build, *args, **kwargs):
+        """build(*args, **kwargs), its ValueError reported at token."""
+        try:
+            return build(*args, **kwargs)
+        except ValueError as exc:
+            self.error(str(exc), token)
+
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
@@ -94,11 +82,12 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect(self, text):
-        tok = self.next()
-        if tok.text != text:
-            self.error("expected %r, found %r" % (text, tok.text), tok)
-        return tok
+    def expect(self, *texts):
+        """Consume the fixed token sequence texts."""
+        for text in texts:
+            tok = self.next()
+            if tok.text != text:
+                self.error("expected %r, found %r" % (text, tok.text), tok)
 
     def at(self, text):
         tok = self.peek()
@@ -113,12 +102,9 @@ class _Parser:
 
     def collect_ints(self):
         out = []
-        while True:
-            tok = self.peek()
-            if tok is None:
-                break
+        while self.pos < len(self.tokens):
             try:
-                out.append(int(tok.text))
+                out.append(int(self.tokens[self.pos].text))
             except ValueError:
                 break
             self.pos += 1
@@ -127,75 +113,47 @@ class _Parser:
     # -- grammar -----------------------------------------------------------
 
     def parse_header(self) -> GroupContext:
-        self.expect("group")
-        self.expect("{")
-        self.expect("d")
-        self.expect(":")
+        self.expect("group", "{", "d", ":")
         d = self.int_token("an arity")
-        self.expect(",")
-        self.expect("r")
-        self.expect(":")
+        self.expect(",", "r", ":")
         r = self.int_token("a root count")
-        self.expect(",")
-        self.expect("flavor")
-        self.expect(":")
+        self.expect(",", "flavor", ":")
         tok = self.next()
         if tok.text not in ("V", "F", "T"):
             self.error("flavor must be V, F or T", tok)
         flavor = tok.text
-        self.expect(",")
-        self.expect("gens")
-        self.expect(":")
-        self.expect("[")
+        self.expect(",", "gens", ":", "[")
         gens = []
         if not self.at("]"):
-            while True:
-                start = self.peek()
-                letters = self.collect_ints()
-                try:
-                    gens.append(BraidWord(d, letters))
-                except ValueError as exc:
-                    self.error(str(exc), start)
-                if self.at(","):
-                    self.next()
-                    continue
-                break
-        self.expect("]")
-        self.expect("}")
+            gens.append(self.check(self.peek(), BraidWord, d, self.collect_ints()))
+            while self.at(","):
+                self.next()
+                gens.append(self.check(self.peek(), BraidWord, d, self.collect_ints()))
+        self.expect("]", "}")
         require_pure = flavor in ("F", "T")
-        if require_pure:
-            for g in gens:
-                if not is_pure(g):
-                    self.error("flavor %s requires pure generators; %r is not pure"
-                               % (flavor, str(g)))
-        try:
-            spec = LabelGroupSpec(d, gens, require_pure=require_pure)
-            return GroupContext(d, r, spec, flavor)
-        except ValueError as exc:
-            self.error(str(exc))
+        for g in gens:
+            if require_pure and not is_pure(g):
+                self.error("flavor %s requires pure generators; %r is not pure"
+                           % (flavor, str(g)))
+        spec = self.check(None, LabelGroupSpec, d, gens, require_pure=require_pure)
+        return self.check(None, GroupContext, d, r, spec, flavor)
 
     def parse_element(self, ctx: GroupContext):
         self.expect("elem")
         name_tok = self.next()
-        name = name_tok.text
-        if name in ("{", "}") or name in ("group", "elem"):
-            self.error("bad element name %r" % name, name_tok)
-        self.expect("{")
-        self.expect("minus")
-        self.expect(":")
+        if name_tok.text in ("{", "}", "group", "elem"):
+            self.error("bad element name %r" % name_tok.text, name_tok)
+        self.expect("{", "minus", ":")
         minus = self._forest(ctx.d)
-        self.expect("braid")
-        self.expect(":")
+        self.expect("braid", ":")
         braid_start = self.peek()
         letters = self.collect_ints()
-        self.expect("labels")
-        self.expect(":")
+        self.expect("labels", ":")
         labels = [self._label(len(ctx.spec.generators))]
         while self.at(";"):
             self.next()
             labels.append(self._label(len(ctx.spec.generators)))
-        self.expect("plus")
-        self.expect(":")
+        self.expect("plus", ":")
         plus = self._forest(ctx.d)
         self.expect("}")
         if minus.leaves != plus.leaves:
@@ -203,31 +161,17 @@ class _Parser:
                        name_tok)
         if len(labels) != minus.leaves:
             self.error("%d labels for %d leaves" % (len(labels), minus.leaves), name_tok)
-        try:
-            braid = BraidWord(minus.leaves, letters)
-        except ValueError as exc:
-            self.error(str(exc), braid_start)
-        return name, ctx.validate(Spraige(minus, LabeledBraid(braid, labels), plus))
+        braid = self.check(braid_start, BraidWord, minus.leaves, letters)
+        return name_tok.text, ctx.validate(Spraige(minus, LabeledBraid(braid, labels), plus))
 
     def _forest(self, d):
         tok = self.next()
-        try:
-            return decode_forest(tok.text, d)
-        except ValueError as exc:
-            self.error(str(exc), tok)
+        return self.check(tok, decode_forest, tok.text, d)
 
     def _label(self, n_gens):
+        """A label word: a run of "e" and g<i>[^-1] tokens."""
         parts = []
-        while True:
-            tok = self.peek()
-            if tok is None or tok.text in (";",):
-                break
-            if tok.text == "plus":
-                nxt = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
-                if nxt is not None and nxt.text == ":":
-                    break
-            if not (tok.text == "e" or tok.text.startswith("g")):
-                break
+        while (tok := self.peek()) is not None and (tok.text == "e" or tok.text.startswith("g")):
             parts.append(self.next())
         if not parts:
             self.error("expected a label word")
@@ -235,16 +179,11 @@ class _Parser:
             return Label()
         word = []
         for tok in parts:
-            try:
-                lab = Label.parse(tok.text)
-            except ValueError as exc:
-                self.error(str(exc), tok)
-            word.extend(lab.word)
-        lab = Label(word)
-        for x in lab.word:
+            word.extend(self.check(tok, Label.parse, tok.text).word)
+        for x in word:
             if abs(x) > n_gens:
                 self.error("label references undeclared generator g%d" % abs(x), parts[0])
-        return lab
+        return Label(word)
 
 
 def parse_session(text):

@@ -134,4 +134,7 @@ def random_complex(rng, max_vertices=7, max_faces=6, max_size=4):
 
 
 def seeded(name):
-    return random.Random(hash(name) % (2 ** 32))
+    """A generator seeded from the name alone (string seeds go through
+    SHA-512, not the per-process salted hash), so every run draws the same
+    inputs."""
+    return random.Random(name)

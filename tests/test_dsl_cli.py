@@ -73,6 +73,61 @@ def test_undeclared_generator_rejected():
     assert "g2" in str(err.value)
 
 
+H = "group { d:2, r:1, flavor:V, gens:[1 1] }\n"
+E = "elem a {\n  minus: (..)\n  braid: 1\n  labels: e; g1\n  plus: (..)\n}\n"
+
+# One malformed session per grammar step: (text, message, line, column).
+MALFORMED = [
+    ("grp { d:2, r:1, flavor:V, gens:[] }", "expected 'group', found 'grp'", 1, 1),
+    (H.replace("{", "(", 1), "expected '{', found '('", 1, 7),
+    (H.replace("d:", "D:"), "expected 'd', found 'D'", 1, 9),
+    (H.replace("d:", "d "), "expected ':', found '2'", 1, 11),
+    (H.replace("d:2", "d:two"), "expected an arity, found 'two'", 1, 11),
+    (H.replace("2,", "2;", 1), "expected ',', found ';'", 1, 12),
+    (H.replace("r:", "q:"), "expected 'r', found 'q'", 1, 14),
+    (H.replace("r:1", "r:x"), "expected a root count, found 'x'", 1, 16),
+    (H.replace("flavor", "kind"), "expected 'flavor', found 'kind'", 1, 19),
+    (H.replace("flavor:V", "flavor:W"), "flavor must be V, F or T", 1, 26),
+    (H.replace("gens", "gen"), "expected 'gens', found 'gen'", 1, 29),
+    (H.replace("[", "("), "expected '[', found '(1'", 1, 34),
+    (H.replace("[1 1]", "[1 1; 2]"), "expected ']', found ';'", 1, 38),
+    (H.replace("[1 1]", "[1 3]"), "letter 3 out of range for B_2", 1, 35),
+    (H.replace("] }", "] ]"), "expected '}', found ']'", 1, 40),
+    (H.replace("flavor:V", "flavor:F").replace("[1 1]", "[1]"),
+     "flavor F requires pure generators; '1' is not pure (at end of input)", 1, 38),
+    (H.replace("r:1", "r:0"), "need at least one root (at end of input)", 1, 40),
+    (H + E.replace("elem", "elm"), "expected 'elem', found 'elm'", 2, 1),
+    (H + E.replace("elem a {", "elem {"), "bad element name '{'", 2, 6),
+    (H + E.replace("elem a", "elem group"), "bad element name 'group'", 2, 6),
+    (H + E.replace("a {", "a ["), "expected '{', found '['", 2, 8),
+    (H + E.replace("minus", "minos"), "expected 'minus', found 'minos'", 3, 3),
+    (H + E.replace("minus: (..)", "minus: (.x)"), "unexpected character 'x' at position 2", 3, 10),
+    (H + E.replace("braid:", "braid"), "expected ':', found '1'", 4, 9),
+    (H + E.replace("labels:", "label:"), "expected 'labels', found 'label'", 5, 3),
+    (H + E.replace("plus:", "plus ="), "expected ':', found '='", 6, 8),
+    (H + E.replace("}", "]"), "expected '}', found ']'", 7, 1),
+    (H + E.replace("g1\n", "g1x\n"), "bad label token 'g1x'", 5, 14),
+    (H + E.replace("e; g1", "e; ; g1"), "expected a label word", 5, 14),
+    (H + E.replace("g1\n", "g2^-1\n"), "label references undeclared generator g2", 5, 14),
+    (H + E.replace("minus: (..)", "minus: (...)"), "expected ')' at position 3 (is the arity 2?)",
+     3, 10),
+    (H + E.replace("braid: 1", "braid: 2"), "letter 2 out of range for B_2", 4, 10),
+    (H + E.replace("plus: (..)", "plus: ((..).)"), "forests have 2 and 3 leaves", 2, 6),
+    (H + E.replace("e; g1", "e; g1; e"), "3 labels for 2 leaves", 2, 6),
+    (H + E + E, "duplicate element name 'a' (at end of input)", 13, 1),
+    (H + "elem a {\n  minus: (..)\n", "unexpected end of input (at end of input)", 3, 10),
+    ("", "unexpected end of input (at end of input)", 1, 1),
+]
+
+
+@pytest.mark.parametrize("text,message,line,col", MALFORMED)
+def test_malformed_session_reports_message_line_and_column(text, message, line, col):
+    with pytest.raises(DslError) as err:
+        parse_session(text)
+    assert str(err.value) == "line %d, column %d: %s" % (line, col, message)
+    assert (err.value.line, err.value.col) == (line, col)
+
+
 def test_format_parse_roundtrip():
     ctx = context_half_twist(3, 1)
     rng = seeded("dsl-roundtrip")
@@ -157,6 +212,15 @@ def test_cli_retract_and_embed(capsys, session_file):
     code, data = run_cli(capsys, "embed", "--input", session_file,
                          "--label", "g1", "--prime")
     assert code == 0 and data["element"]["labels"][0] == "g1"
+
+
+@pytest.mark.parametrize("prime", [[], ["--prime"]])
+def test_cli_embed_rejects_undeclared_generator(capsys, session_file, prime):
+    code = main(["embed", "--input", session_file, "--label", "g5"] + prime)
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert code == 2 and err["ok"] is False and captured.out == ""
+    assert err["error"] == "label references undeclared generator g5"
 
 
 def test_cli_dangling_and_support(capsys, session_file):
@@ -317,6 +381,20 @@ def test_cli_bad_vertex_map_is_a_json_error(capsys, tmp_path):
                            "vertex_map")
 
 
+@pytest.mark.parametrize("key", ["source", "target"])
+def test_cli_join_check_names_a_missing_complex(capsys, tmp_path, key):
+    tri = {"vertices": 3, "maximal_faces": [[0, 1], [1, 2], [0, 2]]}
+    payload = {"source": tri, "target": tri, "vertex_map": [0, 1, 2]}
+    del payload[key]
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    code = main(["join-check", "--file", str(path)])
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)["error"]
+    assert code == 2 and captured.out == ""
+    assert err != repr(key) and '"%s"' % key in err
+
+
 def test_cli_vertex_map_object_keys_are_vertex_ids(capsys, tmp_path):
     path = write_pair(tmp_path, {"0": 1, "1": 2, "2": 0})
     code, data = run_cli(capsys, "join-check", "--file", path)
@@ -336,6 +414,51 @@ def test_cli_dot_export(capsys, tmp_path, session_file):
     assert code == 0
     text = dot.read_text(encoding="utf-8")
     assert text.startswith("digraph") and "braid" in text
+
+
+def test_cli_dot_to_unwritable_path_is_a_json_error(capsys, tmp_path, session_file):
+    for path in (tmp_path / "missing" / "x.dot", tmp_path):
+        code = main(["reduce", "--input", session_file, "g", "--dot", str(path)])
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert code == 2 and err["ok"] is False and err["error"], path
+        assert captured.out == ""
+
+
+def test_cli_dot_text(capsys, tmp_path):
+    path = tmp_path / "x.dsl"
+    path.write_text("group { d:2, r:2, flavor:V, gens:[] }\n"
+                    "elem x { minus: ((..).)|. braid: 1 labels: e; e; e; e plus: .|(.(..)) }\n",
+                    encoding="utf-8")
+    dot = tmp_path / "x.dot"
+    code, _ = run_cli(capsys, "reduce", "--input", str(path), "x", "--dot", str(dot))
+    assert code == 0
+    assert dot.read_text(encoding="utf-8") == """digraph element {
+  label="x";
+  minus0 [shape=circle, label=""];
+  minus1 [shape=circle, label=""];
+  minus0 -> minus1;
+  minus2 [shape=point, label=""];
+  minus1 -> minus2;
+  minus3 [shape=point, label=""];
+  minus1 -> minus3;
+  minus4 [shape=point, label=""];
+  minus0 -> minus4;
+  minus5 [shape=point, label=""];
+  plus0 [shape=point, label=""];
+  plus1 [shape=circle, label=""];
+  plus2 [shape=point, label=""];
+  plus1 -> plus2;
+  plus3 [shape=circle, label=""];
+  plus1 -> plus3;
+  plus4 [shape=point, label=""];
+  plus3 -> plus4;
+  plus5 [shape=point, label=""];
+  plus3 -> plus5;
+  braid [shape=box, label="braid: 1"];
+  labels [shape=box, label="labels: e; e; e; e"];
+}
+"""
 
 
 def test_header_formatting_roundtrip():

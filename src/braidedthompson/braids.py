@@ -4,7 +4,11 @@ A braid is stored as a word in the generators sigma_1 .. sigma_{n-1}
 (letter i > 0 for sigma_i, i < 0 for its inverse), read left to right,
 which is top to bottom in diagrams.  Equality of braids is decided by
 the left greedy normal form over permutation braids with a Delta-power
-prefix, so `braid_equal` is a complete decision procedure.
+prefix, so `braid_equal` is a complete decision procedure.  The normal
+form packs each maximal run of same-sign letters into few simple factors
+(a negative run as the inverse of a positive word) and multiplies them
+onto the normal form one at a time from the right, left-weighting only
+the pairs that the new factor disturbs.
 
 Besides the group operations the module provides the geometric moves
 needed by the diagram calculus: half twists, cabling (replacing strands
@@ -17,7 +21,7 @@ on this choice; it only matters when reading a diagram off a word.
 
 from __future__ import annotations
 
-from collections import deque
+from itertools import groupby
 
 
 class Permutation:
@@ -305,10 +309,17 @@ def word_from_permutation(p: Permutation) -> BraidWord:
 #
 # A simple element (permutation braid) is stored as a 0-indexed permutation
 # tuple p with p[i] = bottom position of the strand starting at top
-# position i.  Products compose left to right.  The word is rewritten as
-# Delta^k A_1 ... A_s with the A_j simple, then adjacent factors are
-# left-weighted until stable; identity factors vanish and Delta factors
-# migrate into the prefix power.
+# position i.  Products compose left to right.  The free-reduced word is
+# cut into maximal sign runs, and each run is packed greedily into simple
+# factors.  A negative run is the inverse of a positive word P; packing P
+# as Q_1 ... Q_r gives P^-1 = Delta^-1 (Delta Q_r^-1) ... Delta^-1
+# (Delta Q_1^-1), and every Delta^-1 is pulled to the front, twisting the
+# factors it passes by tau.  The factors are then multiplied onto the
+# normal form one at a time from the right: the new factor is left-weighted
+# against its left neighbour, then that one against its own, and so on
+# leftwards until a pair is already left-weighted (by the domino rule the
+# factors to the right stay left-weighted).  Identity factors vanish and
+# Delta factors collect at the front, where they join the prefix power.
 
 
 def _tau(p):
@@ -359,87 +370,67 @@ def _free_reduce(letters):
     return out
 
 
+def _pack(n, gens):
+    """Cut a positive word, given as 0-indexed generators k (for s_{k+1}),
+    greedily into simple factors; returns one (p, inv) pair of lists per
+    factor, inv the inverse permutation of p.
+
+    s_{k+1} extends p iff the strands now at positions k and k+1 have not
+    crossed yet, that is inv[k] < inv[k+1]."""
+    out = []
+    p = inv = None
+    for k in gens:
+        if p is None or inv[k] > inv[k + 1]:
+            p, inv = list(range(n)), list(range(n))
+            out.append((p, inv))
+        a, b = inv[k], inv[k + 1]
+        p[a], p[b] = k + 1, k
+        inv[k], inv[k + 1] = b, a
+    return out
+
+
 def _left_normal_form(n, letters):
     if n == 1:
         return (0, ())
     letters = _free_reduce(letters)
     ident = tuple(range(n))
-    delta = tuple(range(n - 1, 0 - 1, -1))
+    delta = ident[::-1]
 
-    # Rewrite each negative letter -k as Delta^{-1} (Delta s_k^{-1}); all
-    # Delta^{-1} prefixes are pulled to the front, twisting later factors
-    # by tau once per inverse passed (tau is an involution, so only the
-    # parity of the count matters).
+    # raw holds (factor, number of Delta^-1 emitted so far); a factor is
+    # twisted by tau once per Delta^-1 pulled past it (tau is an
+    # involution, so only the parity of the count matters)
     raw = []
     negs = 0
-    for a in letters:
-        if a > 0:
-            p = list(ident)
-            p[a - 1], p[a] = p[a], p[a - 1]
-            raw.append((tuple(p), negs))
+    for positive, run in groupby(letters, key=lambda a: a > 0):
+        if positive:
+            for p, _ in _pack(n, [a - 1 for a in run]):
+                raw.append((tuple(p), negs))
         else:
-            negs += 1
-            k = -a
-            p = list(delta)
-            for j in range(n):
-                if p[j] == k - 1:
-                    p[j] = k
-                elif p[j] == k:
-                    p[j] = k - 1
-            raw.append((tuple(p), negs))
-    power = -negs
+            # -k_1 ... -k_m = (k_m ... k_1)^-1; Delta Q^-1 is t -> Q^-1(n-1-t)
+            for _, inv in reversed(_pack(n, [-a - 1 for a in reversed(list(run))])):
+                negs += 1
+                raw.append((tuple(inv[::-1]), negs))
+
     factors = []
     for p, c in raw:
         if (negs - c) % 2 == 1:
             p = _tau(p)
-        if p != ident:
-            factors.append(p)
-
-    factors = _stabilize(factors, ident)
+        if p == ident:
+            continue
+        factors.append(p)
+        i = len(factors) - 2
+        while i >= 0:
+            res = _leftweight_pair(factors[i], factors[i + 1])
+            if res is None:
+                break
+            factors[i], b = res
+            if b == ident:
+                del factors[i + 1]
+            else:
+                factors[i + 1] = b
+            i -= 1
 
     lead = 0
     while lead < len(factors) and factors[lead] == delta:
         lead += 1
-    return (power + lead, tuple(factors[lead:]))
-
-
-def _stabilize(factors, ident):
-    """Left-weight every adjacent pair, processing only pairs whose
-    neighbours changed (worklist over a linked list of factors)."""
-    fs = [f for f in factors if f != ident]
-    size = len(fs)
-    if size <= 1:
-        return fs
-    nxt = list(range(1, size)) + [-1]
-    prv = [-1] + list(range(size - 1))
-    alive = [True] * size
-    pend = deque(range(size - 1))
-    inq = set(pend)
-    while pend:
-        i = pend.popleft()
-        inq.discard(i)
-        if not alive[i]:
-            continue
-        j = nxt[i]
-        if j == -1:
-            continue
-        res = _leftweight_pair(fs[i], fs[j])
-        if res is None:
-            continue
-        a2, b2 = res
-        fs[i] = a2
-        recheck = [prv[i]]
-        if b2 == ident:
-            alive[j] = False
-            nxt[i] = nxt[j]
-            if nxt[j] != -1:
-                prv[nxt[j]] = i
-            recheck.append(i)
-        else:
-            fs[j] = b2
-            recheck.append(j)
-        for cand in recheck:
-            if cand != -1 and alive[cand] and cand not in inq:
-                pend.append(cand)
-                inq.add(cand)
-    return [fs[i] for i in range(size) if alive[i]]
+    return (lead - negs, tuple(factors[lead:]))

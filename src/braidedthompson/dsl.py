@@ -123,18 +123,19 @@ class _Parser:
             self.error("flavor must be V, F or T", tok)
         flavor = tok.text
         self.expect(",", "gens", ":", "[")
-        gens = []
+        gens = []  # (first token, word)
         if not self.at("]"):
-            gens.append(self.check(self.peek(), BraidWord, d, self.collect_ints()))
+            gens.append(self._generator(d))
             while self.at(","):
                 self.next()
-                gens.append(self.check(self.peek(), BraidWord, d, self.collect_ints()))
+                gens.append(self._generator(d))
         self.expect("]", "}")
         require_pure = flavor in ("F", "T")
-        for g in gens:
+        for tok, g in gens:
             if require_pure and not is_pure(g):
                 self.error("flavor %s requires pure generators; %r is not pure"
-                           % (flavor, str(g)))
+                           % (flavor, str(g)), tok)
+        gens = [g for _, g in gens]
         spec = self.check(None, LabelGroupSpec, d, gens, require_pure=require_pure)
         return self.check(None, GroupContext, d, r, spec, flavor)
 
@@ -162,7 +163,11 @@ class _Parser:
         if len(labels) != minus.leaves:
             self.error("%d labels for %d leaves" % (len(labels), minus.leaves), name_tok)
         braid = self.check(braid_start, BraidWord, minus.leaves, letters)
-        return name_tok.text, ctx.validate(Spraige(minus, LabeledBraid(braid, labels), plus))
+        return name_tok, ctx.validate(Spraige(minus, LabeledBraid(braid, labels), plus))
+
+    def _generator(self, d):
+        tok = self.peek()
+        return tok, self.check(tok, BraidWord, d, self.collect_ints())
 
     def _forest(self, d):
         tok = self.next()
@@ -193,10 +198,10 @@ def parse_session(text):
     ctx = p.parse_header()
     elements = {}
     while p.peek() is not None:
-        name, s = p.parse_element(ctx)
-        if name in elements:
-            p.error("duplicate element name %r" % name)
-        elements[name] = s
+        name_tok, s = p.parse_element(ctx)
+        if name_tok.text in elements:
+            p.error("duplicate element name %r" % name_tok.text, name_tok)
+        elements[name_tok.text] = s
     return ctx, elements
 
 

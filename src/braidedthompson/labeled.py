@@ -133,13 +133,15 @@ class Label:
 
     def realize(self, spec: LabelGroupSpec) -> BraidWord:
         """Substitute generator words; the result lives in B_d."""
-        out = BraidWord(spec.degree)
+        gens = spec.generators
         for x in self.word:
-            if abs(x) > len(spec.generators):
+            if abs(x) > len(gens):
                 raise ValueError("label references undeclared generator g%d" % abs(x))
-            g = spec.generators[abs(x) - 1]
-            out = out * (g if x > 0 else g.inverse())
-        return out
+        letters = []
+        for x in self.word:
+            g = gens[abs(x) - 1]
+            letters.extend(g.letters if x > 0 else g.inverse().letters)
+        return BraidWord(spec.degree, letters)
 
     def __eq__(self, other):
         return isinstance(other, Label) and self.word == other.word

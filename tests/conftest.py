@@ -3,10 +3,17 @@ random braiges, and a small library of complexes."""
 
 import random
 
+from hypothesis import settings
+
 from braidedthompson import (BraidWord, Forest, GroupContext, Label,
                              LabeledBraid, LabelGroupSpec, SimplicialComplex,
                              Spraige, d_matching_cyclic, d_matching_linear,
                              half_twist, permutation_of)
+
+
+# Property tests draw the same examples on every run.
+settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+settings.load_profile("tier1")
 
 
 def make_context(d, r, gens=(), flavor="V", pure=False):

@@ -1,10 +1,16 @@
-import pytest
+from collections import deque
 
-from braidedthompson import (BraidWord, Permutation, braid_equal, cable,
+import pytest
+from hypothesis import given, strategies as st
+
+from braidedthompson import (BraidWord, Label, LabeledBraid, Permutation,
+                             Spraige, braid_equal, cable,
                              delete_strands, half_twist, invert, is_cyclic,
-                             is_pure, is_trivial, permutation_of,
+                             is_pure, is_trivial, permutation_of, shifted,
                              word_from_permutation)
-from conftest import seeded
+from braidedthompson.braids import _free_reduce, _leftweight_pair, _tau
+from braidedthompson.forests import decode
+from conftest import context_half_twist, seeded
 
 
 def test_permutation_of_identity():
@@ -69,7 +75,7 @@ def test_braid_equal_is_invariant_under_rewrites():
                     ls[pos:pos] = [i, -i]
                 elif op == 1 and n >= 3:
                     i = rng.randint(1, n - 2)
-                    ls[pos:pos] = [i, i + 1, i, -i, -(i + 1), -i]
+                    ls[pos:pos] = [i, i + 1, i, -(i + 1), -i, -(i + 1)]
                 elif op == 2 and n >= 4:
                     i = rng.randint(1, n - 3)
                     j = rng.randint(i + 2, n - 1)
@@ -110,6 +116,26 @@ def test_half_twist_square_is_central():
         for i in range(1, d):
             s = BraidWord(d, [i])
             assert braid_equal(sq * s, s * sq)
+
+
+def test_shifted_offsets_letters_and_fixes_outside_strands():
+    w = BraidWord(3, [1, -2, 2, -1])
+    s = shifted(w, 2, 6)
+    assert s == BraidWord(6, [3, -4, 4, -3])
+    rng = seeded("shifted")
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        total = rng.randint(n, 8)
+        offset = rng.randint(0, total - n)
+        w = BraidWord(n, [rng.choice([1, -1]) * rng.randint(1, n - 1)
+                          for _ in range(rng.randint(0, 6))] if n > 1 else [])
+        p, q = permutation_of(w), permutation_of(shifted(w, offset, total))
+        assert all(q(j) == j for j in range(1, total + 1)
+                   if not offset < j <= offset + n)
+        assert all(q(offset + j) == offset + p(j) for j in range(1, n + 1))
+    for offset, total in ((-1, 5), (3, 5), (0, 2)):
+        with pytest.raises(ValueError):
+            shifted(BraidWord(3, [1, 2]), offset, total)
 
 
 def test_cable_trivial_cases():
@@ -257,7 +283,7 @@ def test_braid_equal_matches_burau_on_three_strands():
             ls = list(w1.letters)
             for _ in range(2):
                 pos = rng.randint(0, len(ls))
-                ls[pos:pos] = rng.choice([[1, 2, 1, -1, -2, -1], [2, -2], [-1, 1]])
+                ls[pos:pos] = rng.choice([[1, 2, 1, -2, -1, -2], [2, -2], [-1, 1]])
             w2 = BraidWord(3, ls)
         else:
             w2 = BraidWord(3, [rng.choice([1, -1]) * rng.randint(1, 2)
@@ -284,3 +310,185 @@ def test_word_serialization_with_strand_prefix():
         BraidWord.from_string(3, "B4: 1")
     with pytest.raises(ValueError):
         BraidWord.from_string(None, "1 2")
+
+
+# -- the normal form against its oracle ---------------------------------------
+
+def _oracle_normal_form(n, letters):
+    """The left greedy normal form the library computed before sign runs
+    were packed: one factor per letter (a negative letter -k becomes
+    Delta^-1 (Delta s_k^-1)), then a worklist left-weights adjacent pairs
+    until none changes."""
+    if n == 1:
+        return (0, ())
+    letters = _free_reduce(letters)
+    ident = tuple(range(n))
+    delta = tuple(range(n - 1, 0 - 1, -1))
+    raw = []
+    negs = 0
+    for a in letters:
+        if a > 0:
+            p = list(ident)
+            p[a - 1], p[a] = p[a], p[a - 1]
+            raw.append((tuple(p), negs))
+        else:
+            negs += 1
+            k = -a
+            p = list(delta)
+            for j in range(n):
+                if p[j] == k - 1:
+                    p[j] = k
+                elif p[j] == k:
+                    p[j] = k - 1
+            raw.append((tuple(p), negs))
+    power = -negs
+    factors = []
+    for p, c in raw:
+        if (negs - c) % 2 == 1:
+            p = _tau(p)
+        if p != ident:
+            factors.append(p)
+    factors = _oracle_stabilize(factors, ident)
+    lead = 0
+    while lead < len(factors) and factors[lead] == delta:
+        lead += 1
+    return (power + lead, tuple(factors[lead:]))
+
+
+def _oracle_stabilize(factors, ident):
+    """Left-weight every adjacent pair, processing only pairs whose
+    neighbours changed (worklist over a linked list of factors)."""
+    fs = [f for f in factors if f != ident]
+    size = len(fs)
+    if size <= 1:
+        return fs
+    nxt = list(range(1, size)) + [-1]
+    prv = [-1] + list(range(size - 1))
+    alive = [True] * size
+    pend = deque(range(size - 1))
+    inq = set(pend)
+    while pend:
+        i = pend.popleft()
+        inq.discard(i)
+        if not alive[i]:
+            continue
+        j = nxt[i]
+        if j == -1:
+            continue
+        res = _leftweight_pair(fs[i], fs[j])
+        if res is None:
+            continue
+        a2, b2 = res
+        fs[i] = a2
+        recheck = [prv[i]]
+        if b2 == ident:
+            alive[j] = False
+            nxt[i] = nxt[j]
+            if nxt[j] != -1:
+                prv[nxt[j]] = i
+            recheck.append(i)
+        else:
+            fs[j] = b2
+            recheck.append(j)
+        for cand in recheck:
+            if cand != -1 and alive[cand] and cand not in inq:
+                pend.append(cand)
+                inq.add(cand)
+    return [fs[i] for i in range(size) if alive[i]]
+
+
+def _is_left_weighted(factors):
+    return all(_leftweight_pair(a, b) is None for a, b in zip(factors, factors[1:]))
+
+
+def test_normal_form_matches_oracle_on_seeded_words():
+    rng = seeded("nf-oracle")
+    for t in range(10000):
+        n = rng.randint(1, 12)
+        length = rng.randint(0, 40)
+        kind = t % 4
+        if n == 1:
+            w = BraidWord(1)
+        elif kind == 0:  # mixed sign
+            w = BraidWord(n, [rng.choice([1, -1]) * rng.randint(1, n - 1)
+                              for _ in range(length)])
+        elif kind == 1:  # positive only
+            w = BraidWord(n, [rng.randint(1, n - 1) for _ in range(length)])
+        elif kind == 2:  # negative only
+            w = BraidWord(n, [-rng.randint(1, n - 1) for _ in range(length)])
+        else:  # cabled: crossings of whole bundles
+            m = rng.randint(2, 4)
+            base = BraidWord(m, [rng.choice([1, -1]) * rng.randint(1, m - 1)
+                                 for _ in range(length // 8)])
+            w = cable(base, [rng.randint(1, 3) for _ in range(m)])
+        nf = w.normal_form()
+        assert nf == _oracle_normal_form(w.strands, w.letters), w
+        assert _is_left_weighted(nf[1])
+
+
+def test_normal_form_of_delta_powers():
+    for n in range(2, 10):
+        delta = half_twist(n)
+        for k in range(-5, 6):
+            letters = list(delta.letters if k > 0 else delta.inverse().letters) * abs(k)
+            assert BraidWord(n, letters).normal_form() == (k, ())
+
+
+def test_normal_form_of_a_permutation_braid_is_one_factor():
+    rng = seeded("nf-simple")
+    for _ in range(200):
+        n = rng.randint(2, 9)
+        img = list(range(1, n + 1))
+        rng.shuffle(img)
+        p = Permutation(img)
+        if p.is_identity() or img == list(range(n, 0, -1)):
+            continue
+        w = word_from_permutation(p)
+        assert w.normal_form() == (0, (tuple(x - 1 for x in img),))
+
+
+def test_twisted_power_product_in_half_twist_context():
+    # an x0-shaped g with three carets; g^6 carries a 1,632-letter braid
+    ctx = context_half_twist(3, 1)
+    labels = [Label.parse(t) for t in
+              ("g1", "g1^-1", "g1^-1", "g1 g1", "e", "g1", "g1^-1 g1^-1")]
+    g = Spraige(decode("(((...)..)..)", 3),
+                LabeledBraid(BraidWord(7, [-5, 5, 5, 4, -6, -5, -5]), labels),
+                decode("(..(..(...)))", 3))
+    powers = [g]
+    while len(powers) < 6:
+        powers.append(ctx.multiply(powers[-1], g))
+    assert ctx.equal(ctx.multiply(powers[2], powers[2]), powers[5])
+
+
+@st.composite
+def _word_and_rewrite(draw):
+    """A word on up to 9 strands and 60 letters, and the same word with a
+    free cancellation, a braid relation or a far commutation inserted."""
+    n = draw(st.integers(2, 9))
+    letter = st.builds(lambda k, s: k * s, st.integers(1, n - 1), st.sampled_from((1, -1)))
+    letters = draw(st.lists(letter, max_size=60))
+    kinds = ["free"] + (["braid"] if n >= 3 else []) + (["far"] if n >= 4 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "free":
+        i = draw(letter)
+        rel = [i, -i]
+    elif kind == "braid":
+        i = draw(st.integers(1, n - 2))
+        rel = [i, i + 1, i, -(i + 1), -i, -(i + 1)]
+    else:
+        i = draw(st.integers(1, n - 3))
+        j = draw(st.integers(i + 2, n - 1))
+        rel = [i, j, -i, -j]
+    if draw(st.booleans()):
+        rel = [-a for a in reversed(rel)]
+    pos = draw(st.integers(0, len(letters)))
+    return BraidWord(n, letters), BraidWord(n, letters[:pos] + rel + letters[pos:])
+
+
+@given(_word_and_rewrite())
+def test_normal_form_is_invariant_under_relations(pair):
+    w, v = pair
+    nf = w.normal_form()
+    assert v.normal_form() == nf
+    assert nf == _oracle_normal_form(w.strands, w.letters)

@@ -3,8 +3,8 @@ import pytest
 from braidedthompson import (BraidWord, Forest, Label, LabeledBraid,
                              PairedForestDiagram, Permutation, Spraige,
                              braid_equal, cable, elementary_forest,
-                             is_trivial, permutation_of, v_equal, v_multiply,
-                             v_reduce, word_from_permutation)
+                             is_trivial, permutation_of, v_equal, v_expand,
+                             v_multiply, v_reduce, word_from_permutation)
 from braidedthompson.forests import decode
 from conftest import (context_full_twist, context_half_twist, context_trivial,
                       make_context, random_element, random_elementary_braige,
@@ -275,6 +275,17 @@ def test_projection_is_a_homomorphism():
             assert v_equal(lhs, rhs)
     with pytest.raises(ValueError):
         context_half_twist(2, 1).project_to_v(context_half_twist(2, 1).identity())
+
+
+def test_v_expand_matches_expansion_before_projection():
+    rng = seeded("v-expand")
+    for ctx in (context_trivial(3, 2), context_full_twist(2, 1)):
+        for _ in range(60):
+            s = random_element(ctx, rng, 2)
+            i = rng.randint(1, s.leaves)
+            pfd = v_expand(ctx.project_to_v(s), i)
+            assert pfd == ctx.project_to_v(ctx.expand(s, i))
+            assert v_reduce(pfd) == v_reduce(ctx.project_to_v(s))
 
 
 def test_projection_identity():

@@ -94,7 +94,9 @@ MALFORMED = [
     (H.replace("[1 1]", "[1 3]"), "letter 3 out of range for B_2", 1, 35),
     (H.replace("] }", "] ]"), "expected '}', found ']'", 1, 40),
     (H.replace("flavor:V", "flavor:F").replace("[1 1]", "[1]"),
-     "flavor F requires pure generators; '1' is not pure (at end of input)", 1, 38),
+     "flavor F requires pure generators; '1' is not pure", 1, 35),
+    (H.replace("flavor:V", "flavor:F").replace("[1 1]", "[1 1, 1]") + E,
+     "flavor F requires pure generators; '1' is not pure", 1, 40),
     (H.replace("r:1", "r:0"), "need at least one root (at end of input)", 1, 40),
     (H + E.replace("elem", "elm"), "expected 'elem', found 'elm'", 2, 1),
     (H + E.replace("elem a {", "elem {"), "bad element name '{'", 2, 6),
@@ -114,7 +116,7 @@ MALFORMED = [
     (H + E.replace("braid: 1", "braid: 2"), "letter 2 out of range for B_2", 4, 10),
     (H + E.replace("plus: (..)", "plus: ((..).)"), "forests have 2 and 3 leaves", 2, 6),
     (H + E.replace("e; g1", "e; g1; e"), "3 labels for 2 leaves", 2, 6),
-    (H + E + E, "duplicate element name 'a' (at end of input)", 13, 1),
+    (H + E + E, "duplicate element name 'a'", 8, 6),
     (H + "elem a {\n  minus: (..)\n", "unexpected end of input (at end of input)", 3, 10),
     ("", "unexpected end of input (at end of input)", 1, 1),
 ]

@@ -151,6 +151,20 @@ def test_label_parsing_and_realization():
         Label((2,)).realize(spec)
 
 
+def test_long_label_realizes_to_concatenated_generator_words():
+    spec = LabelGroupSpec(3, (BraidWord(3, [1, -2]), BraidWord(3, [2, 2, 1])))
+    rng = seeded("long-label")
+    word = [rng.choice([1, -1]) * rng.randint(1, 2) for _ in range(200)]
+    expected = BraidWord(3)
+    for x in word:
+        g = spec.generators[abs(x) - 1]
+        expected = expected * (g if x > 0 else g.inverse())
+    assert Label(word).realize(spec) == expected
+    with pytest.raises(ValueError) as err:
+        Label(word + [-3]).realize(spec)
+    assert str(err.value) == "label references undeclared generator g3"
+
+
 # -- the labeled cable -----------------------------------------------------------
 
 def random_widths(rng, n, d):

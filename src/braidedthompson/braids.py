@@ -339,13 +339,10 @@ def _leftweight_pair(a, b):
     inv = [0] * n
     for i, x in enumerate(a):
         inv[x] = i
-    for i in range(n - 1):
-        if b[i] > b[i + 1] and inv[i] < inv[i + 1]:
-            break
-    else:
+    stack = [i for i in range(n - 1) if b[i] > b[i + 1] and inv[i] < inv[i + 1]]
+    if not stack:
         return None
     la, lb = list(a), list(b)
-    stack = [i for i in range(n - 1) if lb[i] > lb[i + 1] and inv[i] < inv[i + 1]]
     while stack:
         i = stack.pop()
         if i < 0 or i >= n - 1:

@@ -20,6 +20,12 @@ the mutual link of two vertices, a weak Cohen-Macaulay checker, a
 complete-join checker, and discrete-Morse machinery (descending links,
 sublevel filtrations, the relative-homology conclusion of the Morse
 lemma).
+
+Derived complexes (links, stars, mutual links, descending links, full
+subcomplexes, joins) and vertex sets are built from maximal faces.  The
+face closure `faces` is built only where every face is needed:
+homology, face counts, `has_face`, the per-face sweep of the wCM
+checker and the transversal lookups of the complete-join checker.
 """
 
 from __future__ import annotations
@@ -87,7 +93,7 @@ class SimplicialComplex:
         return tuple(sorted(set(f))) in self.faces
 
     def vertex_set(self):
-        return {f[0] for f in self.faces if len(f) == 1}
+        return {v for f in self.maximal_faces for v in f}
 
     def is_empty(self):
         return not self.maximal_faces
@@ -144,28 +150,25 @@ class SimplicialComplex:
 # -- link, star, join, mutual link ------------------------------------------
 
 
-def link(k: SimplicialComplex, sigma) -> SimplicialComplex:
-    sigma = tuple(sorted(set(sigma)))
-    if not k.has_face(sigma):
-        raise ValueError("%r is not a face" % (sigma,))
+def _cofaces(k: SimplicialComplex, sigma):
+    """The maximal faces of k that contain sigma; ValueError if sigma is
+    not a nonempty face."""
     s = set(sigma)
-    faces = set()
-    for f in k.faces:
-        if s & set(f):
-            continue
-        if k.has_face(tuple(sorted(set(f) | s))):
-            faces.add(f)
-    return SimplicialComplex(k.vertices, faces)
+    found = [f for f in k.maximal_faces if s.issubset(f)] if s else []
+    if not found:
+        raise ValueError("%r is not a face" % (tuple(sorted(s)),))
+    return found
+
+
+def link(k: SimplicialComplex, sigma) -> SimplicialComplex:
+    s = set(sigma)
+    return SimplicialComplex(k.vertices, [tuple(v for v in f if v not in s)
+                                          for f in _cofaces(k, s)])
 
 
 def star(k: SimplicialComplex, sigma) -> SimplicialComplex:
     """The closed star: all faces contained in a face containing sigma."""
-    sigma = tuple(sorted(set(sigma)))
-    if not k.has_face(sigma):
-        raise ValueError("%r is not a face" % (sigma,))
-    s = set(sigma)
-    faces = {f for f in k.maximal_faces if s <= set(f)}
-    return SimplicialComplex(k.vertices, faces)
+    return SimplicialComplex(k.vertices, _cofaces(k, sigma))
 
 
 def join(k1: SimplicialComplex, k2: SimplicialComplex) -> SimplicialComplex:
@@ -184,14 +187,12 @@ def join(k1: SimplicialComplex, k2: SimplicialComplex) -> SimplicialComplex:
 
 def mutual_link(k: SimplicialComplex, x: int, y: int) -> SimplicialComplex:
     """Lk(x) intersected with Lk(y), the complex seen from both vertices."""
+    verts = k.vertex_set()
     for v in (x, y):
-        if not k.has_face((v,)):
+        if v not in verts:
             raise ValueError("%d is not a vertex" % v)
-    if x == y:
-        return link(k, (x,))
-    lx, ly = link(k, (x,)), link(k, (y,))
-    faces = lx.faces & ly.faces
-    return SimplicialComplex(k.vertices, faces)
+    lx, ly = link(k, (x,)).maximal_faces, link(k, (y,)).maximal_faces
+    return SimplicialComplex(k.vertices, [tuple(v for v in a if v in b) for a in lx for b in ly])
 
 
 # -- integer Smith normal form and homology ----------------------------------
@@ -438,6 +439,21 @@ def relative_homology(k: SimplicialComplex, sub: SimplicialComplex):
 # -- matching complexes -------------------------------------------------------
 
 
+def _disjoint_systems(supports):
+    """Every nonempty ascending tuple of indices into `supports` (bit
+    masks of positions) whose supports are pairwise disjoint."""
+    systems = []
+    stack = [((), 0, 0)]
+    while stack:
+        chosen, used, start = stack.pop()
+        if chosen:
+            systems.append(chosen)
+        for i in range(start, len(supports)):
+            if not used & supports[i]:
+                stack.append((chosen + (i,), used | supports[i], i + 1))
+    return systems
+
+
 def d_matching_linear(d: int, m: int) -> SimplicialComplex:
     """Disjoint systems of intervals [p, p+d-1] inside the path on m
     vertices.  Complex vertex v is the interval with initial position
@@ -445,16 +461,7 @@ def d_matching_linear(d: int, m: int) -> SimplicialComplex:
     if d < 2 or m < 1:
         raise ValueError("need d >= 2 and m >= 1")
     nv = max(0, m - d + 1)
-    faces = []
-
-    def grow(chosen, next_start):
-        if chosen:
-            faces.append(tuple(v - 1 for v in chosen))
-        for p in range(next_start, m - d + 2):
-            grow(chosen + [p], p + d)
-
-    grow([], 1)
-    return SimplicialComplex(nv, faces)
+    return SimplicialComplex(nv, _disjoint_systems([((1 << d) - 1) << v for v in range(nv)]))
 
 
 def d_matching_cyclic(d: int, m: int) -> SimplicialComplex:
@@ -464,23 +471,8 @@ def d_matching_cyclic(d: int, m: int) -> SimplicialComplex:
         raise ValueError("need d >= 2 and m >= 1")
     if m < d:
         return SimplicialComplex(0)
-    supports = {}
-    for p in range(1, m + 1):
-        supports[p] = frozenset((p - 1 + t) % m for t in range(d))
-    faces = []
-    starts = list(range(1, m + 1))
-
-    def grow(chosen, used, idx):
-        if chosen:
-            faces.append(tuple(v - 1 for v in chosen))
-        for i in range(idx, len(starts)):
-            p = starts[i]
-            if used & supports[p]:
-                continue
-            grow(chosen + [p], used | supports[p], i + 1)
-
-    grow([], frozenset(), 0)
-    return SimplicialComplex(m, faces)
+    return SimplicialComplex(m, _disjoint_systems(
+        [sum(1 << ((v + t) % m) for t in range(d)) for v in range(m)]))
 
 
 def restrict_initial(k: SimplicialComplex, z) -> SimplicialComplex:
@@ -529,10 +521,11 @@ def complete_join_check(source: SimplicialComplex, target: SimplicialComplex,
     the join of its vertex fibers.  Raises if the map is not simplicial.
     """
     vmap = dict(enumerate(vertex_map)) if not isinstance(vertex_map, dict) else dict(vertex_map)
+    targets = target.vertex_set()
     for v in source.vertex_set():
         if v not in vmap:
             raise ValueError("vertex %d has no image" % v)
-        if not target.has_face((vmap[v],)):
+        if vmap[v] not in targets:
             raise ValueError("image of vertex %d is not a vertex of the target" % v)
     for f in source.maximal_faces:
         img = tuple(sorted({vmap[v] for v in f}))
@@ -546,10 +539,11 @@ def complete_join_check(source: SimplicialComplex, target: SimplicialComplex,
     for v in source.vertex_set():
         fibers.setdefault(vmap[v], []).append(v)
     # surjectivity on vertices
-    if set(fibers) != target.vertex_set():
+    if set(fibers) != targets:
         return False
-    # every transversal of fibers over a face of the target is a face
-    for f in target.faces:
+    # every transversal of fibers over a maximal face of the target is a
+    # face (its subfaces' transversals are subfaces of these)
+    for f in target.maximal_faces:
         for combo in product(*[fibers[w] for w in f]):
             if not source.has_face(combo):
                 return False
@@ -586,8 +580,8 @@ class HeightFunction:
         return self.heights[v]
 
     def is_valid_for(self, k: SimplicialComplex) -> bool:
-        for f in k.faces:
-            if len(f) == 2 and self.heights[f[0]] == self.heights[f[1]]:
+        for f in k.maximal_faces:
+            if len(f) > 1 and len({self.heights[v] for v in f}) < len(f):
                 return False
         return True
 
@@ -603,14 +597,15 @@ def sublevel(k: SimplicialComplex, h: HeightFunction, t: int, strict=False) -> S
 
 def morse_descending_link(k: SimplicialComplex, h: HeightFunction, v: int) -> SimplicialComplex:
     """Link of v in the sublevel complex at h(v); with a valid height
-    function all its vertices lie strictly below v."""
+    function all its vertices lie strictly below v, so it is spanned by
+    the parts below h(v) of the maximal faces through v."""
     if not h.is_valid_for(k):
         raise ValueError("invalid height function: some cell has no unique maximum")
-    if not k.has_face((v,)):
+    if v not in k.vertex_set():
         raise ValueError("%d is not a vertex" % v)
     hv = h(v)
-    below = sublevel(k, h, hv)
-    return link(below, (v,))
+    return SimplicialComplex(k.vertices, [tuple(u for u in f if h.heights[u] < hv)
+                                          for f in _cofaces(k, (v,))])
 
 
 def morse_check(k: SimplicialComplex, h: HeightFunction, t: int, kk: int) -> bool:

@@ -57,12 +57,6 @@ class Spraige:
     def leaves(self):
         return self.minus.leaves
 
-    def is_braige(self):
-        return self.minus.is_trivial()
-
-    def is_elementary_braige(self):
-        return self.minus.is_trivial() and self.plus.is_elementary()
-
     def __eq__(self, other):
         # componentwise on representatives; group equality is GroupContext.equal
         return (isinstance(other, Spraige) and self.minus == other.minus

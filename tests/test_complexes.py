@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import product
 
 import pytest
 
@@ -437,3 +438,256 @@ def test_morse_max_degree_matches_its_definition():
 def test_json_roundtrip():
     for k in complex_library().values():
         assert SimplicialComplex.from_json_dict(k.to_json_dict()) == k
+
+
+# -- closure-based oracles for the maximal-face constructions -----------------
+# The earlier library code, which scanned the face closure for links,
+# stars, descending links, vertex sets and validity, checked transversals
+# over every target face, and grew linear and cyclic matchings with two
+# separate recursions.  Kept here as differential oracles.
+
+def oracle_link(k, sigma):
+    sigma = tuple(sorted(set(sigma)))
+    if not k.has_face(sigma):
+        raise ValueError("%r is not a face" % (sigma,))
+    s = set(sigma)
+    faces = set()
+    for f in k.faces:
+        if s & set(f):
+            continue
+        if k.has_face(tuple(sorted(set(f) | s))):
+            faces.add(f)
+    return SimplicialComplex(k.vertices, faces)
+
+
+def oracle_star(k, sigma):
+    sigma = tuple(sorted(set(sigma)))
+    if not k.has_face(sigma):
+        raise ValueError("%r is not a face" % (sigma,))
+    s = set(sigma)
+    return SimplicialComplex(k.vertices, {f for f in k.maximal_faces if s <= set(f)})
+
+
+def oracle_mutual_link(k, x, y):
+    for v in (x, y):
+        if not k.has_face((v,)):
+            raise ValueError("%d is not a vertex" % v)
+    if x == y:
+        return oracle_link(k, (x,))
+    lx, ly = oracle_link(k, (x,)), oracle_link(k, (y,))
+    return SimplicialComplex(k.vertices, lx.faces & ly.faces)
+
+
+def oracle_vertex_set(k):
+    return {f[0] for f in k.faces if len(f) == 1}
+
+
+def oracle_is_valid(h, k):
+    for f in k.faces:
+        if len(f) == 2 and h.heights[f[0]] == h.heights[f[1]]:
+            return False
+    return True
+
+
+def oracle_descending_link(k, h, v):
+    if not oracle_is_valid(h, k):
+        raise ValueError("invalid height function: some cell has no unique maximum")
+    if not k.has_face((v,)):
+        raise ValueError("%d is not a vertex" % v)
+    return oracle_link(sublevel(k, h, h(v)), (v,))
+
+
+def oracle_complete_join_check(source, target, vertex_map):
+    vmap = dict(enumerate(vertex_map)) if not isinstance(vertex_map, dict) else dict(vertex_map)
+    for v in oracle_vertex_set(source):
+        if v not in vmap:
+            raise ValueError("vertex %d has no image" % v)
+        if not target.has_face((vmap[v],)):
+            raise ValueError("image of vertex %d is not a vertex of the target" % v)
+    for f in source.maximal_faces:
+        img = tuple(sorted({vmap[v] for v in f}))
+        if not target.has_face(img):
+            raise ValueError("map is not simplicial: %r -> %r" % (f, img))
+    for f in source.maximal_faces:
+        if len({vmap[v] for v in f}) != len(f):
+            return False
+    fibers = {}
+    for v in oracle_vertex_set(source):
+        fibers.setdefault(vmap[v], []).append(v)
+    if set(fibers) != oracle_vertex_set(target):
+        return False
+    for f in target.faces:
+        for combo in product(*[fibers[w] for w in f]):
+            if not source.has_face(combo):
+                return False
+    return True
+
+
+def oracle_linear(d, m):
+    nv = max(0, m - d + 1)
+    faces = []
+
+    def grow(chosen, next_start):
+        if chosen:
+            faces.append(tuple(v - 1 for v in chosen))
+        for p in range(next_start, m - d + 2):
+            grow(chosen + [p], p + d)
+
+    grow([], 1)
+    return SimplicialComplex(nv, faces)
+
+
+def oracle_cyclic(d, m):
+    if m < d:
+        return SimplicialComplex(0)
+    supports = {}
+    for p in range(1, m + 1):
+        supports[p] = frozenset((p - 1 + t) % m for t in range(d))
+    faces = []
+    starts = list(range(1, m + 1))
+
+    def grow(chosen, used, idx):
+        if chosen:
+            faces.append(tuple(v - 1 for v in chosen))
+        for i in range(idx, len(starts)):
+            p = starts[i]
+            if used & supports[p]:
+                continue
+            grow(chosen + [p], used | supports[p], i + 1)
+
+    grow([], frozenset(), 0)
+    return SimplicialComplex(m, faces)
+
+
+def oracle_wcm_violation(k, n):
+    if not reduced_homology(k).is_zero_through(n - 1):
+        return "complex is not homology %d-connected" % (n - 1)
+    for f in sorted(k.faces, key=lambda f: (len(f), f)):
+        p = len(f) - 1
+        if n - p - 2 < -1:
+            continue
+        if not reduced_homology(oracle_link(k, f)).is_zero_through(n - p - 2):
+            return "link of %r is not homology %d-connected" % (f, n - p - 2)
+    return None
+
+
+def oracle_morse_max_degree(k, h, t):
+    reports = [reduced_homology(oracle_descending_link(k, h, v))
+               for v in oracle_vertex_set(k) if h(v) == t]
+    kk = -1
+    while kk <= k.dim + 1 and all(r.is_zero_through(kk) for r in reports):
+        kk += 1
+    return kk
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type and text of what it raised."""
+    try:
+        return "value", fn(*args)
+    except Exception as exc:  # the exception is the answer being compared
+        return "raised", type(exc), str(exc)
+
+
+def oracle_cases():
+    """The complex library, 150 random complexes and restricted linear
+    matching complexes (full subcomplexes on random initial sets)."""
+    rng = random.Random("maximal-face-oracles")
+    cases = list(complex_library().values()) + [SimplicialComplex.empty(3)]
+    cases += [random_complex(rng) for _ in range(150)]
+    for d, m in ((2, 7), (2, 9), (3, 9), (3, 11), (2, 11)):
+        k = d_matching_linear(d, m)
+        for _ in range(4):
+            cases.append(restrict_initial(k, {p for p in range(1, k.vertices + 1)
+                                              if rng.random() < 0.7}))
+    return rng, cases
+
+
+def test_links_and_stars_match_closure_oracles():
+    _, cases = oracle_cases()
+    raised = 0
+    for k in cases:
+        assert k.vertex_set() == oracle_vertex_set(k), k
+        non_faces = [(), (k.vertices,), (-1,), tuple(range(k.vertices))]
+        for sigma in sorted(k.faces) + non_faces:
+            for build, oracle in ((link, oracle_link), (star, oracle_star)):
+                got = outcome(build, k, sigma)
+                assert got == outcome(oracle, k, sigma), (k, sigma)
+                raised += got[0] == "raised"
+        for x in range(-1, k.vertices + 1):
+            for y in range(-1, k.vertices + 1):
+                got = outcome(mutual_link, k, x, y)
+                assert got == outcome(oracle_mutual_link, k, x, y), (k, x, y)
+    assert raised > 300
+
+
+def test_descending_links_and_validity_match_closure_oracles():
+    rng, cases = oracle_cases()
+    verdicts = set()
+    for k in cases:
+        for ties in (False, True):
+            heights = ([rng.randint(0, 3) for _ in range(k.vertices)] if ties
+                       else rng.sample(range(k.vertices), k.vertices))
+            h = HeightFunction(heights)
+            verdicts.add(h.is_valid_for(k))
+            assert h.is_valid_for(k) == oracle_is_valid(h, k), (k, heights)
+            for v in range(-1, k.vertices + 1):
+                got = outcome(morse_descending_link, k, h, v)
+                assert got == outcome(oracle_descending_link, k, h, v), (k, heights, v)
+            if h.is_valid_for(k):
+                for t in h.levels(k):
+                    assert morse_max_degree(k, h, t) == oracle_morse_max_degree(k, h, t)
+    assert verdicts == {True, False}
+    # a vertex in no edge needs no height, and one without a height has
+    # no descending link
+    k = SimplicialComplex(3, [(0, 1), (2,)])
+    h = HeightFunction({0: 0, 1: 1})
+    assert h.is_valid_for(k) and oracle_is_valid(h, k)
+    assert morse_descending_link(k, h, 1) == oracle_descending_link(k, h, 1)
+    with pytest.raises(KeyError):
+        morse_descending_link(k, h, 2)
+    with pytest.raises(KeyError):
+        HeightFunction({0: 0}).is_valid_for(k)
+
+
+def test_complete_join_check_matches_closure_oracle():
+    rng, cases = oracle_cases()
+    answers = []
+    for k in cases:
+        cover, vmap = duplicated_cover(k)
+        pairs = [(cover, k, vmap), (k, k, list(range(k.vertices)))]
+        # a random map onto three points, into its image complex and into k
+        images = [rng.randrange(3) for _ in range(k.vertices)]
+        image = SimplicialComplex(3, [{images[v] for v in f} for f in k.maximal_faces])
+        pairs += [(k, image, images), (k, k, images), (k, image, images[:-1])]
+        for source, target, vertex_map in pairs:
+            got = outcome(complete_join_check, source, target, vertex_map)
+            assert got == outcome(oracle_complete_join_check, source, target, vertex_map)
+            answers.append(got[:2])
+    assert {("value", True), ("value", False)} <= set(answers)
+    assert any(a[0] == "raised" for a in answers)
+
+
+def test_matching_enumerator_matches_both_recursions():
+    for d in (2, 3, 4):
+        for m in range(1, 16):
+            assert d_matching_linear(d, m) == oracle_linear(d, m), (d, m)
+            assert d_matching_cyclic(d, m) == oracle_cyclic(d, m), (d, m)
+
+
+def test_wcm_and_morse_sweep_match_oracles_at_m2_p16():
+    k = d_matching_linear(2, 16)
+    dropped = restrict_initial(k, set(range(1, 16)) - {4, 9})
+    verdicts = []
+    # a full link sweep, a failure of the complex, a failure of a link
+    for cx, n in ((k, 4), (k, 5), (dropped, 5)):
+        verdict = wcm_violation(cx, n)
+        assert verdict == oracle_wcm_violation(cx, n), n
+        verdicts.append(verdict)
+    assert verdicts == [None, "complex is not homology 4-connected",
+                        "link of (4,) is not homology 3-connected"]
+    for cx in (k, dropped):
+        h = HeightFunction({v: v + 1 for v in range(cx.vertices)})
+        for t in h.levels(cx):
+            kk = morse_max_degree(cx, h, t)
+            assert kk == oracle_morse_max_degree(cx, h, t), t
+            assert morse_check(cx, h, t, kk)

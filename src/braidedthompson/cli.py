@@ -280,8 +280,7 @@ def cmd_morse(args):
     all_hold = True
     ts = [args.t] if args.t is not None else h.levels(k)
     for t in ts:
-        kk = args.k if args.k is not None else cx.morse_max_degree(k, h, t)
-        holds = cx.morse_check(k, h, t, kk)
+        kk, holds = cx._morse_level(k, h, t, args.k)
         all_hold = all_hold and holds
         levels.append({"t": t, "k": kk, "holds": holds})
     return {"command": "morse", "ok": True, "levels": levels,
@@ -386,14 +385,22 @@ def build_parser():
     return ap
 
 
+# Built by the first call of main; parse_args keeps no state between calls,
+# so one parser serves every call in the process.
+_parser = None
+
+
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     if args.command == "morse" and not (args.filter or args.heights):
-        ap.error("morse needs --filter start or --heights")
+        _parser.error("morse needs --filter start or --heights")
     try:
         out, truth = args.fn(args)
-    except (CliError, OSError, ValueError, KeyError) as exc:  # DslError, JSONDecodeError too
+    # DslError and JSONDecodeError are ValueErrors; too deep an input ends in RecursionError
+    except (CliError, OSError, ValueError, KeyError, RecursionError) as exc:
         _emit({"command": args.command, "ok": False, "error": str(exc)}, sys.stderr, args.plain)
         return 2
     _emit(out, sys.stdout, args.plain)

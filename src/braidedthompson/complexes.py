@@ -566,6 +566,9 @@ def duplicated_cover(k: SimplicialComplex):
 # -- discrete Morse machinery -------------------------------------------------
 
 
+_INVALID_HEIGHTS = "invalid height function: some cell has no unique maximum"
+
+
 class HeightFunction:
     """Integer heights on the ambient vertices.  Valid for a complex iff
     every face has a unique maximizing vertex (equivalently no edge is
@@ -595,17 +598,46 @@ def sublevel(k: SimplicialComplex, h: HeightFunction, t: int, strict=False) -> S
     return k.full_subcomplex(keep)
 
 
+def _descending_link(k: SimplicialComplex, h: HeightFunction, v: int) -> SimplicialComplex:
+    hv = h(v)
+    return SimplicialComplex(k.vertices, [tuple(u for u in f if h.heights[u] < hv)
+                                          for f in _cofaces(k, (v,))])
+
+
 def morse_descending_link(k: SimplicialComplex, h: HeightFunction, v: int) -> SimplicialComplex:
     """Link of v in the sublevel complex at h(v); with a valid height
     function all its vertices lie strictly below v, so it is spanned by
     the parts below h(v) of the maximal faces through v."""
     if not h.is_valid_for(k):
-        raise ValueError("invalid height function: some cell has no unique maximum")
+        raise ValueError(_INVALID_HEIGHTS)
     if v not in k.vertex_set():
         raise ValueError("%d is not a vertex" % v)
-    hv = h(v)
-    return SimplicialComplex(k.vertices, [tuple(u for u in f if h.heights[u] < hv)
-                                          for f in _cofaces(k, (v,))])
+    return _descending_link(k, h, v)
+
+
+def _level_reports(k: SimplicialComplex, h: HeightFunction, t: int):
+    """Reduced homology of the descending link of each height-t vertex."""
+    return [reduced_homology(_descending_link(k, h, v)) for v in k.vertex_set() if h(v) == t]
+
+
+def _max_degree(k: SimplicialComplex, reports) -> int:
+    kk = -1
+    while kk <= k.dim + 1 and all(r.is_zero_through(kk) for r in reports):
+        kk += 1
+    return kk
+
+
+def _morse_level(k: SimplicialComplex, h: HeightFunction, t: int, kk=None):
+    """(kk, morse_check(k, h, t, kk)) for a height function already found
+    valid; kk=None takes morse_max_degree(k, h, t).  Each descending link
+    and its homology are computed once."""
+    reports = _level_reports(k, h, t)
+    if kk is None:
+        kk = _max_degree(k, reports)
+    if not all(r.is_zero_through(kk - 1) for r in reports):
+        return kk, True  # hypothesis fails, implication holds vacuously
+    rel = relative_homology(sublevel(k, h, t), sublevel(k, h, t, strict=True))
+    return kk, rel.is_zero_through(kk)
 
 
 def morse_check(k: SimplicialComplex, h: HeightFunction, t: int, kk: int) -> bool:
@@ -614,24 +646,15 @@ def morse_check(k: SimplicialComplex, h: HeightFunction, t: int, kk: int) -> boo
     kk-1, THEN the pair (K^{<=t}, K^{<t}) has vanishing homology through
     degree kk.  Returns the truth of that implication."""
     if not h.is_valid_for(k):
-        raise ValueError("invalid height function: some cell has no unique maximum")
-    level_vertices = [v for v in k.vertex_set() if h(v) == t]
-    for v in level_vertices:
-        if not reduced_homology(morse_descending_link(k, h, v)).is_zero_through(kk - 1):
-            return True  # hypothesis fails, implication holds vacuously
-    below = sublevel(k, h, t)
-    strictly = sublevel(k, h, t, strict=True)
-    rel = relative_homology(below, strictly)
-    return rel.is_zero_through(kk)
+        raise ValueError(_INVALID_HEIGHTS)
+    return _morse_level(k, h, t, kk)[1]
 
 
 def morse_max_degree(k: SimplicialComplex, h: HeightFunction, t: int) -> int:
     """The largest kk <= dim + 2 whose morse_check hypothesis holds at
     level t: every descending link of a height-t vertex has vanishing
     reduced homology through degree kk-1 (-1 when some link is empty)."""
-    reports = [reduced_homology(morse_descending_link(k, h, v))
-               for v in k.vertex_set() if h(v) == t]
-    kk = -1
-    while kk <= k.dim + 1 and all(r.is_zero_through(kk) for r in reports):
-        kk += 1
-    return kk
+    # checked where the first descending link would check it
+    if any(h(v) == t for v in k.vertex_set()) and not h.is_valid_for(k):
+        raise ValueError(_INVALID_HEIGHTS)
+    return _max_degree(k, _level_reports(k, h, t))

@@ -13,6 +13,9 @@ a label word is "e" or a run of g<i>[^-1] tokens separated by
 whitespace, label words are separated by ";".  `gens:[]` declares the
 trivial label group.  The F and T flavors require pure generators and
 reject the header otherwise.
+
+Every element of a text is parsed and validated.  An error is a DslError
+at the line and column of its token, found only once the error is raised.
 """
 
 from __future__ import annotations
@@ -36,78 +39,68 @@ class DslError(ValueError):
         self.col = col
 
 
-class _Token:
-    __slots__ = ("text", "line", "col")
-
-    def __init__(self, text, line, col):
-        self.text = text
-        self.line = line
-        self.col = col
-
-
-def _tokenize(text):
-    # Only "\n" ends a line; columns count characters from 1.
-    return [_Token(m.group(), line, m.start() + 1)
-            for line, row in enumerate(text.split("\n"), 1)
-            for m in _TOKEN.finditer(row)]
-
-
 class _Parser:
+    """Recursive descent over the token strings of one text.  Tokens are
+    addressed by index; error positions are derived only when raising."""
+
     def __init__(self, text):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens = _TOKEN.findall(text)
         self.pos = 0
+        # Within this parse: forest text -> Forest, label token -> its word.
+        self.forests, self.words = {}, {}
 
-    def error(self, message, token=None):
-        if token is None:
-            token = self.peek()
-        if token is None:
-            last = self.tokens[-1] if self.tokens else _Token("", 1, 1)
-            raise DslError(message + " (at end of input)", last.line, last.col)
-        raise DslError(message, token.line, token.col)
+    def error(self, message, at=None):
+        """Raise a DslError at token index `at`, by default the next one.
+        Only a newline ends a line; columns count characters from 1."""
+        at = self.pos if at is None else at
+        if at >= len(self.tokens):
+            message += " (at end of input)"
+            at = len(self.tokens) - 1
+        text = self.text
+        start = next((m.start() for i, m in enumerate(_TOKEN.finditer(text)) if i == at), 0)
+        raise DslError(message, text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start))
 
-    def check(self, token, build, *args, **kwargs):
-        """build(*args, **kwargs), its ValueError reported at token."""
+    def check(self, at, build, *args, **kwargs):
+        """build(*args, **kwargs), its ValueError reported at token `at`."""
         try:
             return build(*args, **kwargs)
         except ValueError as exc:
-            self.error(str(exc), token)
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+            self.error(str(exc), at)
 
     def next(self):
-        tok = self.peek()
-        if tok is None:
+        pos = self.pos
+        if pos >= len(self.tokens):
             self.error("unexpected end of input")
-        self.pos += 1
-        return tok
+        self.pos = pos + 1
+        return self.tokens[pos]
 
     def expect(self, *texts):
         """Consume the fixed token sequence texts."""
         for text in texts:
             tok = self.next()
-            if tok.text != text:
-                self.error("expected %r, found %r" % (text, tok.text), tok)
+            if tok != text:
+                self.error("expected %r, found %r" % (text, tok), self.pos - 1)
 
     def at(self, text):
-        tok = self.peek()
-        return tok is not None and tok.text == text
+        return self.pos < len(self.tokens) and self.tokens[self.pos] == text
 
     def int_token(self, what):
         tok = self.next()
         try:
-            return int(tok.text)
+            return int(tok)
         except ValueError:
-            self.error("expected %s, found %r" % (what, tok.text), tok)
+            self.error("expected %s, found %r" % (what, tok), self.pos - 1)
 
     def collect_ints(self):
-        out = []
-        while self.pos < len(self.tokens):
-            try:
-                out.append(int(self.tokens[self.pos].text))
-            except ValueError:
-                break
-            self.pos += 1
+        out, tokens, pos = [], self.tokens, self.pos
+        try:
+            while pos < len(tokens):
+                out.append(int(tokens[pos]))
+                pos += 1
+        except ValueError:
+            pass
+        self.pos = pos
         return out
 
     # -- grammar -----------------------------------------------------------
@@ -118,76 +111,82 @@ class _Parser:
         self.expect(",", "r", ":")
         r = self.int_token("a root count")
         self.expect(",", "flavor", ":")
-        tok = self.next()
-        if tok.text not in ("V", "F", "T"):
-            self.error("flavor must be V, F or T", tok)
-        flavor = tok.text
+        flavor = self.next()
+        if flavor not in ("V", "F", "T"):
+            self.error("flavor must be V, F or T", self.pos - 1)
         self.expect(",", "gens", ":", "[")
-        gens = []  # (first token, word)
+        gens = []  # (index of the first token, word)
         if not self.at("]"):
             gens.append(self._generator(d))
             while self.at(","):
-                self.next()
+                self.pos += 1
                 gens.append(self._generator(d))
         self.expect("]", "}")
         require_pure = flavor in ("F", "T")
-        for tok, g in gens:
+        for at, g in gens:
             if require_pure and not is_pure(g):
                 self.error("flavor %s requires pure generators; %r is not pure"
-                           % (flavor, str(g)), tok)
-        gens = [g for _, g in gens]
-        spec = self.check(None, LabelGroupSpec, d, gens, require_pure=require_pure)
+                           % (flavor, str(g)), at)
+        spec = self.check(None, LabelGroupSpec, d, [g for _, g in gens], require_pure=require_pure)
         return self.check(None, GroupContext, d, r, spec, flavor)
 
     def parse_element(self, ctx: GroupContext):
+        """One element; returns (index of its name token, Spraige)."""
         self.expect("elem")
-        name_tok = self.next()
-        if name_tok.text in ("{", "}", "group", "elem"):
-            self.error("bad element name %r" % name_tok.text, name_tok)
+        name = self.pos
+        if self.next() in ("{", "}", "group", "elem"):
+            self.error("bad element name %r" % self.tokens[name], name)
         self.expect("{", "minus", ":")
         minus = self._forest(ctx.d)
         self.expect("braid", ":")
-        braid_start = self.peek()
+        braid_start = self.pos
         letters = self.collect_ints()
         self.expect("labels", ":")
-        labels = [self._label(len(ctx.spec.generators))]
+        n_gens = len(ctx.spec.generators)
+        labels = [self._label(n_gens)]
         while self.at(";"):
-            self.next()
-            labels.append(self._label(len(ctx.spec.generators)))
+            self.pos += 1
+            labels.append(self._label(n_gens))
         self.expect("plus", ":")
         plus = self._forest(ctx.d)
         self.expect("}")
         if minus.leaves != plus.leaves:
-            self.error("forests have %d and %d leaves" % (minus.leaves, plus.leaves),
-                       name_tok)
+            self.error("forests have %d and %d leaves" % (minus.leaves, plus.leaves), name)
         if len(labels) != minus.leaves:
-            self.error("%d labels for %d leaves" % (len(labels), minus.leaves), name_tok)
+            self.error("%d labels for %d leaves" % (len(labels), minus.leaves), name)
         braid = self.check(braid_start, BraidWord, minus.leaves, letters)
-        return name_tok, ctx.validate(Spraige(minus, LabeledBraid(braid, labels), plus))
+        return name, ctx.validate(Spraige(minus, LabeledBraid(braid, labels), plus))
 
     def _generator(self, d):
-        tok = self.peek()
-        return tok, self.check(tok, BraidWord, d, self.collect_ints())
+        at = self.pos
+        return at, self.check(at, BraidWord, d, self.collect_ints())
 
     def _forest(self, d):
-        tok = self.next()
-        return self.check(tok, decode_forest, tok.text, d)
+        text = self.next()
+        forest = self.forests.get(text)
+        if forest is None:
+            forest = self.forests[text] = self.check(self.pos - 1, decode_forest, text, d)
+        return forest
 
     def _label(self, n_gens):
         """A label word: a run of "e" and g<i>[^-1] tokens."""
-        parts = []
-        while (tok := self.peek()) is not None and (tok.text == "e" or tok.text.startswith("g")):
-            parts.append(self.next())
-        if not parts:
+        tokens, words, word = self.tokens, self.words, []
+        first = pos = self.pos
+        while pos < len(tokens):
+            tok = tokens[pos]
+            part = words.get(tok)
+            if part is None:
+                if tok != "e" and not tok.startswith("g"):
+                    break
+                part = words[tok] = self.check(pos, Label.parse, tok).word
+            word += part
+            pos += 1
+        self.pos = pos
+        if pos == first:
             self.error("expected a label word")
-        if len(parts) == 1 and parts[0].text == "e":
-            return Label()
-        word = []
-        for tok in parts:
-            word.extend(self.check(tok, Label.parse, tok.text).word)
         for x in word:
             if abs(x) > n_gens:
-                self.error("label references undeclared generator g%d" % abs(x), parts[0])
+                self.error("label references undeclared generator g%d" % abs(x), first)
         return Label(word)
 
 
@@ -197,18 +196,19 @@ def parse_session(text):
     p = _Parser(text)
     ctx = p.parse_header()
     elements = {}
-    while p.peek() is not None:
-        name_tok, s = p.parse_element(ctx)
-        if name_tok.text in elements:
-            p.error("duplicate element name %r" % name_tok.text, name_tok)
-        elements[name_tok.text] = s
+    while p.pos < len(p.tokens):
+        at, s = p.parse_element(ctx)
+        name = p.tokens[at]
+        if name in elements:
+            p.error("duplicate element name %r" % name, at)
+        elements[name] = s
     return ctx, elements
 
 
 def parse_element_text(ctx: GroupContext, text: str) -> Spraige:
     p = _Parser(text)
     _, s = p.parse_element(ctx)
-    if p.peek() is not None:
+    if p.pos < len(p.tokens):
         p.error("trailing input after element")
     return s
 

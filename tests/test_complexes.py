@@ -14,6 +14,7 @@ from braidedthompson import (HeightFunction, SimplicialComplex,
                              reduced_homology, relative_homology,
                              restrict_initial, simplex_counts,
                              smith_invariants, star, sublevel, wcm_violation)
+from braidedthompson import complexes
 from braidedthompson.complexes import _sparse_invariants
 from conftest import complex_library, random_complex, seeded
 
@@ -691,3 +692,24 @@ def test_wcm_and_morse_sweep_match_oracles_at_m2_p16():
             kk = morse_max_degree(cx, h, t)
             assert kk == oracle_morse_max_degree(cx, h, t), t
             assert morse_check(cx, h, t, kk)
+
+
+def test_morse_functions_validate_once_and_build_each_link_once(monkeypatch):
+    k = d_matching_linear(2, 12)
+    h = HeightFunction({v: v // 2 for v in range(k.vertices)})  # two vertices a level
+    answers = [(morse_max_degree(k, h, t), morse_check(k, h, t, 1)) for t in h.levels(k)]
+    calls = []
+    for name in ("reduced_homology", "_descending_link"):
+        fn = getattr(complexes, name)
+        monkeypatch.setattr(complexes, name,
+                            lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    valid = HeightFunction.is_valid_for
+    monkeypatch.setattr(HeightFunction, "is_valid_for",
+                        lambda self, kk: calls.append("valid") or valid(self, kk))
+    for t, answer in zip(h.levels(k), answers):
+        for fn, args in ((morse_max_degree, ()), (morse_check, (1,))):
+            calls.clear()
+            assert fn(k, h, t, *args) == answer[fn is morse_check]
+            level = sum(1 for v in k.vertex_set() if h(v) == t)
+            assert calls.count("valid") == 1
+            assert calls.count("_descending_link") == calls.count("reduced_homology") == level

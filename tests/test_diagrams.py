@@ -1,11 +1,13 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidedthompson import (BraidWord, Forest, Label, LabeledBraid,
                              PairedForestDiagram, Permutation, Spraige,
                              braid_equal, cable, elementary_forest,
                              is_trivial, permutation_of, v_equal, v_expand,
                              v_multiply, v_reduce, word_from_permutation)
-from braidedthompson.forests import decode
+from braidedthompson.forests import attach_caret, decode
+from braidedthompson.labeled import lb_equal
 from conftest import (context_full_twist, context_half_twist, context_trivial,
                       make_context, random_element, random_elementary_braige,
                       random_label, seeded, width_preserving_multiplier)
@@ -415,3 +417,66 @@ def test_generated_by_splittings_braids_and_labels():
         g = random_element(ctx, rng, 3)
         rebuilt = ctx.multiply(ctx.multiply(g, ctx.invert(g)), g)
         assert ctx.equal(rebuilt, g)
+
+
+# -- group laws as properties, on elements with 4-5 carets -----------------------
+
+PROPERTY_CONTEXTS = {"half-twist": context_half_twist(3, 1),
+                     "full-twist": context_full_twist(2, 1)}
+
+
+@st.composite
+def _tree(draw, ctx, carets):
+    forest = Forest.trivial(ctx.d, ctx.r)
+    for _ in range(carets):
+        forest = attach_caret(forest, draw(st.integers(1, forest.leaves)))
+    return forest
+
+
+@st.composite
+def _element(draw, ctx):
+    """A (1,1)-element: two random trees with the same number (4 or 5) of
+    carets, a signed braid word of up to one letter per leaf and label
+    words of up to two letters."""
+    carets = draw(st.integers(4, 5))
+    minus, plus = draw(_tree(ctx, carets)), draw(_tree(ctx, carets))
+    n = minus.leaves
+    letter = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from((i, -i)))
+    braid = BraidWord(n, draw(st.lists(letter, max_size=n)))
+    gens = len(ctx.spec.generators)
+    label = st.lists(st.integers(1, gens).flatmap(lambda i: st.sampled_from((i, -i))),
+                     max_size=2).map(Label)
+    labels = draw(st.lists(label, min_size=n, max_size=n))
+    return Spraige(minus, LabeledBraid(braid, labels), plus)
+
+
+def _same_representative(ctx, x, y):
+    return x.minus == y.minus and x.plus == y.plus and lb_equal(ctx.spec, x.lb, y.lb)
+
+
+@pytest.mark.parametrize("name", sorted(PROPERTY_CONTEXTS))
+def test_reduce_is_idempotent_and_undoes_expansion(name):
+    ctx = PROPERTY_CONTEXTS[name]
+
+    @settings(max_examples=40)
+    @given(_element(ctx), st.integers(1, 20))
+    def check(a, i):
+        r = ctx.reduce(a)
+        again = ctx.reduce(r)
+        assert (again.minus, again.plus, again.lb) == (r.minus, r.plus, r.lb)
+        assert _same_representative(ctx, ctx.reduce(ctx.expand(a, (i - 1) % a.leaves + 1)), r)
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(PROPERTY_CONTEXTS))
+def test_product_is_associative_and_has_inverses(name):
+    ctx = PROPERTY_CONTEXTS[name]
+
+    @settings(max_examples=20)
+    @given(_element(ctx), _element(ctx), _element(ctx))
+    def check(a, b, c):
+        assert ctx.equal(ctx.multiply(a, ctx.multiply(b, c)), ctx.multiply(ctx.multiply(a, b), c))
+        assert ctx.is_identity(ctx.multiply(a, ctx.invert(a)))
+
+    check()

@@ -1,12 +1,20 @@
 import json
+import re
+from collections import Counter
 
 import jsonschema
 import pytest
 
-from braidedthompson import (DslError, braid_equal, format_header,
-                             format_session, half_twist, parse_session)
+from braidedthompson import (BraidWord, DslError, GroupContext, Label,
+                             LabeledBraid, LabelGroupSpec, Spraige,
+                             braid_equal, format_element, format_header,
+                             format_session, half_twist, is_pure,
+                             parse_element_text, parse_session)
+from braidedthompson import complexes as cx
 from braidedthompson.cli import RESULT_SCHEMA, main
-from conftest import context_half_twist, random_element, seeded
+from braidedthompson.forests import decode as decode_forest
+from conftest import (context_full_twist, context_half_twist, context_trivial,
+                      random_element, seeded)
 
 HEADER = "group { d:2, r:2, flavor:V, gens:[1 1] }"
 
@@ -285,6 +293,55 @@ def test_cli_morse_with_heights(capsys, tmp_path):
     assert code == 0 and data["levels"][0]["holds"] is True
 
 
+def test_cli_morse_builds_each_descending_link_once(capsys, tmp_path, monkeypatch):
+    k = cx.d_matching_linear(2, 12)
+    h = cx.HeightFunction({v: v + 1 for v in range(k.vertices)})
+    levels = [{"t": t, "k": kk, "holds": cx.morse_check(k, h, t, kk)}
+              for t in h.levels(k) for kk in [cx.morse_max_degree(k, h, t)]]
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps(k.to_json_dict()), encoding="utf-8")
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("reduced_homology", "morse_descending_link", "_descending_link"):
+        monkeypatch.setattr(cx, name, counted(name, getattr(cx, name)))
+    monkeypatch.setattr(cx.HeightFunction, "is_valid_for",
+                        counted("is_valid_for", cx.HeightFunction.is_valid_for))
+    code, data = run_cli(capsys, "morse", "--filter", "start", "--file", str(path))
+    assert code == 0 and data["levels"] == levels and len(levels) == k.vertices == 11
+    assert calls["morse_descending_link"] + calls["_descending_link"] <= 11
+    assert calls["reduced_homology"] <= 11
+    assert calls["is_valid_for"] <= len(levels) + 1
+
+
+def deep_session(tmp_path, carets=1500):
+    """A session whose element g is x0-shaped with `carets` carets: a left
+    vine over a right vine, each nested `carets` deep."""
+    minus = "(" * carets + ".." + ")." * (carets - 1) + ")"
+    plus = "(." * (carets - 1) + "(..)" + ")" * (carets - 1)
+    labels = "; ".join(["e"] * (carets + 1))
+    path = tmp_path / "deep.dsl"
+    path.write_text("group { d:2, r:1, flavor:V, gens:[] }\n"
+                    "elem g { minus: %s braid: labels: %s plus: %s }\n" % (minus, labels, plus),
+                    encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [["reduce", "g"], ["mul", "g", "g"], ["eq", "g", "g"]])
+def test_cli_too_deep_input_is_a_json_error(capsys, tmp_path, argv):
+    # Forests are decoded recursively, so this input exceeds the recursion limit.
+    code = main(argv[:1] + ["--input", deep_session(tmp_path)] + argv[1:])
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert code == 2 and captured.out == ""
+    assert err["ok"] is False and err["command"] == argv[0] and "recursion" in err["error"]
+
+
 # -- complex input contract: a JSON error and exit code 2 --------------------------
 
 COMPLEX_COMMANDS = (["homology"], ["wcm", "--n", "1"], ["morse", "--filter", "start"],
@@ -469,3 +526,289 @@ def test_header_formatting_roundtrip():
     ctx2, _ = parse_session(text)
     assert ctx2.spec.generators == ctx.spec.generators
     assert format_header(ctx2) == text
+
+
+# -- differential oracle: the parser with a token object per token -------------
+#
+# The token-object parser that the index-based one replaced, frozen as it was:
+# it records every token's line and column up front.  The two must agree on
+# every text, valid or not: the same elements, or the same error text, line
+# and column.
+
+# A punctuation character, or a run of anything but whitespace and
+# punctuation.  `\s` matches exactly the characters `str.isspace` accepts.
+_ORACLE_TOKEN = re.compile(r"[{}\[\],;:]|[^\s{}\[\],;:]+")
+
+
+class _OracleToken:
+    __slots__ = ("text", "line", "col")
+
+    def __init__(self, text, line, col):
+        self.text = text
+        self.line = line
+        self.col = col
+
+
+def _oracle_tokenize(text):
+    # Only "\n" ends a line; columns count characters from 1.
+    return [_OracleToken(m.group(), line, m.start() + 1)
+            for line, row in enumerate(text.split("\n"), 1)
+            for m in _ORACLE_TOKEN.finditer(row)]
+
+
+class _OracleParser:
+    def __init__(self, text):
+        self.tokens = _oracle_tokenize(text)
+        self.pos = 0
+
+    def error(self, message, token=None):
+        if token is None:
+            token = self.peek()
+        if token is None:
+            last = self.tokens[-1] if self.tokens else _OracleToken("", 1, 1)
+            raise DslError(message + " (at end of input)", last.line, last.col)
+        raise DslError(message, token.line, token.col)
+
+    def check(self, token, build, *args, **kwargs):
+        """build(*args, **kwargs), its ValueError reported at token."""
+        try:
+            return build(*args, **kwargs)
+        except ValueError as exc:
+            self.error(str(exc), token)
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def next(self):
+        tok = self.peek()
+        if tok is None:
+            self.error("unexpected end of input")
+        self.pos += 1
+        return tok
+
+    def expect(self, *texts):
+        """Consume the fixed token sequence texts."""
+        for text in texts:
+            tok = self.next()
+            if tok.text != text:
+                self.error("expected %r, found %r" % (text, tok.text), tok)
+
+    def at(self, text):
+        tok = self.peek()
+        return tok is not None and tok.text == text
+
+    def int_token(self, what):
+        tok = self.next()
+        try:
+            return int(tok.text)
+        except ValueError:
+            self.error("expected %s, found %r" % (what, tok.text), tok)
+
+    def collect_ints(self):
+        out = []
+        while self.pos < len(self.tokens):
+            try:
+                out.append(int(self.tokens[self.pos].text))
+            except ValueError:
+                break
+            self.pos += 1
+        return out
+
+    # -- grammar -----------------------------------------------------------
+
+    def parse_header(self) -> GroupContext:
+        self.expect("group", "{", "d", ":")
+        d = self.int_token("an arity")
+        self.expect(",", "r", ":")
+        r = self.int_token("a root count")
+        self.expect(",", "flavor", ":")
+        tok = self.next()
+        if tok.text not in ("V", "F", "T"):
+            self.error("flavor must be V, F or T", tok)
+        flavor = tok.text
+        self.expect(",", "gens", ":", "[")
+        gens = []  # (first token, word)
+        if not self.at("]"):
+            gens.append(self._generator(d))
+            while self.at(","):
+                self.next()
+                gens.append(self._generator(d))
+        self.expect("]", "}")
+        require_pure = flavor in ("F", "T")
+        for tok, g in gens:
+            if require_pure and not is_pure(g):
+                self.error("flavor %s requires pure generators; %r is not pure"
+                           % (flavor, str(g)), tok)
+        gens = [g for _, g in gens]
+        spec = self.check(None, LabelGroupSpec, d, gens, require_pure=require_pure)
+        return self.check(None, GroupContext, d, r, spec, flavor)
+
+    def parse_element(self, ctx: GroupContext):
+        self.expect("elem")
+        name_tok = self.next()
+        if name_tok.text in ("{", "}", "group", "elem"):
+            self.error("bad element name %r" % name_tok.text, name_tok)
+        self.expect("{", "minus", ":")
+        minus = self._forest(ctx.d)
+        self.expect("braid", ":")
+        braid_start = self.peek()
+        letters = self.collect_ints()
+        self.expect("labels", ":")
+        labels = [self._label(len(ctx.spec.generators))]
+        while self.at(";"):
+            self.next()
+            labels.append(self._label(len(ctx.spec.generators)))
+        self.expect("plus", ":")
+        plus = self._forest(ctx.d)
+        self.expect("}")
+        if minus.leaves != plus.leaves:
+            self.error("forests have %d and %d leaves" % (minus.leaves, plus.leaves),
+                       name_tok)
+        if len(labels) != minus.leaves:
+            self.error("%d labels for %d leaves" % (len(labels), minus.leaves), name_tok)
+        braid = self.check(braid_start, BraidWord, minus.leaves, letters)
+        return name_tok, ctx.validate(Spraige(minus, LabeledBraid(braid, labels), plus))
+
+    def _generator(self, d):
+        tok = self.peek()
+        return tok, self.check(tok, BraidWord, d, self.collect_ints())
+
+    def _forest(self, d):
+        tok = self.next()
+        return self.check(tok, decode_forest, tok.text, d)
+
+    def _label(self, n_gens):
+        """A label word: a run of "e" and g<i>[^-1] tokens."""
+        parts = []
+        while (tok := self.peek()) is not None and (tok.text == "e" or tok.text.startswith("g")):
+            parts.append(self.next())
+        if not parts:
+            self.error("expected a label word")
+        if len(parts) == 1 and parts[0].text == "e":
+            return Label()
+        word = []
+        for tok in parts:
+            word.extend(self.check(tok, Label.parse, tok.text).word)
+        for x in word:
+            if abs(x) > n_gens:
+                self.error("label references undeclared generator g%d" % abs(x), parts[0])
+        return Label(word)
+
+
+def oracle_parse_session(text):
+    """Parse a header plus any number of elements.
+    Returns (context, ordered dict of name -> Spraige)."""
+    p = _OracleParser(text)
+    ctx = p.parse_header()
+    elements = {}
+    while p.peek() is not None:
+        name_tok, s = p.parse_element(ctx)
+        if name_tok.text in elements:
+            p.error("duplicate element name %r" % name_tok.text, name_tok)
+        elements[name_tok.text] = s
+    return ctx, elements
+
+
+def oracle_parse_element_text(ctx: GroupContext, text: str) -> Spraige:
+    p = _OracleParser(text)
+    _, s = p.parse_element(ctx)
+    if p.peek() is not None:
+        p.error("trailing input after element")
+    return s
+
+
+# Tokens a mutation may put in place of another: syntax, near-misses of
+# labels, letters and forests, and integers int() reads in unusual ways.
+JUNK = ["x", "e", "g0", "g9", "g1^-2", "g", "-0", "0", "+1", "1_0", "99", "\u0663",
+        "(..", "(...)", ".|.", "((..).)", "elem", "group", "{", "}", ";", ":", ",",
+        "[", "]", "labels", "braid", "plus", "minus"]
+
+
+def parse_outcome(parse, text):
+    """What parse(text) returns, as text, or the error it raises."""
+    try:
+        ctx, elements = parse(text)
+    except DslError as exc:
+        return "error", str(exc), exc.line, exc.col
+    except Exception as exc:  # any other exception is compared by type and text
+        return "raised", type(exc).__name__, str(exc)
+    return "ok", format_session(ctx, elements), list(elements)
+
+
+def mutate(text, rng, vocab):
+    """One seeded edit: a token deleted, duplicated, swapped or replaced, a
+    line dropped, or CRLF line endings (with one more edit half the time)."""
+    kind = rng.randrange(6)
+    if kind == 4:
+        lines = text.split("\n")
+        del lines[rng.randrange(len(lines))]
+        return "\n".join(lines)
+    if kind == 5:
+        text = text.replace("\n", "\r\n")
+        return mutate(text, rng, vocab) if rng.random() < 0.5 else text
+    spans = [m.span() for m in _ORACLE_TOKEN.finditer(text)]
+    a, b = spans[rng.randrange(len(spans))]
+    if kind == 0:
+        return text[:a] + text[b:]
+    if kind == 1:
+        return text[:b] + rng.choice(("", " ", "\n")) + text[a:b] + text[b:]
+    if kind == 2:
+        c, d = spans[rng.randrange(len(spans))]
+        if c < a:
+            a, b, c, d = c, d, a, b
+        if c < b:
+            return text
+        return text[:a] + text[c:d] + text[b:c] + text[a:b] + text[d:]
+    return text[:a] + rng.choice(vocab) + text[b:]
+
+
+def differential_sessions():
+    rng = seeded("dsl-differential")
+    sessions = []
+    for ctx in (context_trivial(2, 1), context_full_twist(2, 1), context_half_twist(3, 1)):
+        for _ in range(2):
+            elements = {}
+            for i in range(3):
+                s = random_element(ctx, rng, 3)
+                elements["e%d" % i] = ctx.reduce(s) if i % 2 else s
+            sessions.append(format_session(ctx, elements))
+    return rng, sessions
+
+
+def test_parser_agrees_with_token_object_oracle_on_valid_sessions():
+    _, sessions = differential_sessions()
+    for text in sessions:
+        got = parse_outcome(parse_session, text)
+        assert got[0] == "ok" and got == parse_outcome(oracle_parse_session, text)
+        assert got[1] == text  # and it round-trips
+
+
+def test_parser_agrees_with_token_object_oracle_on_mutated_sessions():
+    rng, sessions = differential_sessions()
+    seen = []
+    for n in range(5400):
+        text = sessions[n % len(sessions)]
+        vocab = JUNK + sorted(set(_ORACLE_TOKEN.findall(text)))
+        bad = mutate(text, rng, vocab)
+        got = parse_outcome(parse_session, bad)
+        assert got == parse_outcome(oracle_parse_session, bad), bad
+        seen.append(got[1] if got[0] == "error" else got[0])
+    # the mutations reach valid texts and every kind of check
+    assert "ok" in seen
+    for what in ("(at end of input)", "duplicate element name", "bad label token",
+                 "undeclared generator", "out of range", "labels for", "leaves",
+                 "is the arity", "bad element name", "expected a label word"):
+        assert any(what in outcome for outcome in seen), what
+
+
+def test_element_text_parser_agrees_with_token_object_oracle():
+    rng, sessions = differential_sessions()
+    for text in sessions:
+        ctx, elements = parse_session(text)
+        for name, s in elements.items():
+            elem = format_element(name, s)
+            vocab = JUNK + sorted(set(_ORACLE_TOKEN.findall(elem)))
+            for bad in [elem, elem + " x"] + [mutate(elem, rng, vocab) for _ in range(60)]:
+                new, old = [parse_outcome(lambda t, parse=parse: (ctx, {name: parse(ctx, t)}), bad)
+                            for parse in (parse_element_text, oracle_parse_element_text)]
+                assert new == old, bad

@@ -149,9 +149,6 @@ class BraidWord:
     def exponent_sum(self):
         return sum(1 if a > 0 else -1 for a in self.letters)
 
-    def permutation(self):
-        return permutation_of(self)
-
     def normal_form(self):
         """Left greedy normal form (delta_power, tuple of factor permutations).
 
@@ -199,11 +196,7 @@ def braid_equal(w1: BraidWord, w2: BraidWord) -> bool:
 
 
 def is_trivial(w: BraidWord) -> bool:
-    if not w.letters:
-        return True
-    if w.exponent_sum() != 0:
-        return False
-    return w.normal_form() == (0, ())
+    return braid_equal(w, BraidWord(w.strands))
 
 
 def is_pure(w: BraidWord) -> bool:

@@ -270,19 +270,15 @@ def cmd_join_check(args):
 def cmd_morse(args):
     k = _read_complex(args)
     if args.filter == "start":
-        heights = {v: v + 1 for v in range(k.vertices)}
+        heights = {v: v + 1 for v in k.vertex_set()}
     else:
         heights = _heights(args.heights, k)
     h = cx.HeightFunction(heights)
-    if not h.is_valid_for(k):
-        raise CliError("invalid height function: some cell has no unique maximum")
     levels = []
-    all_hold = True
-    ts = [args.t] if args.t is not None else h.levels(k)
-    for t in ts:
-        kk, holds = cx._morse_level(k, h, t, args.k)
-        all_hold = all_hold and holds
+    for t in [args.t] if args.t is not None else h.levels(k):
+        kk, holds = cx.morse_level(k, h, t, args.k)
         levels.append({"t": t, "k": kk, "holds": holds})
+    all_hold = all(level["holds"] for level in levels)
     return {"command": "morse", "ok": True, "levels": levels,
             "morse_ok": all_hold}, all_hold
 

@@ -479,7 +479,7 @@ def restrict_initial(k: SimplicialComplex, z) -> SimplicialComplex:
     """Full subcomplex of a matching complex on the arcs whose initial
     position lies in z (positions are 1-based, vertex ids 0-based)."""
     z = set(z)
-    if not z <= set(range(1, k.vertices + 1)):
+    if not all(1 <= p <= k.vertices for p in z):
         raise ValueError("initial positions must lie in 1..%d" % k.vertices)
     return k.full_subcomplex({p - 1 for p in z})
 
@@ -559,7 +559,7 @@ def duplicated_cover(k: SimplicialComplex):
         for eps in product((0, 1), repeat=len(f)):
             faces.append(tuple(2 * v + e for v, e in zip(f, eps)))
     cover = SimplicialComplex(2 * k.vertices, faces)
-    vmap = {w: w // 2 for w in range(2 * k.vertices)}
+    vmap = {2 * v + e: v for v in k.vertex_set() for e in (0, 1)}
     return cover, vmap
 
 
@@ -593,7 +593,7 @@ class HeightFunction:
 
 
 def sublevel(k: SimplicialComplex, h: HeightFunction, t: int, strict=False) -> SimplicialComplex:
-    keep = {v for v in range(k.vertices)
+    keep = {v for v in k.vertex_set()
             if v in h.heights and (h.heights[v] < t if strict else h.heights[v] <= t)}
     return k.full_subcomplex(keep)
 
@@ -627,10 +627,12 @@ def _max_degree(k: SimplicialComplex, reports) -> int:
     return kk
 
 
-def _morse_level(k: SimplicialComplex, h: HeightFunction, t: int, kk=None):
-    """(kk, morse_check(k, h, t, kk)) for a height function already found
-    valid; kk=None takes morse_max_degree(k, h, t).  Each descending link
-    and its homology are computed once."""
+def morse_level(k: SimplicialComplex, h: HeightFunction, t: int, kk=None):
+    """(kk, morse_check(k, h, t, kk)); kk=None takes morse_max_degree(k, h, t).
+    The height function is validated once, and each descending link and
+    its homology are computed once."""
+    if not h.is_valid_for(k):
+        raise ValueError(_INVALID_HEIGHTS)
     reports = _level_reports(k, h, t)
     if kk is None:
         kk = _max_degree(k, reports)
@@ -645,9 +647,7 @@ def morse_check(k: SimplicialComplex, h: HeightFunction, t: int, kk: int) -> boo
     of a height-t vertex has vanishing reduced homology through degree
     kk-1, THEN the pair (K^{<=t}, K^{<t}) has vanishing homology through
     degree kk.  Returns the truth of that implication."""
-    if not h.is_valid_for(k):
-        raise ValueError(_INVALID_HEIGHTS)
-    return _morse_level(k, h, t, kk)[1]
+    return morse_level(k, h, t, kk)[1]
 
 
 def morse_max_degree(k: SimplicialComplex, h: HeightFunction, t: int) -> int:

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 from .braids import BraidWord, Permutation, is_cyclic, is_pure, permutation_of
 from .forests import (Forest, attach_caret, elementary_caret_spans,
-                      elementary_forest, forest_to_matching, join,
+                      elementary_forest, forest_to_matching, join, leaf_counts,
                       remove_elementary_caret)
 from .labeled import (Label, LabeledBraid, labeled_cable, labeled_uncable,
-                      lb_invert, lb_is_identity, lb_multiply)
+                      lb_equal, lb_invert, lb_multiply)
 
 
 class Spraige:
@@ -62,6 +62,9 @@ class Spraige:
         return (isinstance(other, Spraige) and self.minus == other.minus
                 and self.lb == other.lb and self.plus == other.plus)
 
+    def __hash__(self):
+        return hash((self.minus, self.lb, self.plus))
+
     def __repr__(self):
         return "Spraige(%s, %r, %s)" % (self.minus, str(self.lb.braid), self.plus)
 
@@ -83,6 +86,9 @@ class PairedForestDiagram:
     def __eq__(self, other):
         return (isinstance(other, PairedForestDiagram) and self.minus == other.minus
                 and self.perm == other.perm and self.plus == other.plus)
+
+    def __hash__(self):
+        return hash((self.minus, self.perm, self.plus))
 
     def __repr__(self):
         return "PairedForestDiagram(%s, %r, %s)" % (self.minus, self.perm.image, self.plus)
@@ -235,7 +241,7 @@ class GroupContext:
         self.validate(s)
         if s.heads != s.feet:
             raise ValueError("only (n,n)-spraiges can be the identity")
-        return s.minus == s.plus and lb_is_identity(self.spec, s.lb)
+        return s.minus == s.plus and lb_equal(self.spec, s.lb, LabeledBraid.trivial(s.leaves))
 
     def equal(self, g: Spraige, h: Spraige) -> bool:
         if g.heads != h.heads or g.feet != h.feet:
@@ -281,15 +287,15 @@ class GroupContext:
         `flavor` restricts the multiplier braid: pure for F, cyclic for T,
         unrestricted for V.
         """
+        if flavor not in ("V", "F", "T"):
+            raise ValueError("flavor must be V, F or T")
         self._check_elementary_braige(x)
         self._check_elementary_braige(y)
         if x.leaves != y.leaves:
             raise ValueError("braiges on different head counts")
         if x.plus != y.plus:
             return False
-        if flavor not in ("V", "F", "T"):
-            raise ValueError("flavor must be V, F or T")
-        widths = _widths(x)
+        widths = leaf_counts(x.plus)  # d under a caret, 1 under a bare root
         mult = labeled_uncable(self.spec, lb_multiply(lb_invert(x.lb), y.lb), widths)
         if mult is None:
             return False
@@ -310,7 +316,7 @@ class GroupContext:
         mus = tuple(mus)
         if len(mus) != x.feet:
             raise ValueError("one label per foot")
-        widths = _widths(x)
+        widths = leaf_counts(x.plus)
         if not _keeps_slots(widths, permutation_of(c)):
             raise ValueError("the multiplier permutation must preserve caret slots")
         ext = labeled_cable(self.spec, LabeledBraid(c, mus), widths)
@@ -333,12 +339,6 @@ class GroupContext:
             raise ValueError("not a braige: splitting forest is nontrivial")
         if not x.plus.is_elementary():
             raise ValueError("merge forest is not elementary")
-
-
-def _widths(x: Spraige):
-    """Cable widths along the merge forest of an elementary braige: d
-    under a caret, 1 under a bare root."""
-    return [1 if t is None else x.plus.degree for t in x.plus.trees]
 
 
 def _keeps_slots(widths, rho: Permutation) -> bool:

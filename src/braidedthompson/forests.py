@@ -99,6 +99,11 @@ class Forest:
         return encode(self)
 
 
+def leaf_counts(forest: Forest):
+    """The number of leaves of each tree, root by root."""
+    return tuple(_tree_leaves(t) for t in forest.trees)
+
+
 def encode(forest: Forest) -> str:
     def enc(tree):
         if tree is LEAF:

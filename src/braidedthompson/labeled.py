@@ -21,7 +21,7 @@ labeled h with the braid of h on top of the bundle, and
 from __future__ import annotations
 
 from .braids import (BraidWord, braid_equal, cable, delete_strands, half_twist,
-                     is_pure, is_trivial, permutation_of, shifted)
+                     is_pure, permutation_of, shifted)
 
 
 class LabelGroupSpec:
@@ -59,6 +59,9 @@ class LabelGroupSpec:
                 and self.generators == other.generators
                 and self.require_pure == other.require_pure)
 
+    def __hash__(self):
+        return hash((self.degree, self.generators, self.require_pure))
+
     def __repr__(self):
         return "LabelGroupSpec(d=%d, gens=%r, require_pure=%r)" % (
             self.degree, [str(g) for g in self.generators], self.require_pure)
@@ -85,14 +88,6 @@ class Label:
         if any(x == 0 for x in word):
             raise ValueError("generator indices are signed and nonzero")
         self.word = word
-
-    @classmethod
-    def identity(cls):
-        return cls()
-
-    @classmethod
-    def generator(cls, i):
-        return cls((i,))
 
     @classmethod
     def parse(cls, text):
@@ -179,6 +174,9 @@ class LabeledBraid:
                 and self.braid == other.braid
                 and self.labels == other.labels)
 
+    def __hash__(self):
+        return hash((self.braid, self.labels))
+
     def __repr__(self):
         return "LabeledBraid(%r, %r)" % (str(self.braid), [str(x) for x in self.labels])
 
@@ -215,13 +213,6 @@ def lb_equal(spec: LabelGroupSpec, x: LabeledBraid, y: LabeledBraid) -> bool:
     return all(label_equal(spec, a, b) for a, b in zip(x.labels, y.labels))
 
 
-def lb_is_identity(spec: LabelGroupSpec, x: LabeledBraid) -> bool:
-    if not is_trivial(x.braid):
-        return False
-    return all(lab.is_identity_word() or is_trivial(lab.realize(spec))
-               for lab in x.labels)
-
-
 def _bundles(spec, widths):
     """(strand, first cable strand), 0-based, of each strand that `widths`
     (one per uncabled strand) widens; a bundle carries B_d, so it is d wide."""
@@ -232,51 +223,39 @@ def _bundles(spec, widths):
     return [(j, j + k * (d - 1)) for k, j in enumerate(wide)]
 
 
-def _cabled_braid(braid, widths, tops):
-    """cable(braid, widths) after `tops` (first cable strand, realized label), last first."""
-    out = cable(braid, widths)
-    top = []
-    for pos, real in reversed(tops):
-        top.extend(shifted(real, pos, out.strands).letters)
-    return BraidWord(out.strands, top + list(out.letters)) if top else out
-
-
 def labeled_cable(spec: LabelGroupSpec, x: LabeledBraid, widths) -> LabeledBraid:
     """Cable x by `widths`: strand j becomes widths[j] parallel strands,
     all labeled x.labels[j], and each bundle whose label word is not
     empty gets the realized label braid in front of the cabled braid."""
     widths = list(widths)
     bundles = _bundles(spec, widths)
+    braid = cable(x.braid, widths)
     labels = list(x.labels)
-    for j, _ in reversed(bundles):
+    top = []
+    for j, pos in reversed(bundles):
         labels[j:j + 1] = (x.labels[j],) * widths[j]
-    tops = [(pos, x.labels[j].realize(spec)) for j, pos in bundles if x.labels[j].word]
-    return LabeledBraid(_cabled_braid(x.braid, widths, tops), labels)
+        if x.labels[j].word:
+            top.extend(shifted(x.labels[j].realize(spec), pos, braid.strands).letters)
+    if top:
+        braid = BraidWord(braid.strands, top + list(braid.letters))
+    return LabeledBraid(braid, labels)
 
 
 def labeled_uncable(spec: LabelGroupSpec, x: LabeledBraid, widths):
     """The y on the leader (leftmost) strand of each bundle with
     labeled_cable(spec, y, widths) equal to x in B_l(H), or None.  Labels
     must agree per bundle up to label_equal (y keeps the leader's word)
-    and re-cabling the braid left on the leaders must give x.braid."""
+    and re-cabling y must give x.braid."""
     widths = list(widths)
     d = spec.degree
-    labels = []
-    killed = []
-    tops = []
-    done = 0
+    killed = set()
     for _, pos in _bundles(spec, widths):
         lead = x.labels[pos]
-        real = lead.realize(spec)  # label_equal, with the leader realized once
-        if any(lab != lead and not braid_equal(lab.realize(spec), real)
-               for lab in x.labels[pos + 1:pos + d]):
+        if not all(label_equal(spec, lab, lead) for lab in x.labels[pos + 1:pos + d]):
             return None
-        labels.extend(x.labels[done:pos + 1])
-        killed.extend(range(pos + 2, pos + d + 1))
-        tops.append((pos, real))
-        done = pos + d
-    labels.extend(x.labels[done:])
-    braid = delete_strands(x.braid, killed) if killed else x.braid
-    if not braid_equal(x.braid, _cabled_braid(braid, widths, tops)):
+        killed.update(range(pos + 2, pos + d + 1))
+    y = LabeledBraid(delete_strands(x.braid, killed) if killed else x.braid,
+                     [lab for i, lab in enumerate(x.labels, 1) if i not in killed])
+    if not braid_equal(x.braid, labeled_cable(spec, y, widths).braid):
         return None
-    return LabeledBraid(braid, labels)
+    return y

@@ -8,7 +8,8 @@ from hypothesis import settings
 from braidedthompson import (BraidWord, Forest, GroupContext, Label,
                              LabeledBraid, LabelGroupSpec, SimplicialComplex,
                              Spraige, d_matching_cyclic, d_matching_linear,
-                             half_twist, permutation_of)
+                             half_twist, leaf_counts, matching_to_forest,
+                             permutation_of)
 
 
 # Property tests draw the same examples on every run.
@@ -87,25 +88,24 @@ def random_elementary_braige(ctx, rng, m):
     braid = random_braid_word(rng, m, max_len=5)
     labels = tuple(random_label(rng, ctx) for _ in range(m))
     while True:
-        trees = []
+        intervals = []
         p = 1
         while p <= m:
             if p + ctx.d - 1 <= m and rng.random() < 0.5:
-                trees.append((None,) * ctx.d)
+                intervals.append((p, p + ctx.d - 1))
                 p += ctx.d
             else:
-                trees.append(None)
                 p += 1
-        f = Forest(ctx.d, trees)
-        if f.carets > 0:
-            return Spraige(Forest.trivial(ctx.d, m), LabeledBraid(braid, labels), f)
+        if intervals:
+            return Spraige(Forest.trivial(ctx.d, m), LabeledBraid(braid, labels),
+                           matching_to_forest(intervals, m, ctx.d))
 
 
 def width_preserving_multiplier(rng, x, max_len=4, tries=200):
     """A random braid on the feet of x whose permutation maps caret slots
     to caret slots (so cabling it along the merge forest keeps the forest)."""
     k = x.feet
-    widths = [1 if t is None else x.plus.degree for t in x.plus.trees]
+    widths = leaf_counts(x.plus)
     for _ in range(tries):
         c = random_braid_word(rng, k, max_len=max_len)
         rho = permutation_of(c)

@@ -1,6 +1,7 @@
 import math
 import random
 from itertools import product
+import tracemalloc
 
 import pytest
 
@@ -9,8 +10,8 @@ from braidedthompson import (HeightFunction, SimplicialComplex,
                              d_matching_linear, duplicated_cover,
                              forest_to_matching, is_homology_wcm, join, link,
                              matching_to_forest, morse_check,
-                             morse_descending_link, morse_max_degree,
-                             mutual_link,
+                             morse_descending_link, morse_level,
+                             morse_max_degree, mutual_link,
                              reduced_homology, relative_homology,
                              restrict_initial, simplex_counts,
                              smith_invariants, star, sublevel, wcm_violation)
@@ -392,6 +393,37 @@ def test_sublevel_complexes():
     assert strict.vertex_set() == {0, 1}
 
 
+def test_cost_follows_the_faces_not_the_declared_vertex_count():
+    # a 3-vertex path inside a million declared vertices
+    big = SimplicialComplex(10 ** 6, [(0, 1), (1, 2)])
+    small = SimplicialComplex(3, [(0, 1), (1, 2)])
+
+    class Asked(dict):
+        count = 0
+
+        def __contains__(self, v):
+            Asked.count += 1
+            return dict.__contains__(self, v)
+
+    h = HeightFunction({})
+    h.heights = Asked({0: 1, 1: 3, 2: 2})
+    tracemalloc.start()
+    try:
+        got = [sublevel(big, h, 2), restrict_initial(big, {1, 3}), duplicated_cover(big)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert Asked.count <= 3 and peak < 2 ** 20
+    assert [c.maximal_faces for c in got[:2]] == [
+        sublevel(small, h, 2).maximal_faces, restrict_initial(small, {1, 3}).maximal_faces]
+    assert got[2][0].maximal_faces == duplicated_cover(small)[0].maximal_faces
+    assert got[2][1] == duplicated_cover(small)[1]
+    with pytest.raises(ValueError, match="initial positions must lie in 1..1000000"):
+        restrict_initial(big, {0, 1})
+    with pytest.raises(ValueError, match="initial positions must lie in 1..1000000"):
+        restrict_initial(big, {10 ** 6 + 1})
+
+
 def test_morse_on_matching_filtrations():
     for k in (d_matching_linear(2, 6), d_matching_linear(3, 9)):
         h = HeightFunction({v: v + 1 for v in range(k.vertices)})
@@ -698,6 +730,7 @@ def test_morse_functions_validate_once_and_build_each_link_once(monkeypatch):
     k = d_matching_linear(2, 12)
     h = HeightFunction({v: v // 2 for v in range(k.vertices)})  # two vertices a level
     answers = [(morse_max_degree(k, h, t), morse_check(k, h, t, 1)) for t in h.levels(k)]
+    derived = [(kk, morse_check(k, h, t, kk)) for t, (kk, _) in zip(h.levels(k), answers)]
     calls = []
     for name in ("reduced_homology", "_descending_link"):
         fn = getattr(complexes, name)
@@ -706,10 +739,13 @@ def test_morse_functions_validate_once_and_build_each_link_once(monkeypatch):
     valid = HeightFunction.is_valid_for
     monkeypatch.setattr(HeightFunction, "is_valid_for",
                         lambda self, kk: calls.append("valid") or valid(self, kk))
-    for t, answer in zip(h.levels(k), answers):
-        for fn, args in ((morse_max_degree, ()), (morse_check, (1,))):
+    for t, answer, both in zip(h.levels(k), answers, derived):
+        for fn, args, want in ((morse_max_degree, (), answer[0]),
+                               (morse_check, (1,), answer[1]),
+                               (morse_level, (1,), (1, answer[1])),
+                               (morse_level, (), both)):
             calls.clear()
-            assert fn(k, h, t, *args) == answer[fn is morse_check]
+            assert fn(k, h, t, *args) == want
             level = sum(1 for v in k.vertex_set() if h(v) == t)
             assert calls.count("valid") == 1
             assert calls.count("_descending_link") == calls.count("reduced_homology") == level

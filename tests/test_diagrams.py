@@ -371,6 +371,9 @@ def test_dangling_rejects_distinct_forests():
     x = Spraige(Forest.trivial(2, 3), LabeledBraid.trivial(3), decode("(..)|.", 2))
     y = Spraige(Forest.trivial(2, 3), LabeledBraid.trivial(3), decode(".|(..)", 2))
     assert not ctx.dangling_equal(x, y)
+    for other in (x, y):  # a bad flavor is an error whether or not the forests agree
+        with pytest.raises(ValueError, match="flavor must be V, F or T"):
+            ctx.dangling_equal(x, other, flavor="Q")
 
 
 def test_dangling_rejects_forest_moving_cable():
@@ -394,6 +397,30 @@ def test_dangling_flavor_restriction():
     assert not ctx.dangling_equal(x, swap, flavor="F")
     same = ctx.cable_on_feet(x, BraidWord(2, [1, 1]), (Label(), Label()))
     assert ctx.dangling_equal(x, same, flavor="F")
+
+
+def test_value_classes_hash_with_their_equality():
+    rng = seeded("hash")
+    for ctx in (context_half_twist(3, 1), context_full_twist(2, 2)):
+        elements = [ctx.reduce(random_element(ctx, rng)) for _ in range(12)]
+        # a copy built from fresh objects is equal and hashes equal
+        copies = [Spraige(decode(str(s.minus), ctx.d),
+                          LabeledBraid(BraidWord(s.lb.strands, list(s.lb.braid.letters)),
+                                       [Label(l.word) for l in s.lb.labels]),
+                          decode(str(s.plus), ctx.d)) for s in elements]
+        for s, c in zip(elements, copies):
+            assert s == c and hash(s) == hash(c) and hash(s.lb) == hash(c.lb)
+        assert set(copies) == set(elements)
+        assert len(set(elements)) == len({(str(s.minus), s.lb.braid, s.lb.labels, str(s.plus))
+                                          for s in elements})
+        spec = make_context(ctx.d, ctx.r, ctx.spec.generators, pure=ctx.spec.require_pure).spec
+        assert spec == ctx.spec and hash(spec) == hash(ctx.spec)
+        assert {spec, ctx.spec} == {ctx.spec}
+        if ctx.spec.require_pure:
+            pfds = [ctx.project_to_v(s) for s in elements]
+            again = [ctx.project_to_v(c) for c in copies]
+            assert [hash(p) for p in pfds] == [hash(p) for p in again]
+            assert set(pfds) == set(again)
 
 
 def test_arc_support_trivial_braid():

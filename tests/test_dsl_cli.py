@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from collections import Counter
 
 import jsonschema
@@ -317,6 +318,25 @@ def test_cli_morse_builds_each_descending_link_once(capsys, tmp_path, monkeypatc
     assert calls["morse_descending_link"] + calls["_descending_link"] <= 11
     assert calls["reduced_homology"] <= 11
     assert calls["is_valid_for"] <= len(levels) + 1
+
+
+@pytest.mark.parametrize("argv", [["morse", "--filter", "start"], ["join-check", "--duplicated"]])
+def test_cli_cost_follows_the_faces_not_the_declared_vertex_count(capsys, tmp_path, argv):
+    answers = []
+    for vertices in (3, 10 ** 6):  # a 3-vertex path, alone and among a million vertices
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps({"vertices": vertices, "maximal_faces": [[0, 1], [1, 2]]}),
+                        encoding="utf-8")
+        tracemalloc.start()
+        try:
+            code = main(argv + ["--file", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 2 ** 20, (vertices, peak)
+        answers.append(capsys.readouterr().out)
+    assert answers[0] == answers[1]
+    assert json.loads(answers[0])["ok"] is True
 
 
 def deep_session(tmp_path, carets=1500):

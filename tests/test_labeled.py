@@ -1,9 +1,9 @@
 import pytest
 
 from braidedthompson import (BraidWord, Label, LabeledBraid, LabelGroupSpec,
-                             braid_equal, half_twist, is_pure, is_trivial,
-                             lb_equal, lb_invert, lb_multiply, permutation_of,
-                             ribbon_spec)
+                             braid_equal, cable, delete_strands, half_twist,
+                             is_pure, is_trivial, lb_equal, lb_invert,
+                             lb_multiply, permutation_of, ribbon_spec, shifted)
 from braidedthompson.labeled import labeled_cable, labeled_uncable
 from conftest import seeded
 
@@ -234,3 +234,162 @@ def test_uncable_rejects_a_crossing_inside_a_bundle():
             crossing = BraidWord(y.strands, [rng.choice([1, -1]) * rng.randint(first, first + d - 2)])
             extra = LabeledBraid(crossing * y.braid, y.labels)
             assert labeled_uncable(spec, extra, widths) is None
+
+
+# -- differential oracles: the cable move and the identity tests as they were
+# before uncabling went through labeled_cable and identity through the
+# equality routines
+
+def oracle_bundles(spec, widths):
+    d = spec.degree
+    wide = [j for j, w in enumerate(widths) if w > 1]
+    if any(widths[j] != d for j in wide):
+        raise ValueError("a cabled strand must become %d strands" % d)
+    return [(j, j + k * (d - 1)) for k, j in enumerate(wide)]
+
+
+def oracle_cable_with_tops(braid, widths, tops):
+    out = cable(braid, widths)
+    top = []
+    for pos, real in reversed(tops):
+        top.extend(shifted(real, pos, out.strands).letters)
+    return BraidWord(out.strands, top + list(out.letters)) if top else out
+
+
+def oracle_labeled_cable(spec, x, widths):
+    widths = list(widths)
+    bundles = oracle_bundles(spec, widths)
+    labels = list(x.labels)
+    for j, _ in reversed(bundles):
+        labels[j:j + 1] = (x.labels[j],) * widths[j]
+    tops = [(pos, x.labels[j].realize(spec)) for j, pos in bundles if x.labels[j].word]
+    return LabeledBraid(oracle_cable_with_tops(x.braid, widths, tops), labels)
+
+
+def oracle_labeled_uncable(spec, x, widths):
+    widths = list(widths)
+    d = spec.degree
+    labels = []
+    killed = []
+    tops = []
+    done = 0
+    for _, pos in oracle_bundles(spec, widths):
+        lead = x.labels[pos]
+        real = lead.realize(spec)
+        if any(lab != lead and not braid_equal(lab.realize(spec), real)
+               for lab in x.labels[pos + 1:pos + d]):
+            return None
+        labels.extend(x.labels[done:pos + 1])
+        killed.extend(range(pos + 2, pos + d + 1))
+        tops.append((pos, real))
+        done = pos + d
+    labels.extend(x.labels[done:])
+    braid = delete_strands(x.braid, killed) if killed else x.braid
+    if not braid_equal(x.braid, oracle_cable_with_tops(braid, widths, tops)):
+        return None
+    return LabeledBraid(braid, labels)
+
+
+def oracle_is_trivial(w):
+    if not w.letters:
+        return True
+    if w.exponent_sum() != 0:
+        return False
+    return w.normal_form() == (0, ())
+
+
+def oracle_lb_is_identity(spec, x):
+    if not oracle_is_trivial(x.braid):
+        return False
+    return all(lab.is_identity_word() or oracle_is_trivial(lab.realize(spec))
+               for lab in x.labels)
+
+
+def oracle_specs():
+    """The trivial, full-twist and half-twist label groups in B_2 and B_3."""
+    for d in (2, 3):
+        delta = half_twist(d)
+        yield LabelGroupSpec(d, (), require_pure=True)
+        yield LabelGroupSpec(d, (delta * delta,), require_pure=True)
+        yield LabelGroupSpec(d, (delta,))
+
+
+def cable_cases(rng, spec):
+    """(x, widths): a true labeled cable next to perturbed copies of it."""
+    d = spec.degree
+    y = random_lb(rng, rng.randint(1, 4), spec)
+    widths = random_widths(rng, y.strands, d)
+    wide = [k for k, w in enumerate(widths) if w > 1]
+    x = labeled_cable(spec, y, widths)
+    n = x.strands
+    yield x, widths
+    # a random labeled braid with the right strand count
+    yield random_lb(rng, n, spec, max_braid=8), widths
+    # an extra letter anywhere
+    if n > 1:
+        letter = rng.choice([1, -1]) * rng.randint(1, n - 1)
+        at = rng.randint(0, len(x.braid))
+        letters = list(x.braid.letters)
+        letters.insert(at, letter)
+        yield LabeledBraid(BraidWord(n, letters), x.labels), widths
+    if not wide:
+        return
+    first = sum(widths[:rng.choice(wide)])  # 0-based first strand of a bundle
+    # a crossing inside that bundle, on top or at the bottom
+    crossing = BraidWord(n, [rng.choice([1, -1]) * rng.randint(first + 1, first + d - 1)])
+    braid = crossing * x.braid if rng.random() < 0.5 else x.braid * crossing
+    yield LabeledBraid(braid, x.labels), widths
+    # a non-leader label of another element, and one equal in H
+    j = first + rng.randint(1, d - 1)
+    for extra in ((1,), (1, -1)) if spec.generators else ((),):
+        labels = list(x.labels)
+        labels[j] = labels[j] * Label(extra)
+        yield LabeledBraid(x.braid, labels), widths
+    # the leader's label changed instead
+    if spec.generators:
+        labels = list(x.labels)
+        labels[first] = Label((-1,)) * labels[first]
+        yield LabeledBraid(x.braid, labels), widths
+
+
+def same_lb(a, b):
+    if a is None or b is None:
+        return a is b
+    return a.braid.letters == b.braid.letters and a.labels == b.labels
+
+
+def test_labeled_cable_and_uncable_agree_with_the_oracles():
+    rng = seeded("labeled-uncable-oracle")
+    counts = {"cases": 0, "cables": 0}
+    for spec in oracle_specs():
+        for _ in range(180):
+            for x, widths in cable_cases(rng, spec):
+                counts["cases"] += 1
+                got = labeled_uncable(spec, x, widths)
+                assert same_lb(got, oracle_labeled_uncable(spec, x, widths)), (spec, x, widths)
+                if got is not None:
+                    counts["cables"] += 1
+                    assert same_lb(labeled_cable(spec, got, widths),
+                                   oracle_labeled_cable(spec, got, widths))
+    assert counts["cases"] >= 5000
+    # both answers are well represented
+    assert 0.2 < counts["cables"] / counts["cases"] < 0.8, counts
+
+
+def test_identity_tests_agree_with_the_oracles():
+    rng = seeded("identity-oracle")
+    verdicts = set()
+    for spec in oracle_specs():
+        for _ in range(300):
+            y = random_lb(rng, rng.randint(1, 5), spec)
+            ident = lb_multiply(y, lb_invert(y))
+            near = random_lb(rng, y.strands, spec, max_braid=1, max_label=1)
+            for x in (ident, y, lb_multiply(ident, near), lb_multiply(ident, lb_multiply(y, y))):
+                expected = oracle_lb_is_identity(spec, x)
+                verdicts.add(expected)
+                assert lb_equal(spec, x, LabeledBraid.trivial(x.strands)) == expected
+                assert is_trivial(x.braid) == oracle_is_trivial(x.braid)
+                for lab in x.labels:
+                    real = lab.realize(spec)
+                    assert is_trivial(real) == oracle_is_trivial(real)
+    assert verdicts == {True, False}

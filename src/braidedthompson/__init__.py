@@ -8,7 +8,7 @@ from .complexes import (HeightFunction, HomologyReport, SimplicialComplex,
                         complete_join_check, d_matching_cyclic,
                         d_matching_linear, duplicated_cover, is_homology_wcm,
                         join, link, morse_check, morse_descending_link,
-                        morse_level, morse_max_degree, mutual_link,
+                        morse_level, morse_max_degree, morse_sweep, mutual_link,
                         reduced_homology, relative_homology, restrict_initial,
                         simplex_counts, smith_invariants, star, sublevel,
                         wcm_violation)

@@ -10,9 +10,15 @@ form packs each maximal run of same-sign letters into few simple factors
 onto the normal form one at a time from the right, left-weighting only
 the pairs that the new factor disturbs.
 
+A word caches its permutation and exponent sum beside its normal form,
+each computed on first use.
+
 Besides the group operations the module provides the geometric moves
 needed by the diagram calculus: half twists, cabling (replacing strands
-by parallel bundles) and strand deletion (forgetting strands).
+by parallel bundles) and strand deletion (forgetting strands).  Cabling
+and deletion track block starts and surviving-strand counts per
+position, updating one entry per crossing, so both run in time linear
+in the input word plus the output word.
 
 Sign convention: a positive letter i means the strand at position i
 crosses OVER the strand at position i+1.  Nothing computed here depends
@@ -37,6 +43,13 @@ class Permutation:
         self.image = image
 
     @classmethod
+    def _trusted(cls, image):
+        """A permutation from a tuple the library knows is a bijection."""
+        p = object.__new__(cls)
+        p.image = image
+        return p
+
+    @classmethod
     def identity(cls, n):
         return cls(range(1, n + 1))
 
@@ -51,13 +64,13 @@ class Permutation:
         """Left-to-right composition: (p*q)(i) = q(p(i))."""
         if self.size != other.size:
             raise ValueError("size mismatch")
-        return Permutation(other.image[x - 1] for x in self.image)
+        return Permutation._trusted(tuple([other.image[x - 1] for x in self.image]))
 
     def inverse(self):
         inv = [0] * self.size
         for i, x in enumerate(self.image):
             inv[x - 1] = i + 1
-        return Permutation(inv)
+        return Permutation._trusted(tuple(inv))
 
     def is_identity(self):
         return all(x == i + 1 for i, x in enumerate(self.image))
@@ -79,13 +92,14 @@ class Permutation:
 
 
 class BraidWord:
-    """A word in B_n.  Immutable; the normal form is cached lazily.
+    """A word in B_n.  Immutable; the normal form, permutation and
+    exponent sum are cached lazily.
 
     `==` compares words letter for letter.  Use `braid_equal` for
     equality as group elements.
     """
 
-    __slots__ = ("strands", "letters", "_nf")
+    __slots__ = ("strands", "letters", "_nf", "_perm", "_esum")
 
     def __init__(self, strands, letters=()):
         if strands < 1:
@@ -96,7 +110,17 @@ class BraidWord:
                 raise ValueError("letter %d out of range for B_%d" % (a, strands))
         self.strands = strands
         self.letters = letters
-        self._nf = None
+        self._nf = self._perm = self._esum = None
+
+    @classmethod
+    def _trusted(cls, strands, letters):
+        """A word from a letter tuple the library built out of words it
+        already validated, so every letter is known to be in range."""
+        w = object.__new__(cls)
+        w.strands = strands
+        w.letters = letters
+        w._nf = w._perm = w._esum = None
+        return w
 
     @classmethod
     def from_string(cls, strands, text):
@@ -130,7 +154,7 @@ class BraidWord:
     def __mul__(self, other):
         if self.strands != other.strands:
             raise ValueError("strand count mismatch: %d vs %d" % (self.strands, other.strands))
-        return BraidWord(self.strands, self.letters + other.letters)
+        return BraidWord._trusted(self.strands, self.letters + other.letters)
 
     def __len__(self):
         return len(self.letters)
@@ -144,10 +168,12 @@ class BraidWord:
         return hash((self.strands, self.letters))
 
     def inverse(self):
-        return BraidWord(self.strands, [-a for a in reversed(self.letters)])
+        return BraidWord._trusted(self.strands, tuple([-a for a in reversed(self.letters)]))
 
     def exponent_sum(self):
-        return sum(1 if a > 0 else -1 for a in self.letters)
+        if self._esum is None:
+            self._esum = sum(1 if a > 0 else -1 for a in self.letters)
+        return self._esum
 
     def normal_form(self):
         """Left greedy normal form (delta_power, tuple of factor permutations).
@@ -164,15 +190,16 @@ class BraidWord:
 def permutation_of(w: BraidWord) -> Permutation:
     """The permutation of strand endpoints: position i at the top goes to
     position rho(i) at the bottom; each letter contributes an adjacent
-    transposition."""
-    pos = list(range(w.strands))  # pos[strand] = current position, 0-based
-    cur = list(range(w.strands))  # cur[position] = strand, 0-based
-    for a in w.letters:
-        k = abs(a) - 1
-        u, v = cur[k], cur[k + 1]
-        cur[k], cur[k + 1] = v, u
-        pos[u], pos[v] = k + 1, k
-    return Permutation(pos[i] + 1 for i in range(w.strands))
+    transposition.  Cached on the word."""
+    if w._perm is None:
+        cur = list(range(w.strands))  # cur[position] = strand, 0-based
+        for k in map(abs, w.letters):
+            cur[k - 1], cur[k] = cur[k], cur[k - 1]
+        image = [0] * w.strands
+        for p, strand in enumerate(cur, 1):
+            image[strand] = p
+        w._perm = Permutation._trusted(tuple(image))
+    return w._perm
 
 
 def invert(w: BraidWord) -> BraidWord:
@@ -224,7 +251,8 @@ def shifted(w: BraidWord, offset: int, strands: int) -> BraidWord:
     """Embed w on strands offset+1 .. offset+w.strands inside B_strands."""
     if offset < 0 or offset + w.strands > strands:
         raise ValueError("shift out of range")
-    return BraidWord(strands, [a + offset if a > 0 else a - offset for a in w.letters])
+    return BraidWord._trusted(strands, tuple([a + offset if a > 0 else a - offset
+                                              for a in w.letters]))
 
 
 def cable(w: BraidWord, widths) -> BraidWord:
@@ -239,19 +267,21 @@ def cable(w: BraidWord, widths) -> BraidWord:
         raise ValueError("need one width per strand")
     if any(x < 1 for x in widths):
         raise ValueError("widths must be positive")
-    total = sum(widths)
     order = list(range(w.strands))  # block ids by current position
+    starts = [1] * w.strands  # first cable strand of the block at each position
+    for k in range(1, w.strands):
+        starts[k] = starts[k - 1] + widths[k - 1]
     out = []
     for a in w.letters:
         k = abs(a) - 1
         left, right = order[k], order[k + 1]
-        start = 1 + sum(widths[b] for b in order[:k])
+        start = starts[k]
         wa, wb = widths[left], widths[right]
-        for t in range(wb):
-            run = range(start + wa + t - 1, start + t - 1, -1)
-            out.extend(run if a > 0 else (-j for j in run))
+        for s in range(start, start + wb):
+            out.extend(range(s + wa - 1, s - 1, -1) if a > 0 else range(1 - s - wa, 1 - s))
         order[k], order[k + 1] = right, left
-    return BraidWord(total, out)
+        starts[k + 1] = start + wb
+    return BraidWord._trusted(sum(widths), tuple(out))
 
 
 def delete_strands(w: BraidWord, kill) -> BraidWord:
@@ -267,16 +297,21 @@ def delete_strands(w: BraidWord, kill) -> BraidWord:
         raise ValueError("strand indices out of range")
     if len(kill) >= w.strands:
         raise ValueError("cannot delete every strand")
-    occ = list(range(1, w.strands + 1))  # occ[position] = strand id at top
+    dead = [i in kill for i in range(1, w.strands + 1)]  # by current position
+    below = [0] * w.strands  # surviving strands left of each position
+    for p in range(1, w.strands):
+        below[p] = below[p - 1] + (not dead[p - 1])
     out = []
     for a in w.letters:
         k = abs(a) - 1
-        u, v = occ[k], occ[k + 1]
-        if u not in kill and v not in kill:
-            j = k + 1 - sum(1 for p in range(k) if occ[p] in kill)
-            out.append(j if a > 0 else -j)
-        occ[k], occ[k + 1] = v, u
-    return BraidWord(w.strands - len(kill), out)
+        du, dv = dead[k], dead[k + 1]
+        if du == dv:
+            if not du:
+                out.append(below[k] + 1 if a > 0 else -below[k] - 1)
+        else:
+            dead[k], dead[k + 1] = dv, du
+            below[k + 1] = below[k] + du
+    return BraidWord._trusted(w.strands - len(kill), tuple(out))
 
 
 def word_from_permutation(p: Permutation) -> BraidWord:

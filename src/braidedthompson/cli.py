@@ -274,10 +274,8 @@ def cmd_morse(args):
     else:
         heights = _heights(args.heights, k)
     h = cx.HeightFunction(heights)
-    levels = []
-    for t in [args.t] if args.t is not None else h.levels(k):
-        kk, holds = cx.morse_level(k, h, t, args.k)
-        levels.append({"t": t, "k": kk, "holds": holds})
+    levels = [{"t": t, "k": kk, "holds": holds} for t, kk, holds in
+              cx.morse_sweep(k, h, [args.t] if args.t is not None else h.levels(k), args.k)]
     all_hold = all(level["holds"] for level in levels)
     return {"command": "morse", "ok": True, "levels": levels,
             "morse_ok": all_hold}, all_hold

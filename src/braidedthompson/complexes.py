@@ -627,12 +627,22 @@ def _max_degree(k: SimplicialComplex, reports) -> int:
     return kk
 
 
+def morse_sweep(k: SimplicialComplex, h: HeightFunction, levels, kk=None):
+    """[(t, *morse_level(k, h, t, kk)) for t in levels], with the height
+    function validated once for the whole sweep."""
+    if not h.is_valid_for(k):
+        raise ValueError(_INVALID_HEIGHTS)
+    return [(t,) + _morse_level(k, h, t, kk) for t in levels]
+
+
 def morse_level(k: SimplicialComplex, h: HeightFunction, t: int, kk=None):
     """(kk, morse_check(k, h, t, kk)); kk=None takes morse_max_degree(k, h, t).
     The height function is validated once, and each descending link and
     its homology are computed once."""
-    if not h.is_valid_for(k):
-        raise ValueError(_INVALID_HEIGHTS)
+    return morse_sweep(k, h, [t], kk)[0][1:]
+
+
+def _morse_level(k, h, t, kk):
     reports = _level_reports(k, h, t)
     if kk is None:
         kk = _max_degree(k, reports)

@@ -10,7 +10,11 @@ H is presented by a finite list of generator words in B_d.  Labels are
 stored as words in those generators (never as raw B_d words), which
 keeps them inside H without ever solving a membership problem; label
 equality is decided after realization in B_d, which is sound and
-complete because H embeds in B_d.
+complete because H embeds in B_d.  Each spec memoizes the realizations
+of the label words it has seen, keyed by the word, for as long as the
+spec lives, so every comparison and cable of one label reuses one
+`BraidWord` and its cached normal form; a word naming an undeclared
+generator is never stored and raises on every call.
 
 Cabling is the one move through which that embedding enters the diagram
 groups: `labeled_cable` turns a strand labeled h into d parallel strands
@@ -31,7 +35,7 @@ class LabelGroupSpec:
     groups; it forces every generator into the pure braid group.
     """
 
-    __slots__ = ("degree", "generators", "require_pure")
+    __slots__ = ("degree", "generators", "require_pure", "_realized")
 
     def __init__(self, degree, generators=(), require_pure=False):
         if degree < 2:
@@ -48,6 +52,7 @@ class LabelGroupSpec:
         self.degree = degree
         self.generators = generators
         self.require_pure = require_pure
+        self._realized = {}  # label word -> BraidWord; see Label.realize
 
     @classmethod
     def trivial(cls, degree, require_pure=True):
@@ -127,16 +132,20 @@ class Label:
         return not self.word
 
     def realize(self, spec: LabelGroupSpec) -> BraidWord:
-        """Substitute generator words; the result lives in B_d."""
-        gens = spec.generators
-        for x in self.word:
-            if abs(x) > len(gens):
-                raise ValueError("label references undeclared generator g%d" % abs(x))
-        letters = []
-        for x in self.word:
-            g = gens[abs(x) - 1]
-            letters.extend(g.letters if x > 0 else g.inverse().letters)
-        return BraidWord(spec.degree, letters)
+        """Substitute generator words; the result lives in B_d.  Memoized
+        per spec, so equal words give the same `BraidWord`."""
+        w = spec._realized.get(self.word)
+        if w is None:
+            gens = spec.generators
+            for x in self.word:
+                if abs(x) > len(gens):
+                    raise ValueError("label references undeclared generator g%d" % abs(x))
+            letters = []
+            for x in self.word:
+                g = gens[abs(x) - 1]
+                letters.extend(g.letters if x > 0 else g.inverse().letters)
+            w = spec._realized[self.word] = BraidWord._trusted(spec.degree, tuple(letters))
+        return w
 
     def __eq__(self, other):
         return isinstance(other, Label) and self.word == other.word
@@ -237,7 +246,7 @@ def labeled_cable(spec: LabelGroupSpec, x: LabeledBraid, widths) -> LabeledBraid
         if x.labels[j].word:
             top.extend(shifted(x.labels[j].realize(spec), pos, braid.strands).letters)
     if top:
-        braid = BraidWord(braid.strands, top + list(braid.letters))
+        braid = BraidWord._trusted(braid.strands, tuple(top) + braid.letters)
     return LabeledBraid(braid, labels)
 
 

@@ -492,3 +492,140 @@ def test_normal_form_is_invariant_under_relations(pair):
     nf = w.normal_form()
     assert v.normal_form() == nf
     assert nf == _oracle_normal_form(w.strands, w.letters)
+
+
+# -- strand bookkeeping against its oracles -------------------------------------
+
+def _oracle_permutation_of(w):
+    """permutation_of as the library computed it before the permutation
+    was cached on the word: position and strand arrays traced together."""
+    pos = list(range(w.strands))  # pos[strand] = current position, 0-based
+    cur = list(range(w.strands))  # cur[position] = strand, 0-based
+    for a in w.letters:
+        k = abs(a) - 1
+        u, v = cur[k], cur[k + 1]
+        cur[k], cur[k + 1] = v, u
+        pos[u], pos[v] = k + 1, k
+    return Permutation(pos[i] + 1 for i in range(w.strands))
+
+
+def _oracle_cable(w, widths):
+    """cable as the library computed it before block starts were kept
+    per position: the start of the crossing block is summed per letter."""
+    widths = list(widths)
+    total = sum(widths)
+    order = list(range(w.strands))  # block ids by current position
+    out = []
+    for a in w.letters:
+        k = abs(a) - 1
+        left, right = order[k], order[k + 1]
+        start = 1 + sum(widths[b] for b in order[:k])
+        wa, wb = widths[left], widths[right]
+        for t in range(wb):
+            run = range(start + wa + t - 1, start + t - 1, -1)
+            out.extend(run if a > 0 else (-j for j in run))
+        order[k], order[k + 1] = right, left
+    return BraidWord(total, out)
+
+
+def _oracle_delete_strands(w, kill):
+    """delete_strands as the library computed it before surviving-strand
+    counts were kept per position: the killed strands left of the
+    crossing are counted per letter."""
+    kill = set(kill)
+    occ = list(range(1, w.strands + 1))  # occ[position] = strand id at top
+    out = []
+    for a in w.letters:
+        k = abs(a) - 1
+        u, v = occ[k], occ[k + 1]
+        if u not in kill and v not in kill:
+            j = k + 1 - sum(1 for p in range(k) if occ[p] in kill)
+            out.append(j if a > 0 else -j)
+        occ[k], occ[k + 1] = v, u
+    return BraidWord(w.strands - len(kill), out)
+
+
+def _random_word(rng, n, length):
+    return BraidWord(n, [rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(length)])
+
+
+def _assert_matches_oracles(w, widths, kill):
+    c = cable(w, widths)
+    assert c.letters == _oracle_cable(w, widths).letters
+    assert c.strands == sum(widths)
+    d = delete_strands(w, kill)
+    assert d.letters == _oracle_delete_strands(w, kill).letters
+    assert d.strands == w.strands - len(kill)
+    for v in (w, c, d):
+        assert permutation_of(v).image == _oracle_permutation_of(v).image
+
+
+def test_cable_delete_and_permutation_match_oracles_on_seeded_words():
+    rng = seeded("strand-oracle")
+    for _ in range(2000):
+        n = rng.randint(2, 60)
+        w = _random_word(rng, n, rng.randint(0, 40))
+        widths = [rng.randint(1, 4) for _ in range(n)]
+        kill = set(rng.sample(range(1, n + 1), rng.randint(0, n - 1)))
+        _assert_matches_oracles(w, widths, kill)
+
+
+def test_cable_delete_and_permutation_match_oracles_at_scale():
+    rng = seeded("strand-oracle-scale")
+    w = _random_word(rng, 400, 20000)
+    widths = [rng.randint(1, 4) for _ in range(400)]
+    kill = set(rng.sample(range(1, 401), 200))
+    _assert_matches_oracles(w, widths, kill)
+
+
+@st.composite
+def _built_word(draw):
+    """A word built from a validated one by *, inverse, shifted, cable and
+    delete_strands, each step drawn."""
+    n = draw(st.integers(1, 6))
+    letter = st.builds(lambda k, s: k * s, st.integers(1, max(n - 1, 1)),
+                       st.sampled_from((1, -1)))
+    w = BraidWord(n, draw(st.lists(letter, max_size=12)) if n > 1 else [])
+    for step in draw(st.lists(st.sampled_from(("mul", "inverse", "shifted", "cable",
+                                               "delete")), max_size=4)):
+        n = w.strands
+        if step == "mul":
+            w = w * (w.inverse() if draw(st.booleans()) else w)
+        elif step == "inverse":
+            w = w.inverse()
+        elif step == "shifted":
+            total = n + draw(st.integers(0, 3))
+            w = shifted(w, draw(st.integers(0, total - n)), total)
+        elif step == "cable":
+            w = cable(w, draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+        elif n > 1:
+            w = delete_strands(w, draw(st.sets(st.integers(1, n), max_size=n - 1)))
+    return w
+
+
+@given(_built_word())
+def test_cached_permutation_and_exponent_sum_equal_a_fresh_computation(w):
+    fresh = BraidWord(w.strands, w.letters)
+    for _ in range(2):  # computed, then read from the cache
+        assert permutation_of(w) == _oracle_permutation_of(fresh)
+        assert w.exponent_sum() == sum(1 if a > 0 else -1 for a in fresh.letters)
+
+
+def test_public_constructors_and_moves_still_validate():
+    for args, message in (((3, [3]), "letter 3 out of range for B_3"),
+                          ((3, [0]), "letter 0 out of range for B_3")):
+        with pytest.raises(ValueError) as err:
+            BraidWord(*args)
+        assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        Permutation((1, 1, 3))
+    assert str(err.value) == "not a bijection of 1..3: (1, 1, 3)"
+    w = BraidWord(3, [1, -2])
+    for fn, arg, message in ((cable, [1, 2], "need one width per strand"),
+                             (cable, [1, 0, 2], "widths must be positive"),
+                             (delete_strands, {0}, "strand indices out of range"),
+                             (delete_strands, {4}, "strand indices out of range"),
+                             (delete_strands, {1, 2, 3}, "cannot delete every strand")):
+        with pytest.raises(ValueError) as err:
+            fn(w, arg)
+        assert str(err.value) == message

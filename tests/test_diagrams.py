@@ -337,6 +337,27 @@ def test_iota_prime():
     assert ctx.equal(ctx.multiply(ip, other), ctx.multiply(other, ip))
 
 
+def test_label_maps_agree_with_a_fresh_spec_and_reject_undeclared_generators():
+    # r_label realizes through the spec's memo; a fresh context has none
+    for build, d, h, letters in (
+            (context_full_twist, 2, Label((1, -1, 1)), (1, 1, -1, -1, 1, 1)),
+            (context_half_twist, 3, Label((-1, 1, 1)), (-1, -2, -1, 1, 2, 1, 1, 2, 1))):
+        ctx = build(d, 2)
+        for _ in range(2):  # cold memo, then warm
+            fresh = build(d, 2)
+            assert ctx.r_label(ctx.iota_label(h)).letters == letters
+            assert ctx.r_label(ctx.iota_prime(h)) == fresh.r_label(fresh.iota_prime(h))
+            prod = ctx.multiply(ctx.iota_label(h), ctx.iota_label(h.inverse()))
+            assert ctx.r_label(prod) == fresh.r_label(fresh.multiply(
+                fresh.iota_label(h), fresh.iota_label(h.inverse())))
+            assert ctx.iota_label(h) == fresh.iota_label(h)
+            assert ctx.iota_prime(h) == fresh.iota_prime(h)
+            for fn in (ctx.iota_label, ctx.iota_prime):
+                with pytest.raises(ValueError) as err:
+                    fn(Label((2,)))
+                assert str(err.value) == "label references undeclared generator g2"
+
+
 def test_factorization_into_unlabeled_and_label_parts():
     ctx = context_full_twist(2, 2)
     rng = seeded("factor")

@@ -317,7 +317,7 @@ def test_cli_morse_builds_each_descending_link_once(capsys, tmp_path, monkeypatc
     assert code == 0 and data["levels"] == levels and len(levels) == k.vertices == 11
     assert calls["morse_descending_link"] + calls["_descending_link"] <= 11
     assert calls["reduced_homology"] <= 11
-    assert calls["is_valid_for"] <= len(levels) + 1
+    assert calls["is_valid_for"] == 1
 
 
 @pytest.mark.parametrize("argv", [["morse", "--filter", "start"], ["join-check", "--duplicated"]])
@@ -443,6 +443,16 @@ def test_cli_heights_of_wrong_length_are_a_json_error(capsys, path3_file):
     for heights in ("[1, 2]", "[]", "[1, 2, 3, 4]"):
         assert_field_error(capsys, ["morse", "--file", path3_file, "--heights", heights],
                            "--heights")
+
+
+def test_cli_level_edge_is_a_json_error_for_a_sweep_and_one_level(capsys, path3_file):
+    for extra in ([], ["--t", "2"]):
+        code = main(["morse", "--file", path3_file, "--heights", "[1, 1, 2]"] + extra)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert json.loads(captured.err) == {
+            "command": "morse", "ok": False,
+            "error": "invalid height function: some cell has no unique maximum"}
 
 
 def write_pair(tmp_path, vertex_map):

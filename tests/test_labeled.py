@@ -4,7 +4,7 @@ from braidedthompson import (BraidWord, Label, LabeledBraid, LabelGroupSpec,
                              braid_equal, cable, delete_strands, half_twist,
                              is_pure, is_trivial, lb_equal, lb_invert,
                              lb_multiply, permutation_of, ribbon_spec, shifted)
-from braidedthompson.labeled import labeled_cable, labeled_uncable
+from braidedthompson.labeled import label_equal, labeled_cable, labeled_uncable
 from conftest import seeded
 
 
@@ -163,6 +163,28 @@ def test_long_label_realizes_to_concatenated_generator_words():
     with pytest.raises(ValueError) as err:
         Label(word + [-3]).realize(spec)
     assert str(err.value) == "label references undeclared generator g3"
+
+
+def test_realizations_are_memoized_per_spec():
+    spec = LabelGroupSpec(3, (BraidWord(3, [1]), BraidWord(3, [2, -1])))
+    other = LabelGroupSpec(3, (BraidWord(3, [2]), BraidWord(3, [2, -1])))
+    twin = LabelGroupSpec(3, spec.generators)
+    before = hash(spec)
+    h = Label((1, -2))
+    real = h.realize(spec)
+    assert real.letters == (1, 1, -2)
+    # one BraidWord per distinct word, and none shared with other generators
+    assert h.realize(spec) is real and Label((1, -2)).realize(spec) is real
+    assert h.realize(other).letters == (2, 1, -2)
+    assert h.realize(spec).letters == (1, 1, -2)
+    assert h.realize(twin) == real
+    assert label_equal(spec, h, Label((1, 1, -1, -2)))
+    # the memo is not part of the spec's value
+    assert spec == twin and hash(spec) == hash(twin) == before and spec != other
+    for _ in range(2):  # an undeclared generator raises every time
+        with pytest.raises(ValueError) as err:
+            Label((1, 3)).realize(spec)
+        assert str(err.value) == "label references undeclared generator g3"
 
 
 # -- the labeled cable -----------------------------------------------------------

@@ -5,7 +5,10 @@ labeled braid on its leaves, and a merging forest with the same number
 of leaves.  Group elements (for fixed arity d, root count r and label
 group H <= B_d) are equivalence classes of (r,r)-spraiges under
 expansion and reduction; every class has a unique reduced
-representative, which makes equality decidable.
+representative, which makes equality decidable: `GroupContext.key`
+reduces a representative and returns its forests with the Garside
+normal forms of its braid and of its realized labels, and two elements
+are equal exactly when their keys are.
 
 Expansion at leaf i attaches a caret to leaf i of the splitting forest
 and to the leaf paired with it in the merging forest, replaces the i-th
@@ -197,6 +200,7 @@ class GroupContext:
         """Apply reductions until none is possible.  The reduced
         representative is unique, so the scan order (lowest caret first by
         default) only affects the intermediate diagrams."""
+        self.validate(s)
         while True:
             spans = elementary_caret_spans(s.minus)
             if order == "desc":
@@ -243,11 +247,24 @@ class GroupContext:
             raise ValueError("only (n,n)-spraiges can be the identity")
         return s.minus == s.plus and lb_equal(self.spec, s.lb, LabeledBraid.trivial(s.leaves))
 
+    def key(self, s: Spraige):
+        """The canonical key of the element s represents: the forests of
+        its reduced representative, the normal form of that braid and the
+        normal forms of its realized labels.  Hashable; two representatives
+        have the same key iff they represent the same element."""
+        r = self.reduce(s)
+        return (r.minus, r.plus, r.lb.braid.normal_form(),
+                tuple(lab.realize(self.spec).normal_form() for lab in r.lb.labels))
+
     def equal(self, g: Spraige, h: Spraige) -> bool:
+        """Compare keys.  Sound and complete because every class has a
+        unique reduced representative: the keys agree exactly when the
+        reduced representatives have the same forests, the same braid in
+        B_l and the same labels in H."""
         if g.heads != h.heads or g.feet != h.feet:
             raise ValueError("shape mismatch: (%d,%d) vs (%d,%d)"
                              % (g.heads, g.feet, h.heads, h.feet))
-        return self.is_identity(self.multiply(g, self.invert(h)))
+        return self.key(g) == self.key(h)
 
     # -- membership and projections ------------------------------------------
 

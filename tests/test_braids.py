@@ -1,3 +1,4 @@
+import time
 from collections import deque
 
 import pytest
@@ -447,8 +448,9 @@ def test_normal_form_of_a_permutation_braid_is_one_factor():
         assert w.normal_form() == (0, (tuple(x - 1 for x in img),))
 
 
-def test_twisted_power_product_in_half_twist_context():
-    # an x0-shaped g with three carets; g^6 carries a 1,632-letter braid
+def _twisted_powers(count):
+    """g, g^2, .., g^count for an x0-shaped g with three carets in the
+    half-twist context."""
     ctx = context_half_twist(3, 1)
     labels = [Label.parse(t) for t in
               ("g1", "g1^-1", "g1^-1", "g1 g1", "e", "g1", "g1^-1 g1^-1")]
@@ -456,9 +458,29 @@ def test_twisted_power_product_in_half_twist_context():
                 LabeledBraid(BraidWord(7, [-5, 5, 5, 4, -6, -5, -5]), labels),
                 decode("(..(..(...)))", 3))
     powers = [g]
-    while len(powers) < 6:
+    while len(powers) < count:
         powers.append(ctx.multiply(powers[-1], g))
+    return ctx, powers
+
+
+def test_twisted_power_product_in_half_twist_context():
+    # g^6 carries a 1,632-letter braid
+    ctx, powers = _twisted_powers(6)
     assert ctx.equal(ctx.multiply(powers[2], powers[2]), powers[5])
+
+
+def test_twisted_power_equality_at_scale():
+    # g^8 lives on 35 strands; equality compares the canonical keys of
+    # both sides and never forms the product g^4 * g^4 * g^-8
+    ctx, powers = _twisted_powers(8)
+    lhs = ctx.multiply(powers[3], powers[3])
+    start = time.perf_counter()
+    assert ctx.equal(lhs, powers[7])
+    assert time.perf_counter() - start < 1.5
+    g8 = powers[7]
+    labels = (g8.lb.labels[0] * Label.parse("g1"),) + g8.lb.labels[1:]
+    changed = Spraige(g8.minus, LabeledBraid(g8.lb.braid, labels), g8.plus)
+    assert not ctx.equal(lhs, changed)
 
 
 @st.composite

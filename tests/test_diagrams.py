@@ -202,6 +202,84 @@ def test_equal_detects_unreduced_representatives():
         ctx.equal(ctx.lambda_spraige(1, {1}), ctx.identity())
 
 
+def _oracle_equal(ctx, g, h):
+    """Equality as the library decided it before canonical keys: reduce
+    g * h^-1 and test it against the identity."""
+    if g.heads != h.heads or g.feet != h.feet:
+        raise ValueError("shape mismatch")
+    return ctx.is_identity(ctx.multiply(g, ctx.invert(h)))
+
+
+def _scrambled(ctx, rng, s):
+    """s expanded 0-3 times at random leaves: an unreduced representative."""
+    for _ in range(rng.randint(0, 3)):
+        s = ctx.expand(s, rng.randint(1, s.leaves))
+    return s
+
+
+def _pure_commutator(ctx):
+    """An (r,r)-element whose braid is [s1^2, s2^2] on its first three
+    leaves, with the same forest above and below and trivial labels."""
+    forest = Forest.trivial(ctx.d, ctx.r)
+    while forest.leaves < 3:
+        forest = attach_caret(forest, 1)
+    braid = BraidWord(forest.leaves, [1, 1, 2, 2, -1, -1, -2, -2])
+    return Spraige(forest, LabeledBraid(braid, [Label()] * forest.leaves), forest)
+
+
+KEY_CONTEXTS = {"trivial-2-1": context_trivial(2, 1),
+                "trivial-3-2": context_trivial(3, 2),
+                "full-twist": context_full_twist(2, 1),
+                "full-twist-F": context_full_twist(2, 1, flavor="F"),
+                "half-twist": context_half_twist(3, 1)}
+
+
+@pytest.mark.parametrize("name", sorted(KEY_CONTEXTS))
+def test_equal_agrees_with_the_product_oracle(name):
+    ctx = KEY_CONTEXTS[name]
+    rng = seeded("key-oracle-" + name)
+    c = _pure_commutator(ctx)
+    assert not ctx.is_identity(c)
+    for _ in range(40):
+        g = random_element(ctx, rng, 3)
+        x = random_element(ctx, rng, 2)
+        i = rng.randint(1, g.leaves)
+        cases = [(g, ctx.expand(g, i), True),
+                 (g, ctx.multiply(ctx.multiply(g, x), ctx.invert(x)), True),
+                 (g, ctx.multiply(g, c), False),
+                 (g, x, None)]
+        for a, b, expected in cases:
+            a, b = _scrambled(ctx, rng, a), _scrambled(ctx, rng, b)
+            answer = ctx.equal(a, b)
+            assert answer == _oracle_equal(ctx, a, b)
+            assert answer == ctx.equal(b, a)
+            if expected is not None:
+                assert answer == expected
+        s = _scrambled(ctx, rng, g)
+        k = ctx.key(s)
+        hash(k)
+        assert k == ctx.key(g)
+        for leaf in range(1, s.leaves + 1):
+            assert ctx.key(ctx.expand(s, leaf)) == k
+
+
+def test_reduce_checks_the_arity_of_every_element():
+    ctx = context_trivial(2, 1)
+    bare = Spraige(Forest.trivial(3, 1), LabeledBraid.trivial(1), Forest.trivial(3, 1))
+    caret = decode("(...)", 3)
+    one_caret = Spraige(caret, LabeledBraid.trivial(3), caret)
+    for s in (bare, one_caret):
+        with pytest.raises(ValueError, match="element has arity 3, context 2"):
+            ctx.reduce(s)
+        with pytest.raises(ValueError, match="element has arity 3, context 2"):
+            ctx.key(s)
+        with pytest.raises(ValueError, match="element has arity 3, context 2"):
+            ctx.equal(s, s)
+        for member in (ctx.in_bF, ctx.in_bT):
+            with pytest.raises(ValueError, match="element has arity 3, context 2"):
+                member(s)
+
+
 def test_left_cancellation():
     ctx = context_full_twist(2, 1)
     rng = seeded("cancel")

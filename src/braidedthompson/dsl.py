@@ -14,8 +14,15 @@ whitespace, label words are separated by ";".  `gens:[]` declares the
 trivial label group.  The F and T flavors require pure generators and
 reject the header otherwise.
 
-Every element of a text is parsed and validated.  An error is a DslError
-at the line and column of its token, found only once the error is raised.
+Every element of a text is parsed and validated, a field at a time: the
+fixed tokens of an element are compared as slices, its braid run is
+converted with one `map(int, ...)` and range-checked once, and its label
+run is split into words at the ";" tokens.  Within one text each distinct
+label word is one shared `Label` and each distinct forest text one
+`Forest`.  When a field fails its bulk check, the same step walks it
+token by token to find the first fault, so an error is the one a
+token-at-a-time parse meets first: a DslError at the line and column of
+its token, found only once the error is raised.
 """
 
 from __future__ import annotations
@@ -28,8 +35,22 @@ from .forests import decode as decode_forest, encode as encode_forest
 from .labeled import Label, LabeledBraid, LabelGroupSpec
 
 # A punctuation character, or a run of anything but whitespace and
-# punctuation.  `\s` matches exactly the characters `str.isspace` accepts.
+# punctuation.  `\s` matches exactly the characters `str.isspace` accepts,
+# which are the ones `str.split()` splits at, so `_tokenize` returns the
+# same list; this pattern only locates the token of an error.
 _TOKEN = re.compile(r"[{}\[\],;:]|[^\s{}\[\],;:]+")
+_SPACED = [(c, " %s " % c) for c in "{}[],;:"]
+
+# The fixed tokens of an element, as lists to compare with token slices.
+_ELEM, _MINUS, _BRAID, _LABELS, _PLUS, _CLOSE = (
+    ["elem"], ["{", "minus", ":"], ["braid", ":"], ["labels", ":"], ["plus", ":"], ["}"])
+
+
+def _tokenize(text):
+    """The tokens of text: `_TOKEN.findall(text)`, by C-level string calls."""
+    for c, spaced in _SPACED:
+        text = text.replace(c, spaced)
+    return text.split()
 
 
 class DslError(ValueError):
@@ -45,10 +66,10 @@ class _Parser:
 
     def __init__(self, text):
         self.text = text
-        self.tokens = _TOKEN.findall(text)
+        self.tokens = _tokenize(text)
         self.pos = 0
-        # Within this parse: forest text -> Forest, label token -> its word.
-        self.forests, self.words = {}, {}
+        # Within this parse: forest text -> Forest, label word text -> Label.
+        self.forests, self.labels = {}, {}
 
     def error(self, message, at=None):
         """Raise a DslError at token index `at`, by default the next one.
@@ -82,6 +103,13 @@ class _Parser:
             if tok != text:
                 self.error("expected %r, found %r" % (text, tok), self.pos - 1)
 
+    def expect_at(self, at, texts):
+        """The fixed token list `texts` starts at index `at`; on a mismatch,
+        raise at its first differing token."""
+        if self.tokens[at:at + len(texts)] != texts:
+            self.pos = at
+            self.expect(*texts)
+
     def at(self, text):
         return self.pos < len(self.tokens) and self.tokens[self.pos] == text
 
@@ -92,16 +120,25 @@ class _Parser:
         except ValueError:
             self.error("expected %s, found %r" % (what, tok), self.pos - 1)
 
-    def collect_ints(self):
-        out, tokens, pos = [], self.tokens, self.pos
+    def int_run(self, stop):
+        """Consume a run of integer tokens and return their values.  The run
+        should end at the next token `stop`; if a token before that one is
+        not an integer, the run ends at the first such token instead."""
+        tokens, start = self.tokens, self.pos
         try:
-            while pos < len(tokens):
-                out.append(int(tokens[pos]))
-                pos += 1
-        except ValueError:
-            pass
-        self.pos = pos
-        return out
+            end = tokens.index(stop, start)
+            values = tuple(map(int, tokens[start:end]))
+        except ValueError:  # no `stop`, or a token before it is not an integer
+            values = []
+            for tok in tokens[start:]:
+                try:
+                    values.append(int(tok))
+                except ValueError:
+                    break
+            end = start + len(values)
+            values = tuple(values)
+        self.pos = end
+        return values
 
     # -- grammar -----------------------------------------------------------
 
@@ -132,61 +169,86 @@ class _Parser:
 
     def parse_element(self, ctx: GroupContext):
         """One element; returns (index of its name token, Spraige)."""
-        self.expect("elem")
-        name = self.pos
-        if self.next() in ("{", "}", "group", "elem"):
-            self.error("bad element name %r" % self.tokens[name], name)
-        self.expect("{", "minus", ":")
-        minus = self._forest(ctx.d)
-        self.expect("braid", ":")
-        braid_start = self.pos
-        letters = self.collect_ints()
-        self.expect("labels", ":")
-        n_gens = len(ctx.spec.generators)
-        labels = [self._label(n_gens)]
-        while self.at(";"):
-            self.pos += 1
-            labels.append(self._label(n_gens))
-        self.expect("plus", ":")
-        plus = self._forest(ctx.d)
-        self.expect("}")
-        if minus.leaves != plus.leaves:
-            self.error("forests have %d and %d leaves" % (minus.leaves, plus.leaves), name)
-        if len(labels) != minus.leaves:
-            self.error("%d labels for %d leaves" % (len(labels), minus.leaves), name)
-        braid = self.check(braid_start, BraidWord, minus.leaves, letters)
+        tokens, name = self.tokens, self.pos + 1
+        self.expect_at(name - 1, _ELEM)
+        if name >= len(tokens):
+            self.error("unexpected end of input", name)
+        if tokens[name] in ("{", "}", "group", "elem"):
+            self.error("bad element name %r" % tokens[name], name)
+        self.expect_at(name + 1, _MINUS)
+        minus = self._forest(name + 4, ctx.d)
+        self.expect_at(name + 5, _BRAID)
+        braid_start = self.pos = name + 7
+        letters = self.int_run("labels")
+        self.expect_at(self.pos, _LABELS)
+        self.pos += 2
+        labels = self._labels(len(ctx.spec.generators))
+        self.expect_at(self.pos, _PLUS)
+        plus = self._forest(self.pos + 2, ctx.d)
+        self.expect_at(self.pos + 3, _CLOSE)
+        self.pos += 4
+        n = minus.leaves
+        if n != plus.leaves:
+            self.error("forests have %d and %d leaves" % (n, plus.leaves), name)
+        if len(labels) != n:
+            self.error("%d labels for %d leaves" % (len(labels), n), name)
+        if letters and (0 in letters or max(letters) >= n or min(letters) <= -n):
+            self.check(braid_start, BraidWord, n, letters)  # raises at the first bad letter
+        braid = BraidWord._trusted(n, letters)
         return name, ctx.validate(Spraige(minus, LabeledBraid(braid, labels), plus))
 
     def _generator(self, d):
         at = self.pos
-        return at, self.check(at, BraidWord, d, self.collect_ints())
+        return at, self.check(at, BraidWord, d, self.int_run("]"))
 
-    def _forest(self, d):
-        text = self.next()
+    def _forest(self, at, d):
+        """The forest of token `at`, decoded once per distinct text."""
+        if at >= len(self.tokens):
+            self.error("unexpected end of input", at)
+        text = self.tokens[at]
         forest = self.forests.get(text)
         if forest is None:
-            forest = self.forests[text] = self.check(self.pos - 1, decode_forest, text, d)
+            forest = self.forests[text] = self.check(at, decode_forest, text, d)
         return forest
 
-    def _label(self, n_gens):
-        """A label word: a run of "e" and g<i>[^-1] tokens."""
-        tokens, words, word = self.tokens, self.words, []
-        first = pos = self.pos
-        while pos < len(tokens):
-            tok = tokens[pos]
-            part = words.get(tok)
-            if part is None:
-                if tok != "e" and not tok.startswith("g"):
-                    break
-                part = words[tok] = self.check(pos, Label.parse, tok).word
-            word += part
-            pos += 1
-        self.pos = pos
-        if pos == first:
-            self.error("expected a label word")
+    def _labels(self, n_gens):
+        """The label words from the next token up to the first "plus".  The
+        run is split at its ";" tokens into word texts (each padded with
+        spaces, so that equal words have equal texts), and each new word
+        text is checked once, by `_new_label`."""
+        tokens, start = self.tokens, self.pos
+        try:
+            stop = tokens.index("plus", start)
+        except ValueError:
+            stop = len(tokens)
+        words, known = (" %s " % " ".join(tokens[start:stop])).split(";"), self.labels
+        if not all(map(known.__contains__, words)):
+            at = start
+            for word in words:
+                if word not in known:
+                    known[word] = self._new_label(word, at, n_gens)
+                at += len(word.split()) + 1  # its tokens and the ";" after them
+        self.pos = stop
+        return list(map(known.__getitem__, words))
+
+    def _new_label(self, text, at, n_gens):
+        """The Label of word text `text`, whose first token has index `at`;
+        raises at the first token that a label run does not accept."""
+        word, parts = [], text.split()
+        for j, tok in enumerate(parts):
+            if tok != "e" and not tok.startswith("g"):
+                break
+            word += self.check(at + j, Label.parse, tok).word
+        else:
+            j = len(parts)
+        if j == 0:
+            self.error("expected a label word", at)
         for x in word:
             if abs(x) > n_gens:
-                self.error("label references undeclared generator g%d" % abs(x), first)
+                self.error("label references undeclared generator g%d" % abs(x), at)
+        if j < len(parts):  # a token no label word takes ends the run: it must be "plus"
+            self.pos = at + j
+            self.expect(*_PLUS)
         return Label(word)
 
 

@@ -60,6 +60,16 @@ class Forest:
         self._leaves = None
 
     @classmethod
+    def _trusted(cls, degree, trees, leaves):
+        """A forest from a tuple of trees the library built arity-checked,
+        with its leaf count already known."""
+        f = object.__new__(cls)
+        f.degree = degree
+        f.trees = trees
+        f._leaves = leaves
+        return f
+
+    @classmethod
     def trivial(cls, degree, roots):
         return cls(degree, (LEAF,) * roots)
 
@@ -113,33 +123,47 @@ def encode(forest: Forest) -> str:
 
 
 def decode(text: str, degree: int) -> Forest:
-    """Parse the dot/parenthesis/pipe encoding; arity-checked."""
-    trees = []
+    """Parse the dot/parenthesis/pipe encoding; arity-checked.
+
+    One pass per tree with an explicit stack of the open carets' children,
+    so any depth parses under the recursion limit."""
+    if degree < 2:
+        raise ValueError("arity must be >= 2")
+    trees, leaves = [], 0
     for part in text.split("|"):
         part = part.strip()
-        tree, pos = _parse_tree(part, 0, degree)
-        if pos != len(part):
+        end = len(part)
+        open_carets = []  # children read so far, one list per open caret
+        pos = 0
+        while True:
+            if pos >= end:
+                raise ValueError("unexpected end of tree encoding")
+            ch = part[pos]
+            pos += 1
+            if ch == "(":
+                open_carets.append([])
+                continue
+            if ch != ".":
+                raise ValueError("unexpected character %r at position %d" % (ch, pos - 1))
+            leaves += 1
+            node = LEAF
+            # close every caret that this node completes
+            while open_carets:
+                children = open_carets[-1]
+                children.append(node)
+                if len(children) < degree:
+                    break
+                if pos >= end or part[pos] != ")":
+                    raise ValueError("expected ')' at position %d (is the arity %d?)"
+                                     % (pos, degree))
+                pos += 1
+                node = tuple(open_carets.pop())
+            else:
+                break  # no caret is open, so node is the whole tree
+        if pos != end:
             raise ValueError("trailing characters in tree %r" % part)
-        trees.append(tree)
-    return Forest(degree, trees)
-
-
-def _parse_tree(s, pos, d):
-    if pos >= len(s):
-        raise ValueError("unexpected end of tree encoding")
-    ch = s[pos]
-    if ch == ".":
-        return LEAF, pos + 1
-    if ch == "(":
-        pos += 1
-        children = []
-        for _ in range(d):
-            child, pos = _parse_tree(s, pos, d)
-            children.append(child)
-        if pos >= len(s) or s[pos] != ")":
-            raise ValueError("expected ')' at position %d (is the arity %d?)" % (pos, d))
-        return tuple(children), pos + 1
-    raise ValueError("unexpected character %r at position %d" % (ch, pos))
+        trees.append(node)
+    return Forest._trusted(degree, tuple(trees), leaves)
 
 
 def attach_caret(forest: Forest, i: int) -> Forest:

@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -13,6 +14,7 @@ from braidedthompson import (BraidWord, DslError, GroupContext, Label,
                              parse_element_text, parse_session)
 from braidedthompson import complexes as cx
 from braidedthompson.cli import RESULT_SCHEMA, main
+from braidedthompson.dsl import _TOKEN, _tokenize
 from braidedthompson.forests import decode as decode_forest
 from conftest import (context_full_twist, context_half_twist, context_trivial,
                       random_element, seeded)
@@ -352,9 +354,25 @@ def deep_session(tmp_path, carets=1500):
     return str(path)
 
 
+def test_deep_element_parses_under_the_recursion_limit(tmp_path):
+    # Forests are decoded in one iterative pass, however deep they are.
+    with open(deep_session(tmp_path, 5000), encoding="utf-8") as fh:
+        text = fh.read()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        _, elements = parse_session(text)
+    finally:
+        sys.setrecursionlimit(limit)
+    g = elements["g"]
+    assert g.minus.leaves == g.plus.leaves == g.lb.strands == 5001
+
+
 @pytest.mark.parametrize("argv", [["reduce", "g"], ["mul", "g", "g"], ["eq", "g", "g"]])
 def test_cli_too_deep_input_is_a_json_error(capsys, tmp_path, argv):
-    # Forests are decoded recursively, so this input exceeds the recursion limit.
+    # The session parses, but reduce, join and key walk forests recursively
+    # (forests.elementary_caret_spans, forests.join), so the commands exceed
+    # the recursion limit.
     code = main(argv[:1] + ["--input", deep_session(tmp_path)] + argv[1:])
     captured = capsys.readouterr()
     err = json.loads(captured.err)
@@ -548,6 +566,17 @@ def test_cli_dot_text(capsys, tmp_path):
   labels [shape=box, label="labels: e; e; e; e"];
 }
 """
+
+
+def test_tokenizer_agrees_with_the_token_pattern():
+    # every character `str.isspace` accepts, and three that it does not
+    spaces = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+    assert set("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000 ") <= set(spaces)
+    alphabet = list("{}[],;:|().0123456789e\u200b\ufeff\u00e9" + spaces) + ["g", "^-", "g1^-1"]
+    rng = seeded("dsl-tokenizer")
+    for _ in range(4000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(40)))
+        assert _tokenize(text) == _TOKEN.findall(text), text
 
 
 def test_header_formatting_roundtrip():

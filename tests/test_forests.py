@@ -6,7 +6,7 @@ import pytest
 from braidedthompson import (Forest, apply_path, attach_caret,
                              elementary_forest, expansion_path, forest_join,
                              forest_to_matching, is_prefix, matching_to_forest)
-from braidedthompson.forests import decode, encode, remove_elementary_caret
+from braidedthompson.forests import LEAF, decode, encode, remove_elementary_caret
 from conftest import seeded
 
 
@@ -202,3 +202,99 @@ def test_remove_caret_inverts_attach():
             f = attach_caret(f, rng.randint(1, f.leaves))
         i = rng.randint(1, f.leaves)
         assert remove_elementary_caret(attach_caret(f, i), i) == f
+
+
+# -- differential oracle: the recursive decoder --------------------------------
+#
+# The recursive-descent decoder that the one-pass `decode` replaced, frozen
+# as it was.  The two must agree on every text: equal forests with equal
+# leaf counts, or the same ValueError text.
+
+def _oracle_decode(text, degree):
+    trees = []
+    for part in text.split("|"):
+        part = part.strip()
+        tree, pos = _oracle_parse_tree(part, 0, degree)
+        if pos != len(part):
+            raise ValueError("trailing characters in tree %r" % part)
+        trees.append(tree)
+    return Forest(degree, trees)
+
+
+def _oracle_parse_tree(s, pos, d):
+    if pos >= len(s):
+        raise ValueError("unexpected end of tree encoding")
+    ch = s[pos]
+    if ch == ".":
+        return LEAF, pos + 1
+    if ch == "(":
+        pos += 1
+        children = []
+        for _ in range(d):
+            child, pos = _oracle_parse_tree(s, pos, d)
+            children.append(child)
+        if pos >= len(s) or s[pos] != ")":
+            raise ValueError("expected ')' at position %d (is the arity %d?)" % (pos, d))
+        return tuple(children), pos + 1
+    raise ValueError("unexpected character %r at position %d" % (ch, pos))
+
+
+def decode_outcome(decoder, text, d):
+    try:
+        f = decoder(text, d)
+    except ValueError as exc:
+        return "error", str(exc)
+    return "ok", f, f.leaves
+
+
+def mutate_forest_text(text, rng):
+    """One seeded edit: a character dropped, added or swapped with another,
+    an extra "|", or a stray character."""
+    kind = rng.randrange(5)
+    i = rng.randrange(len(text) + 1)
+    if kind == 0 and text:
+        i = rng.randrange(len(text))
+        return text[:i] + text[i + 1:]
+    if kind == 1:
+        return text[:i] + rng.choice(".()|") + text[i:]
+    if kind == 2 and len(text) > 1:
+        i, j = sorted(rng.sample(range(len(text)), 2))
+        return text[:i] + text[j] + text[i + 1:j] + text[i] + text[j + 1:]
+    if kind == 3:
+        return text[:i] + "|" + text[i:]
+    return text[:i] + rng.choice("x ]0\t\u00e9") + text[i:]
+
+
+def random_forest_texts(rng, d):
+    for roots in (1, 2, 3, 4):
+        for _ in range(15):
+            f = Forest.trivial(d, roots)
+            for _ in range(rng.randint(0, 6)):
+                f = attach_caret(f, rng.randint(1, f.leaves))
+            yield encode(f)
+
+
+DECODE_ERRORS = ("expected ')' at position", "unexpected end of tree encoding",
+                 "unexpected character", "trailing characters in tree")
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_decode_agrees_with_recursive_oracle(d):
+    rng = seeded("decode-oracle-%d" % d)
+    seen = set()
+    for text in random_forest_texts(rng, d):
+        got = decode_outcome(decode, text, d)
+        assert got[0] == "ok" and got == decode_outcome(_oracle_decode, text, d), text
+        assert encode(got[1]) == text
+        for _ in range(40):
+            bad = text
+            for _ in range(rng.randint(1, 2)):
+                bad = mutate_forest_text(bad, rng)
+            got = decode_outcome(decode, bad, d)
+            assert got == decode_outcome(_oracle_decode, bad, d), bad
+            seen.add(got[0] if got[0] == "ok" else
+                     next(kind for kind in DECODE_ERRORS if got[1].startswith(kind)))
+    # the mutations reach valid texts and every error
+    assert seen == {"ok", *DECODE_ERRORS}
+    assert decode_outcome(decode, "(.x)", d)[1] == "unexpected character 'x' at position 2"
+    assert decode_outcome(decode, "", d)[1] == "unexpected end of tree encoding"

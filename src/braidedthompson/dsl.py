@@ -27,18 +27,11 @@ its token, found only once the error is raised.
 
 from __future__ import annotations
 
-import re
-
 from .braids import BraidWord, is_pure
 from .diagrams import GroupContext, Spraige
 from .forests import decode as decode_forest, encode as encode_forest
 from .labeled import Label, LabeledBraid, LabelGroupSpec
 
-# A punctuation character, or a run of anything but whitespace and
-# punctuation.  `\s` matches exactly the characters `str.isspace` accepts,
-# which are the ones `str.split()` splits at, so `_tokenize` returns the
-# same list; this pattern only locates the token of an error.
-_TOKEN = re.compile(r"[{}\[\],;:]|[^\s{}\[\],;:]+")
 _SPACED = [(c, " %s " % c) for c in "{}[],;:"]
 
 # The fixed tokens of an element, as lists to compare with token slices.
@@ -47,7 +40,8 @@ _ELEM, _MINUS, _BRAID, _LABELS, _PLUS, _CLOSE = (
 
 
 def _tokenize(text):
-    """The tokens of text: `_TOKEN.findall(text)`, by C-level string calls."""
+    """The tokens of text: each punctuation character of "{}[],;:", and
+    each run of anything but whitespace (`str.isspace`) and punctuation."""
     for c, spaced in _SPACED:
         text = text.replace(c, spaced)
     return text.split()
@@ -78,8 +72,10 @@ class _Parser:
         if at >= len(self.tokens):
             message += " (at end of input)"
             at = len(self.tokens) - 1
-        text = self.text
-        start = next((m.start() for i, m in enumerate(_TOKEN.finditer(text)) if i == at), 0)
+        text, start, end = self.text, 0, 0
+        for tok in self.tokens[:at + 1]:  # only whitespace lies between two tokens
+            start = text.find(tok, end)
+            end = start + len(tok)
         raise DslError(message, text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start))
 
     def check(self, at, build, *args, **kwargs):
@@ -120,23 +116,28 @@ class _Parser:
         except ValueError:
             self.error("expected %s, found %r" % (what, tok), self.pos - 1)
 
+    def int_prefix(self):
+        """Consume the integer tokens up to the first other token; return
+        their values."""
+        values = []
+        for tok in self.tokens[self.pos:]:
+            try:
+                values.append(int(tok))
+            except ValueError:
+                break
+        self.pos += len(values)
+        return tuple(values)
+
     def int_run(self, stop):
-        """Consume a run of integer tokens and return their values.  The run
-        should end at the next token `stop`; if a token before that one is
-        not an integer, the run ends at the first such token instead."""
+        """Consume a run of integer tokens that should end at the next token
+        `stop`, converted in bulk; if a token before that one is not an
+        integer, the run ends at the first such token instead."""
         tokens, start = self.tokens, self.pos
         try:
             end = tokens.index(stop, start)
             values = tuple(map(int, tokens[start:end]))
         except ValueError:  # no `stop`, or a token before it is not an integer
-            values = []
-            for tok in tokens[start:]:
-                try:
-                    values.append(int(tok))
-                except ValueError:
-                    break
-            end = start + len(values)
-            values = tuple(values)
+            return self.int_prefix()
         self.pos = end
         return values
 
@@ -193,13 +194,14 @@ class _Parser:
         if len(labels) != n:
             self.error("%d labels for %d leaves" % (len(labels), n), name)
         if letters and (0 in letters or max(letters) >= n or min(letters) <= -n):
-            self.check(braid_start, BraidWord, n, letters)  # raises at the first bad letter
+            # raises the first bad letter's error at the braid run's first token
+            self.check(braid_start, BraidWord, n, letters)
         braid = BraidWord._trusted(n, letters)
         return name, ctx.validate(Spraige(minus, LabeledBraid(braid, labels), plus))
 
     def _generator(self, d):
         at = self.pos
-        return at, self.check(at, BraidWord, d, self.int_run("]"))
+        return at, self.check(at, BraidWord, d, self.int_prefix())
 
     def _forest(self, at, d):
         """The forest of token `at`, decoded once per distinct text."""
@@ -221,13 +223,12 @@ class _Parser:
             stop = tokens.index("plus", start)
         except ValueError:
             stop = len(tokens)
-        words, known = (" %s " % " ".join(tokens[start:stop])).split(";"), self.labels
-        if not all(map(known.__contains__, words)):
-            at = start
-            for word in words:
-                if word not in known:
-                    known[word] = self._new_label(word, at, n_gens)
-                at += len(word.split()) + 1  # its tokens and the ";" after them
+        words = (" %s " % " ".join(tokens[start:stop])).split(";")
+        known, at = self.labels, start
+        for word in words:
+            if word not in known:
+                known[word] = self._new_label(word, at, n_gens)
+            at += len(word.split()) + 1  # its tokens and the ";" after them
         self.pos = stop
         return list(map(known.__getitem__, words))
 

@@ -6,9 +6,8 @@ Run:  python3 demos/05_joins_and_morse.py
 
 from braidedthompson import (HeightFunction, complete_join_check,
                              d_matching_linear, duplicated_cover,
-                             is_homology_wcm, morse_check,
-                             morse_descending_link, morse_max_degree,
-                             mutual_link, wcm_violation)
+                             is_homology_wcm, morse_descending_link,
+                             morse_sweep, mutual_link, wcm_violation)
 
 k = d_matching_linear(2, 6)
 print("complex:", k)
@@ -32,11 +31,11 @@ print("\nmutual link of the first two arcs:", mutual_link(k, 0, 1))
 
 # Filter by initial position and run the Morse implication level by
 # level: if all descending links at a level are homologically
-# (kk-1)-connected then the sublevel pair is kk-acyclic.
+# (kk-1)-connected then the sublevel pair is kk-acyclic.  The sweep takes
+# at each level the largest kk whose hypothesis holds.
 h = HeightFunction({v: v + 1 for v in range(k.vertices)})
 print("\nMorse filtration by initial position:")
-for t in h.levels(k):
+for t, kk, holds in morse_sweep(k, h, h.levels(k)):
     links = [morse_descending_link(k, h, v) for v in k.vertex_set() if h(v) == t]
-    kk = morse_max_degree(k, h, t)
     print("  level %d: %d descending link(s), implication holds for k=%d: %s"
-          % (t, len(links), kk, morse_check(k, h, t, kk)))
+          % (t, len(links), kk, holds))

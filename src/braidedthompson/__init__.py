@@ -2,16 +2,15 @@
 finite simplicial complex lab for the combinatorics that supports them."""
 
 from .braids import (BraidWord, Permutation, braid_equal, cable,
-                     delete_strands, half_twist, invert, is_cyclic, is_pure,
-                     is_trivial, permutation_of, shifted, word_from_permutation)
+                     delete_strands, half_twist, is_cyclic, is_pure, is_trivial,
+                     permutation_of, shifted, word_from_permutation)
 from .complexes import (HeightFunction, HomologyReport, SimplicialComplex,
                         complete_join_check, d_matching_cyclic,
                         d_matching_linear, duplicated_cover, is_homology_wcm,
                         join, link, morse_check, morse_descending_link,
-                        morse_level, morse_max_degree, morse_sweep, mutual_link,
-                        reduced_homology, relative_homology, restrict_initial,
-                        simplex_counts, smith_invariants, star, sublevel,
-                        wcm_violation)
+                        morse_sweep, mutual_link, reduced_homology,
+                        relative_homology, restrict_initial, simplex_counts,
+                        smith_invariants, star, sublevel, wcm_violation)
 from .diagrams import (GroupContext, PairedForestDiagram, Spraige, v_equal,
                        v_expand, v_multiply, v_reduce)
 from .forests import (Forest, attach_caret, elementary_forest,

@@ -202,10 +202,6 @@ def permutation_of(w: BraidWord) -> Permutation:
     return w._perm
 
 
-def invert(w: BraidWord) -> BraidWord:
-    return w.inverse()
-
-
 def braid_equal(w1: BraidWord, w2: BraidWord) -> bool:
     """Decide equality in B_n via the greedy normal form.
 

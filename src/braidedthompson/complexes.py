@@ -17,9 +17,11 @@ fundamental group is not decided.
 Also provided: the d-matching complexes of linear and cyclic graphs
 (vertex id v is the arc with initial position v+1), link/star/join,
 the mutual link of two vertices, a weak Cohen-Macaulay checker, a
-complete-join checker, and discrete-Morse machinery (descending links,
-sublevel filtrations, the relative-homology conclusion of the Morse
-lemma).
+complete-join checker, and discrete-Morse machinery: descending links,
+sublevel filtrations, and one sweep (`morse_sweep`) that checks the
+relative-homology conclusion of the Morse lemma level by level and can
+derive the largest degree its hypothesis supports (`morse_check` is the
+one-level predicate).
 
 Derived complexes (links, stars, mutual links, descending links, full
 subcomplexes, joins) and vertex sets are built from maximal faces.  The
@@ -615,56 +617,34 @@ def morse_descending_link(k: SimplicialComplex, h: HeightFunction, v: int) -> Si
     return _descending_link(k, h, v)
 
 
-def _level_reports(k: SimplicialComplex, h: HeightFunction, t: int):
-    """Reduced homology of the descending link of each height-t vertex."""
-    return [reduced_homology(_descending_link(k, h, v)) for v in k.vertex_set() if h(v) == t]
-
-
-def _max_degree(k: SimplicialComplex, reports) -> int:
-    kk = -1
-    while kk <= k.dim + 1 and all(r.is_zero_through(kk) for r in reports):
-        kk += 1
-    return kk
-
-
 def morse_sweep(k: SimplicialComplex, h: HeightFunction, levels, kk=None):
-    """[(t, *morse_level(k, h, t, kk)) for t in levels], with the height
-    function validated once for the whole sweep."""
+    """[(t, kk, holds)] for t in levels.  holds is the truth of the
+    homological Morse lemma at level t: IF every descending link of a
+    height-t vertex has vanishing reduced homology through degree kk-1,
+    THEN the pair (K^{<=t}, K^{<t}) has vanishing homology through degree
+    kk.  kk=None takes, level by level, the largest kk <= dim + 2 whose
+    hypothesis holds (-1 when some link is empty).  The height function
+    is validated once, and each descending link and its homology are
+    computed once."""
     if not h.is_valid_for(k):
         raise ValueError(_INVALID_HEIGHTS)
-    return [(t,) + _morse_level(k, h, t, kk) for t in levels]
-
-
-def morse_level(k: SimplicialComplex, h: HeightFunction, t: int, kk=None):
-    """(kk, morse_check(k, h, t, kk)); kk=None takes morse_max_degree(k, h, t).
-    The height function is validated once, and each descending link and
-    its homology are computed once."""
-    return morse_sweep(k, h, [t], kk)[0][1:]
-
-
-def _morse_level(k, h, t, kk):
-    reports = _level_reports(k, h, t)
-    if kk is None:
-        kk = _max_degree(k, reports)
-    if not all(r.is_zero_through(kk - 1) for r in reports):
-        return kk, True  # hypothesis fails, implication holds vacuously
-    rel = relative_homology(sublevel(k, h, t), sublevel(k, h, t, strict=True))
-    return kk, rel.is_zero_through(kk)
+    sweep = []
+    for t in levels:
+        reports = [reduced_homology(_descending_link(k, h, v))
+                   for v in k.vertex_set() if h(v) == t]
+        deg = kk
+        if deg is None:
+            deg = -1
+            while deg <= k.dim + 1 and all(r.is_zero_through(deg) for r in reports):
+                deg += 1
+        # a failed hypothesis makes the implication hold vacuously
+        holds = (not all(r.is_zero_through(deg - 1) for r in reports)
+                 or relative_homology(sublevel(k, h, t),
+                                      sublevel(k, h, t, strict=True)).is_zero_through(deg))
+        sweep.append((t, deg, holds))
+    return sweep
 
 
 def morse_check(k: SimplicialComplex, h: HeightFunction, t: int, kk: int) -> bool:
-    """The homological Morse lemma at level t: IF every descending link
-    of a height-t vertex has vanishing reduced homology through degree
-    kk-1, THEN the pair (K^{<=t}, K^{<t}) has vanishing homology through
-    degree kk.  Returns the truth of that implication."""
-    return morse_level(k, h, t, kk)[1]
-
-
-def morse_max_degree(k: SimplicialComplex, h: HeightFunction, t: int) -> int:
-    """The largest kk <= dim + 2 whose morse_check hypothesis holds at
-    level t: every descending link of a height-t vertex has vanishing
-    reduced homology through degree kk-1 (-1 when some link is empty)."""
-    # checked where the first descending link would check it
-    if any(h(v) == t for v in k.vertex_set()) and not h.is_valid_for(k):
-        raise ValueError(_INVALID_HEIGHTS)
-    return _max_degree(k, _level_reports(k, h, t))
+    """The Morse implication of morse_sweep at the single level t."""
+    return morse_sweep(k, h, [t], kk)[0][2]

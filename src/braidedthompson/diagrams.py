@@ -196,16 +196,13 @@ class GroupContext:
         return Spraige(remove_elementary_caret(s.minus, start), lb,
                        remove_elementary_caret(s.plus, p))
 
-    def reduce(self, s: Spraige, order="asc") -> Spraige:
-        """Apply reductions until none is possible.  The reduced
-        representative is unique, so the scan order (lowest caret first by
-        default) only affects the intermediate diagrams."""
+    def reduce(self, s: Spraige) -> Spraige:
+        """Apply reductions, lowest caret first, until none is possible.
+        The reduced representative is unique, so the scan order only
+        affects the intermediate diagrams."""
         self.validate(s)
         while True:
-            spans = elementary_caret_spans(s.minus)
-            if order == "desc":
-                spans = list(reversed(spans))
-            for start in spans:
+            for start in elementary_caret_spans(s.minus):
                 t = self.try_reduce_at(s, start)
                 if t is not None:
                     s = t

@@ -10,6 +10,7 @@ from braidedthompson import (BraidWord, Forest, GroupContext, Label,
                              Spraige, d_matching_cyclic, d_matching_linear,
                              half_twist, leaf_counts, matching_to_forest,
                              permutation_of)
+from braidedthompson.forests import elementary_caret_spans
 
 
 # Property tests draw the same examples on every run.
@@ -80,6 +81,19 @@ def random_element(ctx, rng, steps=3):
         k = s.feet - (ctx.d - 1)
         s = ctx.multiply(s, ctx.mu_spraige(k, {rng.randint(1, k)}))
     return s
+
+
+def reduce_descending(ctx, s):
+    """ctx.reduce with the highest caret tried first: the other scan order,
+    as an oracle for the uniqueness of the reduced representative."""
+    while True:
+        for start in reversed(elementary_caret_spans(s.minus)):
+            t = ctx.try_reduce_at(s, start)
+            if t is not None:
+                s = t
+                break
+        else:
+            return s
 
 
 def random_elementary_braige(ctx, rng, m):

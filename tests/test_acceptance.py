@@ -17,15 +17,16 @@ from braidedthompson import (BraidWord, Forest, Label, LabeledBraid,
                              format_element, format_header, format_session,
                              HeightFunction, is_homology_wcm, is_trivial,
                              join, matching_to_forest, morse_check,
-                             morse_max_degree, parse_session,
+                             morse_sweep, parse_session,
                              permutation_of, reduced_homology, simplex_counts,
                              v_equal, v_multiply, v_reduce)
 from braidedthompson.cli import RESULT_SCHEMA, main as cli_main
 from braidedthompson.forests import decode
 from conftest import (complex_library, context_full_twist, context_half_twist,
                       context_trivial, random_complex, random_element,
-                      random_elementary_braige, random_label, seeded,
-                      width_preserving_multiplier, make_context)
+                      random_elementary_braige, random_label,
+                      reduce_descending, seeded, width_preserving_multiplier,
+                      make_context)
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -69,8 +70,8 @@ def test_criterion_02_unique_normal_form():
         t = s
         for _ in range(rng.randint(1, 5)):
             t = ctx.expand(t, rng.randint(1, t.leaves))
-        r_asc = ctx.reduce(t, order="asc")
-        r_desc = ctx.reduce(t, order="desc")
+        r_asc = ctx.reduce(t)
+        r_desc = reduce_descending(ctx, t)
         r_orig = ctx.reduce(s)
         for a, b in ((r_asc, r_desc), (r_asc, r_orig)):
             assert a.minus == b.minus and a.plus == b.plus
@@ -263,7 +264,7 @@ def test_criterion_10_morse_desk_check():
         h = HeightFunction({v: v + 1 for v in range(k.vertices)})
         assert h.is_valid_for(k)
         for t in h.levels(k):
-            kk = morse_max_degree(k, h, t)
+            kk = morse_sweep(k, h, [t])[0][1]
             assert morse_check(k, h, t, kk)
             for smaller in range(0, kk):
                 assert morse_check(k, h, t, smaller)
@@ -274,7 +275,7 @@ def test_criterion_10_morse_desk_check():
         rng.shuffle(heights)
         h = HeightFunction({v: heights[v] for v in range(k.vertices)})
         for t in h.levels(k):
-            assert morse_check(k, h, t, morse_max_degree(k, h, t))
+            assert morse_check(k, h, t, morse_sweep(k, h, [t])[0][1])
             cases += 1
     report(10, "Morse implication verified at %d filtration levels" % cases)
 

@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 from braidedthompson import (BraidWord, Label, LabeledBraid, Permutation,
                              Spraige, braid_equal, cable,
-                             delete_strands, half_twist, invert, is_cyclic,
-                             is_pure, is_trivial, permutation_of, shifted,
+                             delete_strands, half_twist, is_cyclic, is_pure,
+                             is_trivial, permutation_of, shifted,
                              word_from_permutation)
 from braidedthompson.braids import _free_reduce, _leftweight_pair, _tau
 from braidedthompson.forests import decode
@@ -87,21 +87,21 @@ def test_braid_equal_is_invariant_under_rewrites():
 
 
 def test_invert_trivial_cases():
-    assert str(invert(BraidWord(2))) == ""
-    assert str(invert(BraidWord(2, [1]))) == "-1"
+    assert str(BraidWord(2).inverse()) == ""
+    assert str(BraidWord(2, [1]).inverse()) == "-1"
 
 
 def test_invert_product_is_trivial():
     w = BraidWord(3, [1, -2, 1])
-    assert str(invert(w)) == "-1 2 -1"
-    assert is_trivial(w * invert(w))
+    assert str(w.inverse()) == "-1 2 -1"
+    assert is_trivial(w * w.inverse())
     rng = seeded("invert")
     for _ in range(100):
         n = rng.randint(1, 6)
         w = BraidWord(n, [rng.choice([1, -1]) * rng.randint(1, n - 1)
                           for _ in range(rng.randint(0, 8))] if n > 1 else [])
-        assert is_trivial(w * invert(w))
-        assert is_trivial(invert(w) * w)
+        assert is_trivial(w * w.inverse())
+        assert is_trivial(w.inverse() * w)
 
 
 def test_half_twist_words():
@@ -193,7 +193,7 @@ def test_cable_of_inverse_cancels():
         w = BraidWord(n, [rng.choice([1, -1]) * rng.randint(1, n - 1)
                           for _ in range(rng.randint(0, 5))])
         widths = [rng.randint(1, 3) for _ in range(n)]
-        assert is_trivial(cable(w * invert(w), widths))
+        assert is_trivial(cable(w * w.inverse(), widths))
 
 
 def test_delete_strands_trivial_cases():

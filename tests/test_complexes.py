@@ -10,8 +10,7 @@ from braidedthompson import (HeightFunction, SimplicialComplex,
                              d_matching_linear, duplicated_cover,
                              forest_to_matching, is_homology_wcm, join, link,
                              matching_to_forest, morse_check,
-                             morse_descending_link, morse_level,
-                             morse_max_degree, mutual_link,
+                             morse_descending_link, morse_sweep, mutual_link,
                              reduced_homology, relative_homology,
                              restrict_initial, simplex_counts,
                              smith_invariants, star, sublevel, wcm_violation)
@@ -429,7 +428,7 @@ def test_morse_on_matching_filtrations():
         h = HeightFunction({v: v + 1 for v in range(k.vertices)})
         assert h.is_valid_for(k)
         for t in h.levels(k):
-            kk = morse_max_degree(k, h, t)
+            kk = morse_sweep(k, h, [t])[0][1]
             assert morse_check(k, h, t, kk)
             for smaller in range(0, kk):
                 assert morse_check(k, h, t, smaller)
@@ -444,7 +443,7 @@ def test_morse_on_random_complexes():
         h = HeightFunction({v: heights[v] for v in range(k.vertices)})
         assert h.is_valid_for(k)
         for t in h.levels(k):
-            assert morse_check(k, h, t, morse_max_degree(k, h, t))
+            assert morse_check(k, h, t, morse_sweep(k, h, [t])[0][1])
 
 
 def test_morse_max_degree_matches_its_definition():
@@ -457,7 +456,7 @@ def test_morse_max_degree_matches_its_definition():
         rng.shuffle(heights)
         h = HeightFunction({v: heights[v] for v in range(k.vertices)})
         for t in h.levels(k) + [k.vertices + 5]:
-            kk = morse_max_degree(k, h, t)
+            kk = morse_sweep(k, h, [t])[0][1]
             links = [reduced_homology(morse_descending_link(k, h, v))
                      for v in k.vertex_set() if h(v) == t]
             assert -1 <= kk <= k.dim + 2
@@ -668,7 +667,7 @@ def test_descending_links_and_validity_match_closure_oracles():
                 assert got == outcome(oracle_descending_link, k, h, v), (k, heights, v)
             if h.is_valid_for(k):
                 for t in h.levels(k):
-                    assert morse_max_degree(k, h, t) == oracle_morse_max_degree(k, h, t)
+                    assert morse_sweep(k, h, [t])[0][1] == oracle_morse_max_degree(k, h, t)
     assert verdicts == {True, False}
     # a vertex in no edge needs no height, and one without a height has
     # no descending link
@@ -721,7 +720,7 @@ def test_wcm_and_morse_sweep_match_oracles_at_m2_p16():
     for cx in (k, dropped):
         h = HeightFunction({v: v + 1 for v in range(cx.vertices)})
         for t in h.levels(cx):
-            kk = morse_max_degree(cx, h, t)
+            kk = morse_sweep(cx, h, [t])[0][1]
             assert kk == oracle_morse_max_degree(cx, h, t), t
             assert morse_check(cx, h, t, kk)
 
@@ -729,8 +728,10 @@ def test_wcm_and_morse_sweep_match_oracles_at_m2_p16():
 def test_morse_functions_validate_once_and_build_each_link_once(monkeypatch):
     k = d_matching_linear(2, 12)
     h = HeightFunction({v: v // 2 for v in range(k.vertices)})  # two vertices a level
-    answers = [(morse_max_degree(k, h, t), morse_check(k, h, t, 1)) for t in h.levels(k)]
-    derived = [(kk, morse_check(k, h, t, kk)) for t, (kk, _) in zip(h.levels(k), answers)]
+    levels = h.levels(k)
+    checks = [morse_check(k, h, t, 1) for t in levels]
+    derived = [(t, kk, morse_check(k, h, t, kk)) for t in levels
+               for kk in [oracle_morse_max_degree(k, h, t)]]
     calls = []
     for name in ("reduced_homology", "_descending_link"):
         fn = getattr(complexes, name)
@@ -739,13 +740,13 @@ def test_morse_functions_validate_once_and_build_each_link_once(monkeypatch):
     valid = HeightFunction.is_valid_for
     monkeypatch.setattr(HeightFunction, "is_valid_for",
                         lambda self, kk: calls.append("valid") or valid(self, kk))
-    for t, answer, both in zip(h.levels(k), answers, derived):
-        for fn, args, want in ((morse_max_degree, (), answer[0]),
-                               (morse_check, (1,), answer[1]),
-                               (morse_level, (1,), (1, answer[1])),
-                               (morse_level, (), both)):
-            calls.clear()
-            assert fn(k, h, t, *args) == want
-            level = sum(1 for v in k.vertex_set() if h(v) == t)
-            assert calls.count("valid") == 1
-            assert calls.count("_descending_link") == calls.count("reduced_homology") == level
+    cases = [(morse_sweep, (levels,), derived, levels),
+             (morse_sweep, (levels, 1), [(t, 1, c) for t, c in zip(levels, checks)], levels)]
+    for t, check, (_, kk, holds) in zip(levels, checks, derived):
+        cases += [(morse_check, (t, 1), check, [t]), (morse_check, (t, kk), holds, [t])]
+    for fn, args, want, swept in cases:
+        calls.clear()
+        assert fn(k, h, *args) == want
+        vertices = sum(1 for v in k.vertex_set() if h(v) in swept)
+        assert calls.count("valid") == 1
+        assert calls.count("_descending_link") == calls.count("reduced_homology") == vertices

@@ -10,7 +10,8 @@ from braidedthompson.forests import attach_caret, decode
 from braidedthompson.labeled import lb_equal
 from conftest import (context_full_twist, context_half_twist, context_trivial,
                       make_context, random_element, random_elementary_braige,
-                      random_label, seeded, width_preserving_multiplier)
+                      random_label, reduce_descending, seeded,
+                      width_preserving_multiplier)
 
 
 def test_identity_and_lambda_mu():
@@ -93,8 +94,8 @@ def test_reduce_is_scan_order_independent():
         t = s
         for _ in range(rng.randint(1, 4)):
             t = ctx.expand(t, rng.randint(1, t.leaves))
-        r_asc = ctx.reduce(t, order="asc")
-        r_desc = ctx.reduce(t, order="desc")
+        r_asc = ctx.reduce(t)
+        r_desc = reduce_descending(ctx, t)
         r_orig = ctx.reduce(s)
         for a, b in ((r_asc, r_desc), (r_asc, r_orig)):
             assert a.minus == b.minus and a.plus == b.plus

@@ -300,7 +300,7 @@ def test_cli_morse_builds_each_descending_link_once(capsys, tmp_path, monkeypatc
     k = cx.d_matching_linear(2, 12)
     h = cx.HeightFunction({v: v + 1 for v in range(k.vertices)})
     levels = [{"t": t, "k": kk, "holds": cx.morse_check(k, h, t, kk)}
-              for t in h.levels(k) for kk in [cx.morse_max_degree(k, h, t)]]
+              for t in h.levels(k) for kk in [cx.morse_sweep(k, h, [t])[0][1]]]
     path = tmp_path / "k.json"
     path.write_text(json.dumps(k.to_json_dict()), encoding="utf-8")
     calls = Counter()

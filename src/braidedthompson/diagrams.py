@@ -265,21 +265,23 @@ class GroupContext:
 
     # -- membership and projections ------------------------------------------
 
+    def _require_pure_labels(self, what):
+        # any flavor will do: what matters is that every label is a pure braid
+        if not all(is_pure(g) for g in self.spec.generators):
+            raise ValueError("%s needs a pure label group" % what)
+
     def in_bF(self, s: Spraige) -> bool:
-        if not self.spec.require_pure:
-            raise ValueError("F membership needs a pure label group")
+        self._require_pure_labels("F membership")
         return is_pure(self.reduce(s).lb.braid)
 
     def in_bT(self, s: Spraige) -> bool:
-        if not self.spec.require_pure:
-            raise ValueError("T membership needs a pure label group")
+        self._require_pure_labels("T membership")
         return is_cyclic(self.reduce(s).lb.braid)
 
     def project_to_v(self, s: Spraige) -> PairedForestDiagram:
         """Forget braiding and labels, keep the leaf permutation.  Well
         defined on classes only when the labels are pure."""
-        if not self.spec.require_pure:
-            raise ValueError("projection to V needs a pure label group")
+        self._require_pure_labels("projection to V")
         return PairedForestDiagram(s.minus, permutation_of(s.lb.braid), s.plus)
 
     def r_label(self, s: Spraige) -> BraidWord:

@@ -9,8 +9,10 @@
     }
 
 Whitespace is free everywhere; a braid word is a run of signed integers,
-a label word is "e" or a run of g<i>[^-1] tokens separated by
-whitespace, label words are separated by ";".  `gens:[]` declares the
+a label word is a run of "e" and g<i>[^-1] tokens separated by
+whitespace (an "e" among them stands for nothing, so "g1 e g2" is
+"g1 g2"; the parser and its test oracle both accept it), and label
+words are separated by ";".  `gens:[]` declares the
 trivial label group.  The F and T flavors require pure generators and
 reject the header otherwise.
 

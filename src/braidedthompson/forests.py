@@ -9,7 +9,9 @@ node (caret) has exactly d ordered children.  Leaves are numbered
 
 so "(..)|." is the binary forest whose first tree is a single caret.
 
-Trees are nested tuples; a leaf is None.  Everything is immutable.
+Trees are nested tuples; a leaf is None.  Everything is immutable.  Each
+forest keeps its text, stored by `decode` or built once by `encode`; its
+elementary carets are read off it as the substrings "(" + "."*d + ")".
 
 An expansion path is a tuple of leaf indices; applying carets at those
 leaves in order (indices refer to the forest as it grows) carries a
@@ -27,12 +29,6 @@ def _tree_leaves(tree):
     return sum(_tree_leaves(c) for c in tree)
 
 
-def _tree_carets(tree):
-    if tree is LEAF:
-        return 0
-    return 1 + sum(_tree_carets(c) for c in tree)
-
-
 def _check_arity(tree, d):
     if tree is LEAF:
         return
@@ -45,7 +41,7 @@ def _check_arity(tree, d):
 class Forest:
     """An ordered (d,r)-forest.  leaves == roots + (d-1) * carets."""
 
-    __slots__ = ("degree", "trees", "_leaves")
+    __slots__ = ("degree", "trees", "_leaves", "_text")
 
     def __init__(self, degree, trees):
         if degree < 2:
@@ -58,15 +54,17 @@ class Forest:
         self.degree = degree
         self.trees = trees
         self._leaves = None
+        self._text = None
 
     @classmethod
-    def _trusted(cls, degree, trees, leaves):
+    def _trusted(cls, degree, trees, leaves, text):
         """A forest from a tuple of trees the library built arity-checked,
-        with its leaf count already known."""
+        with its leaf count and its text already known."""
         f = object.__new__(cls)
         f.degree = degree
         f.trees = trees
         f._leaves = leaves
+        f._text = text
         return f
 
     @classmethod
@@ -85,7 +83,7 @@ class Forest:
 
     @property
     def carets(self):
-        return sum(_tree_carets(t) for t in self.trees)
+        return (self.leaves - self.roots) // (self.degree - 1)
 
     def is_trivial(self):
         return all(t is LEAF for t in self.trees)
@@ -115,11 +113,14 @@ def leaf_counts(forest: Forest):
 
 
 def encode(forest: Forest) -> str:
-    def enc(tree):
-        if tree is LEAF:
-            return "."
-        return "(" + "".join(enc(c) for c in tree) + ")"
-    return "|".join(enc(t) for t in forest.trees)
+    """The forest's text, built from its trees the first time it is asked for."""
+    if forest._text is None:
+        def enc(tree):
+            if tree is LEAF:
+                return "."
+            return "(" + "".join(enc(c) for c in tree) + ")"
+        forest._text = "|".join(enc(t) for t in forest.trees)
+    return forest._text
 
 
 def decode(text: str, degree: int) -> Forest:
@@ -130,8 +131,8 @@ def decode(text: str, degree: int) -> Forest:
     if degree < 2:
         raise ValueError("arity must be >= 2")
     trees, leaves = [], 0
-    for part in text.split("|"):
-        part = part.strip()
+    parts = [part.strip() for part in text.split("|")]
+    for part in parts:
         end = len(part)
         open_carets = []  # children read so far, one list per open caret
         pos = 0
@@ -163,7 +164,7 @@ def decode(text: str, degree: int) -> Forest:
         if pos != end:
             raise ValueError("trailing characters in tree %r" % part)
         trees.append(node)
-    return Forest._trusted(degree, tuple(trees), leaves)
+    return Forest._trusted(degree, tuple(trees), leaves, "|".join(parts))
 
 
 def attach_caret(forest: Forest, i: int) -> Forest:
@@ -288,63 +289,35 @@ def _check_compatible(f, g):
         raise ValueError("root count mismatch: %d vs %d" % (f.roots, g.roots))
 
 
+def _elementary_carets(text, d):
+    """(first leaf, offset) of each elementary caret "(" + "."*d + ")" in text."""
+    caret = "(" + "." * d + ")"
+    out, leaves, counted = [], 0, 0
+    pos = text.find(caret)
+    while pos >= 0:
+        leaves += text.count(".", counted, pos)
+        out.append((leaves + 1, pos))
+        counted = pos
+        pos = text.find(caret, pos + d + 2)
+    return out
+
+
 def elementary_caret_spans(forest: Forest):
     """For each elementary caret, the global index of its first leaf.
 
     Returned in increasing order.  Non-elementary carets are skipped.
     """
-    spans = []
-    counter = [0]
-
-    def walk(tree):
-        if tree is LEAF:
-            counter[0] += 1
-            return
-        if all(c is LEAF for c in tree):
-            spans.append(counter[0] + 1)
-            counter[0] += len(tree)
-            return
-        for c in tree:
-            walk(c)
-
-    for t in forest.trees:
-        walk(t)
-    return spans
+    return [leaf for leaf, _ in _elementary_carets(encode(forest), forest.degree)]
 
 
 def remove_elementary_caret(forest: Forest, start: int) -> Forest:
     """Collapse the elementary caret whose leaves start at `start` back to
     a leaf."""
-    d = forest.degree
-    counter = [0]
-
-    def rebuild(tree):
-        if tree is LEAF:
-            counter[0] += 1
-            return tree, False
-        if all(c is LEAF for c in tree):
-            if counter[0] + 1 == start:
-                counter[0] += d
-                return LEAF, True
-            counter[0] += d
-            return tree, False
-        out = []
-        hit = False
-        for c in tree:
-            new, h = rebuild(c)
-            out.append(new)
-            hit = hit or h
-        return tuple(out), hit
-
-    trees = []
-    found = False
-    for t in forest.trees:
-        new, h = rebuild(t)
-        trees.append(new)
-        found = found or h
-    if not found:
-        raise ValueError("no elementary caret with leaves starting at %d" % start)
-    return Forest(d, trees)
+    d, text = forest.degree, encode(forest)
+    for leaf, pos in _elementary_carets(text, d):
+        if leaf == start:
+            return decode(text[:pos] + "." + text[pos + d + 2:], d)
+    raise ValueError("no elementary caret with leaves starting at %d" % start)
 
 
 def forest_to_matching(forest: Forest):

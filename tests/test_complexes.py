@@ -423,9 +423,24 @@ def test_cost_follows_the_faces_not_the_declared_vertex_count():
         restrict_initial(big, {10 ** 6 + 1})
 
 
-def test_morse_on_matching_filtrations():
+def matching_filtrations():
+    """Matching complexes filtered by initial position."""
     for k in (d_matching_linear(2, 6), d_matching_linear(3, 9)):
-        h = HeightFunction({v: v + 1 for v in range(k.vertices)})
+        yield k, HeightFunction({v: v + 1 for v in range(k.vertices)})
+
+
+def random_filtrations():
+    """Seeded random complexes with shuffled distinct heights."""
+    rng = seeded("morse")
+    for _ in range(20):
+        k = random_complex(rng)
+        heights = list(range(k.vertices))
+        rng.shuffle(heights)
+        yield k, HeightFunction({v: heights[v] for v in range(k.vertices)})
+
+
+def test_morse_on_matching_filtrations():
+    for k, h in matching_filtrations():
         assert h.is_valid_for(k)
         for t in h.levels(k):
             kk = morse_sweep(k, h, [t])[0][1]
@@ -435,15 +450,29 @@ def test_morse_on_matching_filtrations():
 
 
 def test_morse_on_random_complexes():
-    rng = seeded("morse")
-    for _ in range(20):
-        k = random_complex(rng)
-        heights = list(range(k.vertices))
-        rng.shuffle(heights)
-        h = HeightFunction({v: heights[v] for v in range(k.vertices)})
+    for k, h in random_filtrations():
         assert h.is_valid_for(k)
         for t in h.levels(k):
             assert morse_check(k, h, t, morse_sweep(k, h, [t])[0][1])
+
+
+def test_morse_sweep_reports_a_failed_conclusion(monkeypatch):
+    # At a derived degree kk the hypothesis holds, so `holds` is the
+    # conclusion itself.  With a pair homology stubbed to H_0 = Z the
+    # conclusion fails at every level with kk >= 0: a sweep that let the
+    # implication hold vacuously there would pass the two tests above.
+    filtrations = list(matching_filtrations()) + list(random_filtrations())
+    for k, h in filtrations:
+        assert all(holds for _, _, holds in morse_sweep(k, h, h.levels(k)))
+    h0 = complexes.HomologyReport({0: 1}, {}, [1])
+    monkeypatch.setattr(complexes, "relative_homology", lambda k, sub: h0)
+    failed = 0
+    for k, h in filtrations:
+        for t, kk, holds in morse_sweep(k, h, h.levels(k)):
+            if kk >= 0:
+                assert holds is False, (k.maximal_faces, t, kk)
+                failed += 1
+    assert failed > 0
 
 
 def test_morse_max_degree_matches_its_definition():

@@ -1,8 +1,10 @@
+import contextlib
 import json
 import re
 import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -255,6 +257,40 @@ def test_cli_member_and_project(capsys, tmp_path):
     code, data = run_cli(capsys, "project-v", "--input", str(path), "x")
     assert code == 0 and data["diagram"]["permutation"] == [1]
 
+    # The guard is on the generators, not on the flavor: V sessions with no
+    # generators or pure ones answer, and one with an impure generator is refused.
+    golden = str(Path(__file__).parent / "golden" / "case_00.dsl")
+    for sub in ("F", "T"):
+        assert run_cli(capsys, "member", "--sub", sub, "--input", golden, "e0") == (
+            0, {"command": "member", "member": True, "ok": True})
+    code, data = run_cli(capsys, "project-v", "--input", golden, "e0")
+    assert code == 0 and data["diagram"] == {"minus": ".", "permutation": [1], "plus": "."}
+
+    path.write_text(
+        "group { d:2, r:1, flavor:V, gens:[1 1] }\n"
+        "elem x { minus: (..) braid: 1 1 labels: e; g1 plus: (..) }\n"
+        "elem y { minus: (..) braid: 1 labels: e; e plus: (..) }\n",
+        encoding="utf-8")
+    code, data = run_cli(capsys, "member", "--sub", "F", "--input", str(path), "x")
+    assert code == 0 and data["member"] is True
+    code, data = run_cli(capsys, "member", "--sub", "F", "--input", str(path), "y")
+    assert code == 0 and data["member"] is False
+    code, data = run_cli(capsys, "project-v", "--input", str(path), "x")
+    assert code == 0 and data["diagram"] == {"minus": ".", "permutation": [1], "plus": "."}
+    code, data = run_cli(capsys, "project-v", "--input", str(path), "y")
+    assert code == 0 and data["diagram"] == {"minus": "(..)", "permutation": [2, 1],
+                                             "plus": "(..)"}
+
+    path.write_text("group { d:3, r:1, flavor:V, gens:[1 2 1] }\n"
+                    "elem x { minus: . braid: labels: e plus: . }\n", encoding="utf-8")
+    for argv, what in ((["member", "--sub", "F"], "F membership"),
+                       (["member", "--sub", "T"], "T membership"),
+                       (["project-v"], "projection to V")):
+        code = main(argv + ["--input", str(path), "x"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert json.loads(captured.err)["error"] == "%s needs a pure label group" % what
+
 
 def test_cli_complex_pipeline(capsys, tmp_path):
     code, data = run_cli(capsys, "complex", "linear-matching", "--d", "3", "--m", "9")
@@ -341,43 +377,88 @@ def test_cli_cost_follows_the_faces_not_the_declared_vertex_count(capsys, tmp_pa
     assert json.loads(answers[0])["ok"] is True
 
 
+def vines(carets):
+    """The binary left vine and right vine with `carets` carets each."""
+    return ("(" * carets + ".." + ")." * (carets - 1) + ")",
+            "(." * (carets - 1) + "(..)" + ")" * (carets - 1))
+
+
+def deep_text(minus, plus):
+    """A session whose element g has these binary forests, the empty braid
+    and trivial labels."""
+    labels = "; ".join(["e"] * minus.count("."))
+    return ("group { d:2, r:1, flavor:V, gens:[] }\n"
+            "elem g { minus: %s braid: labels: %s plus: %s }\n" % (minus, labels, plus))
+
+
 def deep_session(tmp_path, carets=1500):
     """A session whose element g is x0-shaped with `carets` carets: a left
     vine over a right vine, each nested `carets` deep."""
-    minus = "(" * carets + ".." + ")." * (carets - 1) + ")"
-    plus = "(." * (carets - 1) + "(..)" + ")" * (carets - 1)
-    labels = "; ".join(["e"] * (carets + 1))
     path = tmp_path / "deep.dsl"
-    path.write_text("group { d:2, r:1, flavor:V, gens:[] }\n"
-                    "elem g { minus: %s braid: labels: %s plus: %s }\n" % (minus, labels, plus),
-                    encoding="utf-8")
+    path.write_text(deep_text(*vines(carets)), encoding="utf-8")
     return str(path)
+
+
+@contextlib.contextmanager
+def recursion_limit(limit):
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def test_deep_element_parses_under_the_recursion_limit(tmp_path):
     # Forests are decoded in one iterative pass, however deep they are.
     with open(deep_session(tmp_path, 5000), encoding="utf-8") as fh:
         text = fh.read()
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)  # CPython's default
-    try:
+    with recursion_limit(1000):  # CPython's default
         _, elements = parse_session(text)
-    finally:
-        sys.setrecursionlimit(limit)
     g = elements["g"]
     assert g.minus.leaves == g.plus.leaves == g.lb.strands == 5001
 
 
-@pytest.mark.parametrize("argv", [["reduce", "g"], ["mul", "g", "g"], ["eq", "g", "g"]])
-def test_cli_too_deep_input_is_a_json_error(capsys, tmp_path, argv):
-    # The session parses, but reduce, join and key walk forests recursively
-    # (forests.elementary_caret_spans, forests.join), so the commands exceed
+@pytest.mark.parametrize("argv", [["reduce", "g"], ["inv", "g"], ["eq", "g", "g"],
+                                  ["is-identity", "g"]])
+def test_cli_deep_input_answers_under_the_recursion_limit(capsys, tmp_path, argv):
+    # Elementary carets are read off each forest's text, and a decoded forest
+    # is written back from the text it was read from, so none of these
+    # commands walks the 1,500-caret trees recursively.
+    left, right = vines(1500)
+    path = deep_session(tmp_path)
+    with recursion_limit(1000):
+        code, data = run_cli(capsys, argv[0], "--input", path, *argv[1:])
+    assert code == 0
+    if argv[0] in ("reduce", "inv"):
+        element = data["element"]
+        minus, plus = (left, right) if argv[0] == "reduce" else (right, left)
+        assert (element["minus"], element["plus"], element["leaves"]) == (minus, plus, 1501)
+    if argv[0] == "reduce":
+        assert data["leaves_before"] == data["leaves_after"] == 1501
+    if argv[0] == "eq":
+        assert data["equal"] is True
+    if argv[0] == "is-identity":
+        assert data["identity"] is False
+
+
+def test_deep_vine_over_itself_reduces_to_the_identity():
+    left, _ = vines(1500)
+    ctx, elements = parse_session(deep_text(left, left))
+    with recursion_limit(1000):
+        red = ctx.reduce(elements["g"])
+    assert red.leaves == 1 and ctx.is_identity(red)
+
+
+def test_cli_too_deep_input_is_a_json_error(capsys, tmp_path):
+    # The session parses, but a product walks forests recursively
+    # (forests.join and the expansions along its paths), so mul exceeds
     # the recursion limit.
-    code = main(argv[:1] + ["--input", deep_session(tmp_path)] + argv[1:])
+    code = main(["mul", "--input", deep_session(tmp_path), "g", "g"])
     captured = capsys.readouterr()
     err = json.loads(captured.err)
     assert code == 2 and captured.out == ""
-    assert err["ok"] is False and err["command"] == argv[0] and "recursion" in err["error"]
+    assert err["ok"] is False and err["command"] == "mul" and "recursion" in err["error"]
 
 
 # -- complex input contract: a JSON error and exit code 2 --------------------------

@@ -6,43 +6,37 @@ import pytest
 from braidedthompson import (Forest, apply_path, attach_caret,
                              elementary_forest, expansion_path, forest_join,
                              forest_to_matching, is_prefix, matching_to_forest)
-from braidedthompson.forests import LEAF, decode, encode, remove_elementary_caret
+from braidedthompson.forests import (LEAF, decode, elementary_caret_spans, encode,
+                                    remove_elementary_caret)
 from conftest import seeded
 
 
-def all_trees(d, max_carets):
-    memo = {0: [None]}
+def compositions(total, slots):
+    """Every tuple of `slots` nonnegative integers that sums to total."""
+    if slots == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, slots - 1):
+            yield (first,) + rest
 
-    def trees(k):
-        if k in memo:
-            return memo[k]
-        out = []
 
-        def parts(rem, slots):
-            if slots == 1:
-                yield (rem,)
-                return
-            for first in range(rem + 1):
-                for rest in parts(rem - first, slots - 1):
-                    yield (first,) + rest
-
-        for split in parts(k - 1, d):
-            for combo in product(*[trees(x) for x in split]):
-                out.append(tuple(combo))
-        memo[k] = out
-        return out
-
-    res = []
-    for k in range(max_carets + 1):
-        res.extend(trees(k))
-    return res
+def trees_by_carets(d, max_carets):
+    """trees[k] lists every d-ary tree with exactly k carets, k <= max_carets."""
+    trees = [[LEAF]]
+    for k in range(1, max_carets + 1):
+        trees.append([combo for split in compositions(k - 1, d)
+                      for combo in product(*[trees[x] for x in split])])
+    return trees
 
 
 def all_forests(d, r, max_carets):
-    for combo in product(all_trees(d, max_carets), repeat=r):
-        f = Forest(d, combo)
-        if f.carets <= max_carets:
-            yield f
+    """Every (d, r)-forest with at most max_carets carets, each once."""
+    trees = trees_by_carets(d, max_carets)
+    for total in range(max_carets + 1):
+        for split in compositions(total, r):
+            for combo in product(*[trees[x] for x in split]):
+                yield Forest(d, combo)
 
 
 def test_attach_caret_counts():
@@ -298,3 +292,126 @@ def test_decode_agrees_with_recursive_oracle(d):
     assert seen == {"ok", *DECODE_ERRORS}
     assert decode_outcome(decode, "(.x)", d)[1] == "unexpected character 'x' at position 2"
     assert decode_outcome(decode, "", d)[1] == "unexpected end of tree encoding"
+
+
+# -- differential oracle: the recursive caret walkers --------------------------
+#
+# Before forests kept their text, elementary carets were found and removed,
+# and carets counted, by recursive walks over the trees.  Those walkers,
+# frozen as they were, must agree with the text-based functions, and the
+# text a forest keeps must be the one the recursive builder makes from its
+# trees.
+
+def _oracle_encode(forest):
+    def enc(tree):
+        if tree is LEAF:
+            return "."
+        return "(" + "".join(enc(c) for c in tree) + ")"
+    return "|".join(enc(t) for t in forest.trees)
+
+
+def _oracle_carets(forest):
+    def carets(tree):
+        if tree is LEAF:
+            return 0
+        return 1 + sum(carets(c) for c in tree)
+    return sum(carets(t) for t in forest.trees)
+
+
+def _oracle_elementary_caret_spans(forest):
+    spans = []
+    counter = [0]
+
+    def walk(tree):
+        if tree is LEAF:
+            counter[0] += 1
+            return
+        if all(c is LEAF for c in tree):
+            spans.append(counter[0] + 1)
+            counter[0] += len(tree)
+            return
+        for c in tree:
+            walk(c)
+
+    for t in forest.trees:
+        walk(t)
+    return spans
+
+
+def _oracle_remove_elementary_caret(forest, start):
+    d = forest.degree
+    counter = [0]
+
+    def rebuild(tree):
+        if tree is LEAF:
+            counter[0] += 1
+            return tree, False
+        if all(c is LEAF for c in tree):
+            if counter[0] + 1 == start:
+                counter[0] += d
+                return LEAF, True
+            counter[0] += d
+            return tree, False
+        out = []
+        hit = False
+        for c in tree:
+            new, h = rebuild(c)
+            out.append(new)
+            hit = hit or h
+        return tuple(out), hit
+
+    trees = []
+    found = False
+    for t in forest.trees:
+        new, h = rebuild(t)
+        trees.append(new)
+        found = found or h
+    if not found:
+        raise ValueError("no elementary caret with leaves starting at %d" % start)
+    return Forest(d, trees)
+
+
+def removal_outcome(remove, forest, start):
+    try:
+        g = remove(forest, start)
+    except ValueError as exc:
+        return "error", str(exc)
+    return "ok", g, g.leaves
+
+
+def caret_oracle_forests():
+    """Every forest with at most 5 carets for d = 2, 3 and 1..3 roots, then
+    seeded random forests up to 12 carets for d = 2, 3, 4; all built from
+    trees."""
+    for d in (2, 3):
+        for r in (1, 2, 3):
+            yield from all_forests(d, r, 5)
+    rng = seeded("caret-oracle")
+    for _ in range(300):
+        d = rng.choice([2, 3, 4])
+        f = Forest.trivial(d, rng.randint(1, 4))
+        for _ in range(rng.randint(0, 12)):
+            f = attach_caret(f, rng.randint(1, f.leaves))
+        yield f
+
+
+def test_caret_functions_agree_with_recursive_oracles():
+    count = 0
+    for built in caret_oracle_forests():
+        d, text = built.degree, _oracle_encode(built)
+        # the same forest decoded from its text, with blanks around each tree
+        parsed = decode(" %s\t" % " | ".join(text.split("|")), d)
+        assert parsed == built and parsed._text == text
+        spans = _oracle_elementary_caret_spans(built)
+        for f in (built, parsed):
+            assert elementary_caret_spans(f) == spans
+            assert f.carets == _oracle_carets(f)
+            for start in range(f.leaves + 2):
+                got = removal_outcome(remove_elementary_caret, f, start)
+                assert got == removal_outcome(_oracle_remove_elementary_caret, f, start)
+                assert (got[0] == "ok") == (start in spans)
+                if got[0] == "ok":
+                    assert got[1]._text == _oracle_encode(got[1])
+                    count += 1
+        assert encode(built) == text
+    assert count > 10000

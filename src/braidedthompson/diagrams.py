@@ -5,10 +5,12 @@ labeled braid on its leaves, and a merging forest with the same number
 of leaves.  Group elements (for fixed arity d, root count r and label
 group H <= B_d) are equivalence classes of (r,r)-spraiges under
 expansion and reduction; every class has a unique reduced
-representative, which makes equality decidable: `GroupContext.key`
-reduces a representative and returns its forests with the Garside
-normal forms of its braid and of its realized labels, and two elements
-are equal exactly when their keys are.
+representative, which makes equality decidable.  `GroupContext.equal`
+reduces both sides and compares the parts of the reduced representatives
+cheapest first: forests, then the braid in B_l, then each label in H.
+`GroupContext.key` gives the element a hashable canonical form: the
+reduced forests with the Garside normal forms of the braid and of the
+realized labels.
 
 Expansion at leaf i attaches a caret to leaf i of the splitting forest
 and to the leaf paired with it in the merging forest, replaces the i-th
@@ -248,20 +250,25 @@ class GroupContext:
         """The canonical key of the element s represents: the forests of
         its reduced representative, the normal form of that braid and the
         normal forms of its realized labels.  Hashable; two representatives
-        have the same key iff they represent the same element."""
+        have the same key iff they represent the same element, that is, iff
+        `equal` holds."""
         r = self.reduce(s)
         return (r.minus, r.plus, r.lb.braid.normal_form(),
                 tuple(lab.realize(self.spec).normal_form() for lab in r.lb.labels))
 
     def equal(self, g: Spraige, h: Spraige) -> bool:
-        """Compare keys.  Sound and complete because every class has a
-        unique reduced representative: the keys agree exactly when the
-        reduced representatives have the same forests, the same braid in
-        B_l and the same labels in H."""
+        """Compare the reduced representatives part by part: the forests,
+        then the braids (`braid_equal`: identical letters, exponent sum and
+        permutation before any normal form), then the labels (`label_equal`:
+        an identical word before any realization).  Sound and complete
+        because every class has a unique reduced representative, so it
+        agrees with comparing `key`s while building normal forms only where
+        the cheaper tests leave the answer open."""
         if g.heads != h.heads or g.feet != h.feet:
             raise ValueError("shape mismatch: (%d,%d) vs (%d,%d)"
                              % (g.heads, g.feet, h.heads, h.feet))
-        return self.key(g) == self.key(h)
+        g, h = self.reduce(g), self.reduce(h)
+        return g.minus == h.minus and g.plus == h.plus and lb_equal(self.spec, g.lb, h.lb)
 
     # -- membership and projections ------------------------------------------
 

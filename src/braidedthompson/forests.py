@@ -11,7 +11,8 @@ so "(..)|." is the binary forest whose first tree is a single caret.
 
 Trees are nested tuples; a leaf is None.  Everything is immutable.  Each
 forest keeps its text, stored by `decode` or built once by `encode`; its
-elementary carets are read off it as the substrings "(" + "."*d + ")".
+elementary carets are read off it as the substrings "(" + "."*d + ")",
+and two forests of one degree that both keep a text compare by it.
 
 An expansion path is a tuple of leaf indices; applying carets at those
 leaves in order (indices refer to the forest as it grows) carries a
@@ -93,9 +94,12 @@ class Forest:
         return all(t is LEAF or all(c is LEAF for c in t) for t in self.trees)
 
     def __eq__(self, other):
-        return (isinstance(other, Forest)
-                and self.degree == other.degree
-                and self.trees == other.trees)
+        # the text is canonical per degree, so it decides when both kept one
+        if not isinstance(other, Forest) or self.degree != other.degree:
+            return False
+        if self._text is not None and other._text is not None:
+            return self._text == other._text
+        return self.trees == other.trees
 
     def __hash__(self):
         return hash((self.degree, self.trees))

@@ -470,8 +470,9 @@ def test_twisted_power_product_in_half_twist_context():
 
 
 def test_twisted_power_equality_at_scale():
-    # g^8 lives on 35 strands; equality compares the canonical keys of
-    # both sides and never forms the product g^4 * g^4 * g^-8
+    # g^8 lives on 35 strands; equality reduces both sides and compares
+    # their forests, braids and labels, and never forms the product
+    # g^4 * g^4 * g^-8
     ctx, powers = _twisted_powers(8)
     lhs = ctx.multiply(powers[3], powers[3])
     start = time.perf_counter()

@@ -253,6 +253,7 @@ def test_equal_agrees_with_the_product_oracle(name):
             a, b = _scrambled(ctx, rng, a), _scrambled(ctx, rng, b)
             answer = ctx.equal(a, b)
             assert answer == _oracle_equal(ctx, a, b)
+            assert answer == (ctx.key(a) == ctx.key(b))
             assert answer == ctx.equal(b, a)
             if expected is not None:
                 assert answer == expected
@@ -262,6 +263,34 @@ def test_equal_agrees_with_the_product_oracle(name):
         assert k == ctx.key(g)
         for leaf in range(1, s.leaves + 1):
             assert ctx.key(ctx.expand(s, leaf)) == k
+
+
+@pytest.mark.parametrize("name", sorted(KEY_CONTEXTS))
+def test_equal_needs_no_normal_form_when_a_cheap_test_decides(name, monkeypatch):
+    # Reduced forests that differ decide False, and reduced braids and labels
+    # spelled letter for letter alike decide True, before any Garside normal
+    # form is computed.  x is x0-shaped with a pure braid and one label word
+    # on every strand, so reducing it or its expansions compares no labels
+    # or braids that are spelled differently.
+    ctx = KEY_CONTEXTS[name]
+    forest = attach_caret(Forest.trivial(ctx.d, ctx.r), 1)
+    minus, plus = attach_caret(forest, 1), attach_caret(forest, ctx.d)
+    label = Label((1,)) if ctx.spec.generators else Label()
+    x = Spraige(minus, LabeledBraid(BraidWord(minus.leaves, [1, 1]), [label] * minus.leaves),
+                plus)
+    false_pairs = [(x, ctx.invert(x)), (x, ctx.identity())]
+    for a, b in false_pairs:
+        assert ctx.reduce(a).minus != ctx.reduce(b).minus
+    true_pairs = [(x, ctx.expand(x, i)) for i in range(1, x.leaves + 1)]
+    for g, h in true_pairs:
+        assert ctx.reduce(h).lb.braid.letters == g.lb.braid.letters
+
+    def no_normal_form(self):
+        raise AssertionError("normal form computed")
+
+    monkeypatch.setattr(BraidWord, "normal_form", no_normal_form)
+    assert not any(ctx.equal(a, b) for a, b in false_pairs)
+    assert all(ctx.equal(g, h) for g, h in true_pairs)
 
 
 def test_reduce_checks_the_arity_of_every_element():

@@ -383,19 +383,32 @@ def vines(carets):
             "(." * (carets - 1) + "(..)" + ")" * (carets - 1))
 
 
+def expand_last(text):
+    """The binary forest `text` with a caret attached at its last leaf."""
+    i = text.rindex(".")
+    return text[:i] + "(..)" + text[i + 1:]
+
+
+def deep_elem(name, minus, plus):
+    """An element with these binary forests, the empty braid and trivial labels."""
+    labels = "; ".join(["e"] * minus.count("."))
+    return "elem %s { minus: %s braid: labels: %s plus: %s }\n" % (name, minus, labels, plus)
+
+
 def deep_text(minus, plus):
     """A session whose element g has these binary forests, the empty braid
     and trivial labels."""
-    labels = "; ".join(["e"] * minus.count("."))
-    return ("group { d:2, r:1, flavor:V, gens:[] }\n"
-            "elem g { minus: %s braid: labels: %s plus: %s }\n" % (minus, labels, plus))
+    return "group { d:2, r:1, flavor:V, gens:[] }\n" + deep_elem("g", minus, plus)
 
 
 def deep_session(tmp_path, carets=1500):
     """A session whose element g is x0-shaped with `carets` carets: a left
-    vine over a right vine, each nested `carets` deep."""
+    vine over a right vine, each nested `carets` deep.  Its element h is g
+    expanded at its last leaf, so it represents the same group element."""
+    left, right = vines(carets)
     path = tmp_path / "deep.dsl"
-    path.write_text(deep_text(*vines(carets)), encoding="utf-8")
+    path.write_text(deep_text(left, right) + deep_elem("h", expand_last(left), expand_last(right)),
+                    encoding="utf-8")
     return str(path)
 
 
@@ -420,11 +433,12 @@ def test_deep_element_parses_under_the_recursion_limit(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [["reduce", "g"], ["inv", "g"], ["eq", "g", "g"],
-                                  ["is-identity", "g"]])
+                                  ["eq", "g", "h"], ["is-identity", "g"]])
 def test_cli_deep_input_answers_under_the_recursion_limit(capsys, tmp_path, argv):
-    # Elementary carets are read off each forest's text, and a decoded forest
-    # is written back from the text it was read from, so none of these
-    # commands walks the 1,500-caret trees recursively.
+    # Elementary carets are read off each forest's text, a decoded forest is
+    # written back from the text it was read from, and two decoded forests
+    # are compared by their texts, so none of these commands walks the
+    # 1,500-caret trees recursively.
     left, right = vines(1500)
     path = deep_session(tmp_path)
     with recursion_limit(1000):

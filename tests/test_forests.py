@@ -173,12 +173,19 @@ def test_matching_to_forest_rejections():
 
 def test_encoding_roundtrip():
     rng = seeded("encode")
+    built = []
     for _ in range(200):
         d = rng.choice([2, 3])
         f = Forest.trivial(d, rng.randint(1, 4))
         for _ in range(rng.randint(0, 5)):
             f = attach_caret(f, rng.randint(1, f.leaves))
         assert decode(encode(f), d) == f
+        built.append(f)
+    # two decoded forests compare by their texts, and agree with their trees
+    for f, g in zip(built, built[:1] + built[:-1]):
+        same = f.degree == g.degree and f.trees == g.trees
+        assert (decode(encode(f), f.degree) == decode(encode(g), g.degree)) == same
+    assert decode(".|.", 2) != decode(".|.", 3)
     with pytest.raises(ValueError):
         decode("(.)", 2)
     with pytest.raises(ValueError):

@@ -6,9 +6,14 @@ ambient id may be unused, e.g. after passing to a full subcomplex).
 Reduced homology is computed from the augmented boundary maps, stored as
 sparse columns: columns are eliminated against +-1 pivots first, and only
 the block left without a unit pivot goes through the dense Smith normal
-form (`smith_invariants`).  All arithmetic is on Python integers, so
-torsion is exact and there is no overflow.  Orientation: faces are
-ordered by ascending vertex id and boundary signs alternate accordingly.
+form (`smith_invariants`).  The maps are reduced from the top degree down
+with clearing: a column whose face is a unit pivot row of the map above
+is skipped, which keeps the invariant factors exact (see `_homology`).
+A question about degrees <= q only (`reduced_homology(k, through=q)`)
+builds the faces of dimension <= q + 1 and stops there.  All arithmetic
+is on Python integers, so torsion is exact and there is no overflow.
+Orientation: faces are ordered by ascending vertex id and boundary signs
+alternate accordingly.
 
 Connectivity is only ever certified HOMOLOGICALLY here: "homology
 n-connected" means vanishing reduced homology through degree n; the
@@ -24,10 +29,13 @@ derive the largest degree its hypothesis supports (`morse_check` is the
 one-level predicate).
 
 Derived complexes (links, stars, mutual links, descending links, full
-subcomplexes, joins) and vertex sets are built from maximal faces.  The
-face closure `faces` is built only where every face is needed:
-homology, face counts, `has_face`, the per-face sweep of the wCM
-checker and the transversal lookups of the complete-join checker.
+subcomplexes, joins) and vertex sets are built from maximal faces, and so
+are the faces that only part of the closure is asked about: the skeleton
+of a truncated homology, the faces of dimension <= n-1 whose links the
+wCM checker tests, and the faces of the Morse pair (K^{<=t}, K^{<t}).
+The face closure `faces` is built only where every face is needed: full
+reduced and relative homology, face counts, `has_face` and the
+transversal lookups of the complete-join checker.
 """
 
 from __future__ import annotations
@@ -281,23 +289,34 @@ def smith_invariants(rows):
 class HomologyReport:
     """Reduced integer homology, degree by degree: free rank plus the
     list of torsion coefficients.  Degree -1 is included (it is Z for the
-    empty complex)."""
+    empty complex).  A report computed only through degree q has
+    `through` = q and raises ValueError when asked about a degree above
+    q; a complete report has `through` = None."""
 
-    __slots__ = ("betti", "torsion", "face_counts")
+    __slots__ = ("betti", "torsion", "face_counts", "through")
 
-    def __init__(self, betti, torsion, face_counts):
+    def __init__(self, betti, torsion, face_counts, through=None):
         self.betti = dict(betti)
         self.torsion = {p: tuple(t) for p, t in torsion.items() if t}
         self.face_counts = list(face_counts)
+        self.through = through
+
+    def _known(self, p):
+        if self.through is not None and p > self.through:
+            raise ValueError("homology was computed through degree %d, not %d"
+                             % (self.through, p))
 
     def betti_number(self, p):
+        self._known(p)
         return self.betti.get(p, 0)
 
     def torsion_coefficients(self, p):
+        self._known(p)
         return self.torsion.get(p, ())
 
     def is_zero_through(self, n):
         """True iff reduced homology vanishes in all degrees <= n."""
+        self._known(n)
         for p, b in self.betti.items():
             if p <= n and b:
                 return False
@@ -308,7 +327,9 @@ class HomologyReport:
 
     def euler_characteristic(self):
         """Unreduced Euler characteristic recovered from the Betti
-        numbers; torsion does not contribute."""
+        numbers; torsion does not contribute.  Needs a complete report."""
+        if self.through is not None:
+            raise ValueError("homology was computed through degree %d only" % self.through)
         return 1 + sum((-1 if p % 2 else 1) * b for p, b in self.betti.items())
 
     def euler_consistent(self):
@@ -336,7 +357,8 @@ class HomologyReport:
 
 def _sparse_invariants(columns):
     """Invariant factors of the integer matrix with the given sparse
-    columns ({row: entry} dicts), as smith_invariants lists them.
+    columns ({row: entry} dicts), as smith_invariants lists them, and the
+    rows that hold a unit pivot.
 
     A column is reduced at its lowest row against the columns holding a
     unit pivot there; it becomes a pivot itself if its lowest entry is
@@ -374,7 +396,7 @@ def _sparse_invariants(columns):
     if leftover:
         used = sorted(set().union(*leftover))
         invs += smith_invariants([[col.get(i, 0) for col in leftover] for i in used])
-    return invs
+    return invs, pivots.keys()
 
 
 def _eliminate(col, piv, r):
@@ -389,42 +411,68 @@ def _eliminate(col, piv, r):
             del col[i]
 
 
-def _homology(chains, low):
+def _homology(chains, low, through=None):
     """Homology of the chain complex with basis `chains` (degree ->
-    faces), reported in degrees low .. top chain degree.  Boundary maps
-    are sparse columns over the lexicographic face order; faces missing
-    from the degree below are projected away."""
+    faces), reported in degrees low .. top chain degree, or low .. through
+    when `through` is lower (the report then says so; the chains above
+    through + 1 are not read).  Boundary maps are sparse columns over the
+    lexicographic face order; faces missing from the degree below are
+    projected away.
+
+    The maps are reduced from the top degree down, with clearing (Chen and
+    Kerber, 2011): a column of d_p is skipped when its p-face is the row
+    of a unit pivot of d_{p+1}.  That pivot column z is an integer
+    combination of columns of d_{p+1}, so d_p z = 0; its lowest entry is
+    +-1 at the skipped face and its others lie above, so the skipped
+    column is an integer combination of earlier columns.  The column
+    lattice of d_p, and with it the rank and the invariant factors, is
+    unchanged."""
     for fs in chains.values():
         fs.sort()
     top = max(chains, default=-1)
+    if through is not None and through >= top:
+        through = None
+    last = top if through is None else through
     invs = {}
-    for p in range(low, top + 2):
+    cleared = ()
+    for p in range(last + 1, low - 1, -1):
         lower, upper = chains.get(p - 1), chains.get(p)
         if not (lower and upper):
-            invs[p] = []
+            invs[p], cleared = [], ()
             continue
         index = {f: i for i, f in enumerate(lower)}
         columns = []
-        for f in upper:
+        for j, f in enumerate(upper):
+            if j in cleared:
+                continue
             col = {}
             for drop in range(len(f)):
                 i = index.get(f[:drop] + f[drop + 1:])
                 if i is not None:
                     col[i] = -1 if drop % 2 else 1
             columns.append(col)
-        invs[p] = _sparse_invariants(columns)
-    degrees = range(low, top + 1)
+        invs[p], cleared = _sparse_invariants(columns)
+    degrees = range(low, last + 1)
     betti = {p: len(chains.get(p, ())) - len(invs[p]) - len(invs[p + 1]) for p in degrees}
     torsion = {p: [d for d in invs[p + 1] if d > 1] for p in degrees}
-    return HomologyReport(betti, torsion, [len(chains.get(p, ())) for p in range(0, top + 1)])
+    return HomologyReport(betti, torsion, [len(chains.get(p, ())) for p in range(0, top + 1)],
+                          through)
 
 
-def reduced_homology(k: SimplicialComplex) -> HomologyReport:
-    """Reduced homology: the empty face spans the augmentation C_{-1} = Z."""
+def reduced_homology(k: SimplicialComplex, through=None) -> HomologyReport:
+    """Reduced homology: the empty face spans the augmentation C_{-1} = Z.
+
+    With `through` = q only the faces of dimension <= q + 1 are built,
+    straight from the maximal faces, and the report stops at degree q:
+    the (q+1)-skeleton has the same homology as k through degree q."""
     chains = {-1: [()]}
-    for f in k.faces:
-        chains.setdefault(len(f) - 1, []).append(f)
-    return _homology(chains, -1)
+    if through is None:
+        for f in k.faces:
+            chains.setdefault(len(f) - 1, []).append(f)
+    else:
+        for size in range(1, min(through + 2, k.dim + 1) + 1):
+            chains[size - 1] = list({c for f in k.maximal_faces for c in combinations(f, size)})
+    return _homology(chains, -1, through)
 
 
 def relative_homology(k: SimplicialComplex, sub: SimplicialComplex):
@@ -498,16 +546,19 @@ def wcm_violation(k: SimplicialComplex, n: int):
     """First failure of homology-wCM of dimension n, or None.
 
     Checks vanishing reduced homology of the complex through degree n-1
-    and of every p-face link through degree n-p-2.
+    and of every p-face link through degree n-p-2, faces by size, then
+    lexicographically.  Only the faces of dimension <= n-1 are asked
+    about, so only those are generated (from the maximal faces, one size
+    at a time), and each homology is computed only through the degree
+    asked.
     """
-    if not reduced_homology(k).is_zero_through(n - 1):
+    if not reduced_homology(k, n - 1).is_zero_through(n - 1):
         return "complex is not homology %d-connected" % (n - 1)
-    for f in sorted(k.faces, key=lambda f: (len(f), f)):
-        p = len(f) - 1
-        if n - p - 2 < -1:
-            continue
-        if not reduced_homology(link(k, f)).is_zero_through(n - p - 2):
-            return "link of %r is not homology %d-connected" % (f, n - p - 2)
+    for size in range(1, min(n, k.dim + 1) + 1):
+        q = n - size - 1
+        for f in sorted({c for g in k.maximal_faces for c in combinations(g, size)}):
+            if not reduced_homology(link(k, f), q).is_zero_through(q):
+                return "link of %r is not homology %d-connected" % (f, q)
     return None
 
 
@@ -617,6 +668,26 @@ def morse_descending_link(k: SimplicialComplex, h: HeightFunction, v: int) -> Si
     return _descending_link(k, h, v)
 
 
+def _level_pair_homology(k: SimplicialComplex, h: HeightFunction, t: int, through: int):
+    """H_*(K^{<=t}, K^{<t}) through degree `through`, for a valid h.  The
+    pair's chains are the faces of K^{<=t} that meet level t.  Such a face
+    holds exactly one height-t vertex v, since h is valid, and lies in the
+    part at or below t of a maximal face through v; so the faces are read
+    off those parts, and neither sublevel complex is built."""
+    chains = {}
+    for f in k.maximal_faces:
+        at = [u for u in f if h.heights[u] == t]
+        if not at:
+            continue
+        v = at[0]
+        below = [u for u in f if h.heights[u] < t]
+        for size in range(min(len(below), through + 1) + 1):
+            faces = chains.setdefault(size, set())
+            for c in combinations(below, size):
+                faces.add(tuple(sorted(c + (v,))))
+    return _homology({p: list(fs) for p, fs in chains.items()}, 0, through)
+
+
 def morse_sweep(k: SimplicialComplex, h: HeightFunction, levels, kk=None):
     """[(t, kk, holds)] for t in levels.  holds is the truth of the
     homological Morse lemma at level t: IF every descending link of a
@@ -625,12 +696,14 @@ def morse_sweep(k: SimplicialComplex, h: HeightFunction, levels, kk=None):
     kk.  kk=None takes, level by level, the largest kk <= dim + 2 whose
     hypothesis holds (-1 when some link is empty).  The height function
     is validated once, and each descending link and its homology are
-    computed once."""
+    computed once; with kk given, the homology of the links and of the
+    pair is computed only through the degrees asked."""
     if not h.is_valid_for(k):
         raise ValueError(_INVALID_HEIGHTS)
     sweep = []
+    through = None if kk is None else kk - 1
     for t in levels:
-        reports = [reduced_homology(_descending_link(k, h, v))
+        reports = [reduced_homology(_descending_link(k, h, v), through)
                    for v in k.vertex_set() if h(v) == t]
         deg = kk
         if deg is None:
@@ -639,8 +712,7 @@ def morse_sweep(k: SimplicialComplex, h: HeightFunction, levels, kk=None):
                 deg += 1
         # a failed hypothesis makes the implication hold vacuously
         holds = (not all(r.is_zero_through(deg - 1) for r in reports)
-                 or relative_homology(sublevel(k, h, t),
-                                      sublevel(k, h, t, strict=True)).is_zero_through(deg))
+                 or _level_pair_homology(k, h, t, deg).is_zero_through(deg))
         sweep.append((t, deg, holds))
     return sweep
 

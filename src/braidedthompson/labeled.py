@@ -123,6 +123,11 @@ class Label:
         return "Label(%r)" % (str(self),)
 
     def __mul__(self, other):
+        # an empty factor gives the other operand itself, not a copy
+        if not other.word:
+            return self
+        if not self.word:
+            return other
         return Label(self.word + other.word)
 
     def inverse(self):
@@ -197,7 +202,9 @@ def lb_multiply(x: LabeledBraid, y: LabeledBraid) -> LabeledBraid:
         raise ValueError("strand count mismatch")
     rho = permutation_of(x.braid)
     labels = tuple(x.labels[i] * y.labels[rho(i + 1) - 1] for i in range(x.strands))
-    return LabeledBraid(x.braid * y.braid, labels)
+    braid = (y.braid if not x.braid.letters else
+             x.braid if not y.braid.letters else x.braid * y.braid)
+    return LabeledBraid(braid, labels)
 
 
 def lb_invert(x: LabeledBraid) -> LabeledBraid:

@@ -4,13 +4,14 @@ from collections import deque
 import pytest
 from hypothesis import given, strategies as st
 
-from braidedthompson import (BraidWord, Label, LabeledBraid, Permutation,
-                             Spraige, braid_equal, cable,
+from braidedthompson import (BraidWord, Label, LabeledBraid, LabelGroupSpec,
+                             Permutation, Spraige, braid_equal, cable,
                              delete_strands, half_twist, is_cyclic, is_pure,
                              is_trivial, permutation_of, shifted,
                              word_from_permutation)
 from braidedthompson.braids import _free_reduce, _leftweight_pair, _tau
 from braidedthompson.forests import decode
+from braidedthompson.labeled import label_equal
 from conftest import context_half_twist, seeded
 
 
@@ -485,12 +486,13 @@ def test_twisted_power_equality_at_scale():
 
 
 @st.composite
-def _word_and_rewrite(draw):
-    """A word on up to 9 strands and 60 letters, and the same word with a
-    free cancellation, a braid relation or a far commutation inserted."""
-    n = draw(st.integers(2, 9))
+def _word_and_rewrite(draw, max_strands=9, max_letters=60):
+    """A word on up to max_strands strands and max_letters letters, and
+    the same word with a free cancellation, a braid relation or a far
+    commutation inserted."""
+    n = draw(st.integers(2, max_strands))
     letter = st.builds(lambda k, s: k * s, st.integers(1, n - 1), st.sampled_from((1, -1)))
-    letters = draw(st.lists(letter, max_size=60))
+    letters = draw(st.lists(letter, max_size=max_letters))
     kinds = ["free"] + (["braid"] if n >= 3 else []) + (["far"] if n >= 4 else [])
     kind = draw(st.sampled_from(kinds))
     if kind == "free":
@@ -515,6 +517,99 @@ def test_normal_form_is_invariant_under_relations(pair):
     nf = w.normal_form()
     assert v.normal_form() == nf
     assert nf == _oracle_normal_form(w.strands, w.letters)
+
+
+# -- Artin's representation: a faithful oracle on every strand count ----------
+
+def _free_product(*words):
+    """The freely reduced product of words in a free group (tuples of
+    signed generator indices)."""
+    out = []
+    for w in words:
+        for x in w:
+            if out and out[-1] == -x:
+                out.pop()
+            else:
+                out.append(x)
+    return tuple(out)
+
+
+def _free_inverse(w):
+    return tuple(-x for x in reversed(w))
+
+
+def _artin(w):
+    """The images of the free generators x_1 .. x_n under Artin's
+    representation of w in Aut(F_n), freely reduced.  sigma_i sends x_i to
+    x_i x_{i+1} x_i^-1 and x_{i+1} to x_i; sigma_i^-1 sends x_i to x_{i+1}
+    and x_{i+1} to x_{i+1}^-1 x_i x_{i+1}.  The representation is faithful
+    (Artin 1925), so two braids are equal exactly when their images are.
+    The images grow exponentially with the length of w."""
+    images = [(j,) for j in range(1, w.strands + 1)]
+    for a in w.letters:
+        i = abs(a) - 1
+        xi, xj = images[i], images[i + 1]
+        if a > 0:
+            images[i:i + 2] = _free_product(xi, xj, _free_inverse(xi)), xi
+        else:
+            images[i:i + 2] = xj, _free_product(_free_inverse(xj), xi, xj)
+    return tuple(images)
+
+
+def test_artin_oracle_on_known_pairs():
+    d3 = half_twist(3)
+    assert _artin(d3 * d3) != _artin(BraidWord(3))
+    assert _artin(BraidWord(3, [1, 2, 1])) == _artin(BraidWord(3, [2, 1, 2]))
+    assert _artin(BraidWord(4, [1, 3])) == _artin(BraidWord(4, [3, 1]))
+    assert _artin(BraidWord(3, [1, 2])) != _artin(BraidWord(3, [2, 1]))
+    assert _artin(BraidWord(3, [1, -1, 2, -2])) == _artin(BraidWord(3))
+
+
+@st.composite
+def _short_pair(draw):
+    """Two words on up to 7 strands and 24 letters, short enough for their
+    Artin images: a word and its rewrite, the word with one letter
+    changed, or an unrelated word."""
+    w, v = draw(_word_and_rewrite(max_strands=7, max_letters=18))
+    n = w.strands
+    letter = st.builds(lambda k, s: k * s, st.integers(1, n - 1), st.sampled_from((1, -1)))
+    kind = draw(st.sampled_from(("rewrite", "changed", "unrelated")))
+    if kind == "changed" and w.letters:
+        i = draw(st.integers(0, len(w.letters) - 1))
+        v = BraidWord(n, w.letters[:i] + (draw(letter),) + w.letters[i + 1:])
+    elif kind == "unrelated":
+        v = BraidWord(n, draw(st.lists(letter, max_size=24)))
+    return w, v
+
+
+@given(_short_pair())
+def test_braid_equal_matches_the_artin_representation(pair):
+    w, v = pair
+    assert braid_equal(w, v) == (_artin(w) == _artin(v))
+
+
+def test_label_equality_matches_the_artin_representation_of_realizations():
+    # H = <Delta, sigma_1> in B_d: Delta^2 is central, so g1 g1 g2 = g2 g1 g1,
+    # and on two strands Delta = sigma_1; random words in H with these
+    # relators inserted, or unrelated ones
+    rng = seeded("artin-labels")
+    outcomes = set()
+    for d in (2, 3, 4):
+        spec = LabelGroupSpec(d, (half_twist(d), BraidWord(d, [1])))
+        relators = [[1, -1], [-2, 2], [1, 1, 2, -1, -1, -2]] + ([[1, -2]] if d == 2 else [])
+        for _ in range(150):
+            word = [rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(0, 5))]
+            if rng.random() < 0.5:
+                other = list(word)
+                pos = rng.randint(0, len(other))
+                other[pos:pos] = rng.choice(relators)
+            else:
+                other = [rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(0, 5))]
+            a, b = Label(word), Label(other)
+            same = _artin(a.realize(spec)) == _artin(b.realize(spec))
+            assert label_equal(spec, a, b) == same, (d, word, other)
+            outcomes.add(same)
+    assert outcomes == {True, False}
 
 
 # -- strand bookkeeping against its oracles -------------------------------------

@@ -129,11 +129,11 @@ def test_sparse_invariants_match_dense_smith_form():
                 for _ in range(m)]
         columns = [{i: rows[i][j] for i in range(m) if rows[i][j]} for j in range(n)]
         dense = smith_invariants(rows)
-        assert _sparse_invariants(columns) == dense, rows
+        assert _sparse_invariants(columns)[0] == dense, rows
         with_torsion += any(d > 1 for d in dense)
     assert with_torsion > 50
-    assert _sparse_invariants([{0: 2}, {0: 3}]) == [1]
-    assert _sparse_invariants([{0: 2, 1: 2}, {0: 2, 1: -2}]) == [2, 4]
+    assert _sparse_invariants([{0: 2}, {0: 3}])[0] == [1]
+    assert _sparse_invariants([{0: 2, 1: 2}, {0: 2, 1: -2}])[0] == [2, 4]
 
 
 def dense_homology(chains, low):
@@ -190,6 +190,74 @@ def test_homology_matches_dense_reference():
     # Kuenneth for joins: Z/2 (x) Z/2 in degree 3 and Tor(Z/2, Z/2) in degree 4
     h = reduced_homology(join(rp2, rp2))
     assert h.torsion == {3: (2,), 4: (2,)} and not any(h.betti.values())
+
+
+# -- clearing and truncation against full elimination -------------------------
+
+def boundary_columns(chains, p):
+    """Every column of the boundary map from degree p to p - 1, as the
+    library builds them: sparse {row: +-1} over the sorted faces."""
+    lower, upper = sorted(chains.get(p - 1, ())), sorted(chains.get(p, ()))
+    index = {f: i for i, f in enumerate(lower)}
+    return [{index[f[:d] + f[d + 1:]]: (-1) ** d for d in range(len(f))
+             if f[:d] + f[d + 1:] in index} for f in upper]
+
+
+def clearing_cases():
+    rng = seeded("clearing")
+    rp2 = complex_library()["rp2"]
+    s0 = SimplicialComplex(2, [(0,), (1,)])
+    return ([SimplicialComplex.empty(), join(rp2, s0), join(rp2, rp2),
+             d_matching_linear(3, 12), d_matching_cyclic(2, 10)]
+            + list(complex_library().values())
+            + [random_complex(rng, max_vertices=9, max_faces=8, max_size=5) for _ in range(150)])
+
+
+def test_cleared_columns_keep_the_invariant_factors():
+    # dropping the columns of d_p whose faces are unit pivot rows of
+    # d_{p+1} leaves the invariant factors of d_p as full elimination
+    # finds them (the reports as a whole meet the dense reference above)
+    cases = clearing_cases()
+    cleared_any = torsion = 0
+    for k in cases:
+        chains = chains_of(k.faces, -1)
+        for p in range(-1, k.dim + 1):
+            columns = boundary_columns(chains, p)
+            rows = _sparse_invariants(boundary_columns(chains, p + 1))[1]
+            kept = [c for j, c in enumerate(columns) if j not in rows]
+            full = _sparse_invariants(columns)[0]
+            assert _sparse_invariants(kept)[0] == full, (k, p)
+            cleared_any += len(kept) < len(columns)
+            torsion += any(d > 1 for d in full)
+    assert cleared_any > 100 and torsion >= 3
+
+
+def test_truncated_homology_agrees_through_its_degree_and_raises_past_it():
+    cases = clearing_cases()
+    truncated = 0
+    for k in cases:
+        full = reduced_homology(k)
+        for q in range(-3, k.dim + 2):
+            part = reduced_homology(k, through=q)
+            for p in range(-1, q + 1):
+                assert part.betti_number(p) == full.betti_number(p), (k, q, p)
+                assert part.torsion_coefficients(p) == full.torsion_coefficients(p), (k, q, p)
+                assert part.is_zero_through(p) == full.is_zero_through(p), (k, q, p)
+            if q >= k.dim:
+                assert part.through is None and report_of(part) == report_of(full)
+                continue
+            truncated += 1
+            assert part.through == q
+            for ask in (part.is_zero_through, part.betti_number, part.torsion_coefficients):
+                with pytest.raises(ValueError, match="through degree %d" % q):
+                    ask(q + 1)
+            with pytest.raises(ValueError):
+                part.euler_consistent()
+    assert truncated > 300
+    # the truncated path builds no face closure
+    k = d_matching_linear(2, 14)
+    reduced_homology(k, through=1)
+    assert k._faces is None
 
 
 # -- links, stars, joins -------------------------------------------------------
@@ -465,7 +533,7 @@ def test_morse_sweep_reports_a_failed_conclusion(monkeypatch):
     for k, h in filtrations:
         assert all(holds for _, _, holds in morse_sweep(k, h, h.levels(k)))
     h0 = complexes.HomologyReport({0: 1}, {}, [1])
-    monkeypatch.setattr(complexes, "relative_homology", lambda k, sub: h0)
+    monkeypatch.setattr(complexes, "_level_pair_homology", lambda k, h, t, through: h0)
     failed = 0
     for k, h in filtrations:
         for t, kk, holds in morse_sweep(k, h, h.levels(k)):
@@ -494,6 +562,42 @@ def test_morse_max_degree_matches_its_definition():
                 assert not all(r.is_zero_through(kk) for r in links)
             if not links:
                 assert kk == k.dim + 2
+
+
+def tied_filtrations():
+    """Valid height functions with ties: two vertices a level on matching
+    complexes, and seeded random heights in 0..3 that happen to be valid."""
+    for d, m in ((2, 8), (2, 12), (3, 11)):
+        k = d_matching_linear(d, m)
+        yield k, HeightFunction({v: v // 2 for v in range(k.vertices)})
+    rng = seeded("tied-heights")
+    found = 0
+    while found < 20:
+        k = random_complex(rng)
+        h = HeightFunction([rng.randint(0, 3) for _ in range(k.vertices)])
+        if h.is_valid_for(k):
+            found += 1
+            yield k, h
+
+
+def test_level_pair_homology_matches_the_sublevel_pair():
+    filtrations = list(matching_filtrations()) + list(random_filtrations()) + list(tied_filtrations())
+    nonzero = ties = 0
+    for k, h in filtrations:
+        levels = h.levels(k)
+        for t in levels + [levels[0] - 1]:
+            want = relative_homology(sublevel(k, h, t), sublevel(k, h, t, strict=True))
+            got = complexes._level_pair_homology(k, h, t, k.dim + 1)
+            assert report_of(got) == report_of(want), (k, t)
+            for through in range(-1, k.dim + 1):
+                part = complexes._level_pair_homology(k, h, t, through)
+                for p in range(0, through + 1):
+                    assert part.betti_number(p) == want.betti_number(p), (k, t, through)
+                    assert part.torsion_coefficients(p) == want.torsion_coefficients(p)
+                assert part.is_zero_through(through) == want.is_zero_through(through)
+            nonzero += not want.is_zero_through(k.dim)
+            ties += sum(1 for v in k.vertex_set() if h(v) == t) > 1
+    assert nonzero > 10 and ties > 10
 
 
 def test_json_roundtrip():
@@ -641,6 +745,28 @@ def oracle_morse_max_degree(k, h, t):
     return kk
 
 
+def oracle_morse_sweep(k, h, levels, kk=None):
+    """morse_sweep before truncation and the level pair: the full homology
+    of every descending link, and the relative homology of the two
+    sublevel complexes."""
+    if not oracle_is_valid(h, k):
+        raise ValueError("invalid height function: some cell has no unique maximum")
+    sweep = []
+    for t in levels:
+        reports = [reduced_homology(oracle_descending_link(k, h, v))
+                   for v in oracle_vertex_set(k) if h(v) == t]
+        deg = kk
+        if deg is None:
+            deg = -1
+            while deg <= k.dim + 1 and all(r.is_zero_through(deg) for r in reports):
+                deg += 1
+        holds = (not all(r.is_zero_through(deg - 1) for r in reports)
+                 or relative_homology(sublevel(k, h, t),
+                                      sublevel(k, h, t, strict=True)).is_zero_through(deg))
+        sweep.append((t, deg, holds))
+    return sweep
+
+
 def outcome(fn, *args):
     """The value of fn(*args), or the type and text of what it raised."""
     try:
@@ -752,6 +878,26 @@ def test_wcm_and_morse_sweep_match_oracles_at_m2_p16():
             kk = morse_sweep(cx, h, [t])[0][1]
             assert kk == oracle_morse_max_degree(cx, h, t), t
             assert morse_check(cx, h, t, kk)
+
+
+def test_wcm_and_morse_sweep_match_oracles_on_many_complexes():
+    rng, cases = oracle_cases()
+    verdicts, sweeps = set(), 0
+    for k in cases:
+        for n in range(0, 5):
+            verdict = wcm_violation(k, n)
+            assert verdict == oracle_wcm_violation(k, n), (k, n)
+            verdicts.add(verdict is None)
+        for ties in (False, True):
+            h = HeightFunction([rng.randint(0, 3) for _ in range(k.vertices)] if ties
+                               else rng.sample(range(k.vertices), k.vertices))
+            if not h.is_valid_for(k):
+                continue
+            levels = h.levels(k)
+            for kk in (None, -1, 0, 1, 2, 3):
+                assert morse_sweep(k, h, levels, kk) == oracle_morse_sweep(k, h, levels, kk)
+                sweeps += len(levels)
+    assert verdicts == {True, False} and sweeps > 2000
 
 
 def test_morse_functions_validate_once_and_build_each_link_once(monkeypatch):

@@ -45,6 +45,24 @@ def test_multiply_trivials():
     assert prod.braid == b.braid and prod.labels == lam.labels
 
 
+def test_identity_factors_give_an_equal_word():
+    # an empty label or braid factor leaves the other operand's word as it
+    # was: nothing is reduced or respelled
+    rng = seeded("identity-factors")
+    spec = spec_half_twist_b3()
+    for _ in range(50):
+        x = random_lb(rng, 4, spec)
+        for a, b in zip(x.labels, x.labels[1:] + x.labels[:1]):
+            assert (a * Label()).word == (Label() * a).word == a.word
+            assert (a * b).word == a.word + b.word
+        t = LabeledBraid.trivial(4)
+        y = LabeledBraid(BraidWord(4), x.labels)
+        for prod in (lb_multiply(x, t), lb_multiply(t, x)):
+            assert prod == x and prod.braid.letters == x.braid.letters
+        assert lb_multiply(y, x).braid.letters == x.braid.letters
+        assert lb_multiply(x, y).braid.letters == x.braid.letters
+
+
 def test_invert_solves_for_labels():
     # (sigma_1, (g, e)) inverts to (sigma_1^-1, (e, g^-1))
     spec = spec_full_twist_b2()

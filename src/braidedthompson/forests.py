@@ -10,9 +10,10 @@ node (caret) has exactly d ordered children.  Leaves are numbered
 so "(..)|." is the binary forest whose first tree is a single caret.
 
 Trees are nested tuples; a leaf is None.  Everything is immutable.  Each
-forest keeps its text, stored by `decode` or built once by `encode`; its
-elementary carets are read off it as the substrings "(" + "."*d + ")",
-and two forests of one degree that both keep a text compare by it.
+forest keeps its text, stored by `decode` or built once by `encode`.  The
+text is canonical per degree: forests compare and hash by it, its
+elementary carets are the substrings "(" + "."*d + ")", and each tree's
+leaves are its dots.
 
 An expansion path is a tuple of leaf indices; applying carets at those
 leaves in order (indices refer to the forest as it grows) carries a
@@ -24,19 +25,13 @@ from __future__ import annotations
 LEAF = None
 
 
-def _tree_leaves(tree):
+def _tree_leaves(tree, d):
+    """The leaf count of a tree, checking that every caret has d children."""
     if tree is LEAF:
         return 1
-    return sum(_tree_leaves(c) for c in tree)
-
-
-def _check_arity(tree, d):
-    if tree is LEAF:
-        return
     if len(tree) != d:
         raise ValueError("caret with %d children in a %d-ary forest" % (len(tree), d))
-    for c in tree:
-        _check_arity(c, d)
+    return sum(_tree_leaves(c, d) for c in tree)
 
 
 class Forest:
@@ -50,11 +45,9 @@ class Forest:
         trees = tuple(trees)
         if not trees:
             raise ValueError("a forest needs at least one root")
-        for t in trees:
-            _check_arity(t, degree)
+        self._leaves = sum(_tree_leaves(t, degree) for t in trees)
         self.degree = degree
         self.trees = trees
-        self._leaves = None
         self._text = None
 
     @classmethod
@@ -78,8 +71,6 @@ class Forest:
 
     @property
     def leaves(self):
-        if self._leaves is None:
-            self._leaves = sum(_tree_leaves(t) for t in self.trees)
         return self._leaves
 
     @property
@@ -94,15 +85,13 @@ class Forest:
         return all(t is LEAF or all(c is LEAF for c in t) for t in self.trees)
 
     def __eq__(self, other):
-        # the text is canonical per degree, so it decides when both kept one
+        # the text is canonical per degree, so it decides
         if not isinstance(other, Forest) or self.degree != other.degree:
             return False
-        if self._text is not None and other._text is not None:
-            return self._text == other._text
-        return self.trees == other.trees
+        return encode(self) == encode(other)
 
     def __hash__(self):
-        return hash((self.degree, self.trees))
+        return hash((self.degree, encode(self)))
 
     def __repr__(self):
         return "Forest(%d, %r)" % (self.degree, encode(self))
@@ -113,7 +102,7 @@ class Forest:
 
 def leaf_counts(forest: Forest):
     """The number of leaves of each tree, root by root."""
-    return tuple(_tree_leaves(t) for t in forest.trees)
+    return tuple(part.count(".") for part in encode(forest).split("|"))
 
 
 def encode(forest: Forest) -> str:
@@ -207,8 +196,10 @@ def elementary_forest(n: int, J, d: int) -> Forest:
     J = set(J)
     if not J <= set(range(1, n + 1)):
         raise ValueError("J must be a subset of 1..%d" % n)
-    caret = (LEAF,) * d
-    return Forest(d, tuple(caret if i in J else LEAF for i in range(1, n + 1)))
+    if n < 1:
+        raise ValueError("a forest needs at least one root")
+    caret = "(" + "." * d + ")"
+    return decode("|".join(caret if i in J else "." for i in range(1, n + 1)), d)
 
 
 def is_prefix(f: Forest, g: Forest) -> bool:
@@ -250,7 +241,7 @@ def expansion_path(f: Forest, g: Forest):
         raise ValueError("source is not a prefix of target")
     path = []
     cur = f
-    while cur != g:
+    for _ in range(g.carets - f.carets):
         i = _first_expandable_leaf(cur, g)
         cur = attach_caret(cur, i)
         path.append(i)
@@ -348,16 +339,6 @@ def matching_to_forest(intervals, m: int, d: int) -> Forest:
             raise ValueError("overlapping intervals")
         covered |= block
         starts.add(a)
-    trees = []
-    p = 1
-    caret = (LEAF,) * d
-    while p <= m:
-        if p in starts:
-            trees.append(caret)
-            p += d
-        else:
-            if p in covered:
-                raise ValueError("interval not aligned at position %d" % p)
-            trees.append(LEAF)
-            p += 1
-    return Forest(d, trees)
+    # with k carets to its left, the caret over a..a+d-1 sits on root a-(d-1)k
+    J = {a - (d - 1) * k for k, a in enumerate(sorted(starts))}
+    return elementary_forest(m - (d - 1) * len(J), J, d)

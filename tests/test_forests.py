@@ -1,4 +1,5 @@
 import math
+import sys
 from itertools import combinations, product
 
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from braidedthompson import (Forest, apply_path, attach_caret,
                              elementary_forest, expansion_path, forest_join,
                              forest_to_matching, is_prefix, matching_to_forest)
-from braidedthompson.forests import (LEAF, decode, elementary_caret_spans, encode,
+from braidedthompson.forests import (LEAF, _first_expandable_leaf, decode,
+                                    elementary_caret_spans, encode, leaf_counts,
                                     remove_elementary_caret)
 from conftest import seeded
 
@@ -74,6 +76,8 @@ def test_elementary_forest():
     assert elementary_forest(1, {1}, 2) == decode("(..)", 2)
     with pytest.raises(ValueError):
         elementary_forest(3, {4}, 2)
+    with pytest.raises(ValueError, match="^a forest needs at least one root$"):
+        elementary_forest(0, (), 2)
 
 
 def test_join_trivials():
@@ -142,9 +146,9 @@ def test_matching_bijection_named_instance():
     assert forest_to_matching(Forest.trivial(3, 4)) == frozenset()
 
 
-def test_matching_bijection_exhaustive():
-    d = 2
-    for m in range(1, 9):
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_matching_bijection_exhaustive(d):
+    for m in range(1, 11):
         count_by_carets = {}
         for c in range(0, m // d + 1):
             for sel in combinations(range(1, m - d + 2), c):
@@ -161,12 +165,15 @@ def test_matching_bijection_exhaustive():
 
 
 def test_matching_to_forest_rejections():
-    with pytest.raises(ValueError):
-        matching_to_forest({(1, 2), (2, 3)}, 4, 2)  # overlap
-    with pytest.raises(ValueError):
-        matching_to_forest({(1, 3)}, 4, 2)          # wrong length
-    with pytest.raises(ValueError):
-        matching_to_forest({(4, 5)}, 4, 2)          # out of range
+    cases = [(({(1, 2), (2, 3)}, 4, 2), "overlapping intervals"),
+             (({(1, 3)}, 4, 2), "bad interval (1, 3) for d=2, m=4"),   # wrong length
+             (({(4, 5)}, 4, 2), "bad interval (4, 5) for d=2, m=4"),   # out of range
+             (({(0, 2)}, 4, 3), "bad interval (0, 2) for d=3, m=4")]   # out of range
+    cases += [(((), 0, d), "a forest needs at least one root") for d in (2, 3)]
+    for args, message in cases:
+        with pytest.raises(ValueError) as exc:
+            matching_to_forest(*args)
+        assert str(exc.value) == message, args
     with pytest.raises(ValueError):
         forest_to_matching(decode("((..).)", 2))    # not elementary
 
@@ -422,3 +429,61 @@ def test_caret_functions_agree_with_recursive_oracles():
                     count += 1
         assert encode(built) == text
     assert count > 10000
+
+
+# -- equality, hashing and expansion paths read the text -----------------------
+
+def test_deep_forests_compare_hash_and_count_under_the_recursion_limit():
+    n = 5000
+    left = "(" * n + "." + ".)" * n
+    assert sys.getrecursionlimit() < n
+    a, b = decode(left + "|.", 2), decode(left + "|.", 2)
+    other = decode(".|" + left, 2)
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != other and leaf_counts(a) == (n + 1, 1) and leaf_counts(other) == (1, n + 1)
+
+
+def test_forests_compare_and_hash_by_text_however_built():
+    for built in caret_oracle_forests():
+        d = built.degree
+        parsed = decode(_oracle_encode(built), d)
+        assert parsed == built and built == parsed
+        assert hash(parsed) == hash(built)
+        assert leaf_counts(parsed) == tuple(_oracle_encode(Forest(d, [t])).count(".")
+                                            for t in built.trees)
+    # the same text in two degrees names two forests
+    assert Forest.trivial(2, 3) != Forest.trivial(3, 3)
+    assert Forest(2, [LEAF]) != decode(".", 3)
+    assert len({Forest.trivial(2, 1), decode(".", 2), Forest.trivial(3, 1)}) == 2
+
+
+def _oracle_expansion_path(f, g):
+    """The expansion path as it was first written: attach at the first
+    expandable leaf until the forests compare equal."""
+    if not is_prefix(f, g):
+        raise ValueError("source is not a prefix of target")
+    path = []
+    cur = f
+    while cur != g:
+        i = _first_expandable_leaf(cur, g)
+        cur = attach_caret(cur, i)
+        path.append(i)
+    return tuple(path)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_expansion_path_agrees_with_compare_until_equal_oracle(d):
+    rng = seeded("expansion-oracle-%d" % d)
+    for _ in range(150):
+        f = Forest.trivial(d, rng.randint(1, 3))
+        for _ in range(rng.randint(0, 6)):
+            f = attach_caret(f, rng.randint(1, f.leaves))
+        g = f
+        for _ in range(rng.randint(0, 12 - f.carets)):
+            g = attach_caret(g, rng.randint(1, g.leaves))
+        assert expansion_path(f, g) == _oracle_expansion_path(f, g)
+        h = Forest.trivial(d, f.roots)
+        for _ in range(rng.randint(0, 6)):
+            h = attach_caret(h, rng.randint(1, h.leaves))
+        j, pf, ph = forest_join(f, h)
+        assert pf == _oracle_expansion_path(f, j) and ph == _oracle_expansion_path(h, j)

@@ -28,14 +28,8 @@ relative-homology conclusion of the Morse lemma level by level and can
 derive the largest degree its hypothesis supports (`morse_check` is the
 one-level predicate).
 
-Derived complexes (links, stars, mutual links, descending links, full
-subcomplexes, joins) and vertex sets are built from maximal faces, and so
-are the faces that only part of the closure is asked about: the skeleton
-of a truncated homology, the faces of dimension <= n-1 whose links the
-wCM checker tests, and the faces of the Morse pair (K^{<=t}, K^{<t}).
-The face closure `faces` is built only where every face is needed: full
-reduced and relative homology, face counts, `has_face` and the
-transversal lookups of the complete-join checker.
+Derived complexes, and faces one size at a time as they are asked for
+(cached on the complex), are read off the maximal faces.
 """
 
 from __future__ import annotations
@@ -44,6 +38,10 @@ from itertools import combinations, product
 
 
 class SimplicialComplex:
+    """A finite simplicial complex stored by its maximal faces over the
+    ambient vertex range 0..V-1.  Its faces are read off the maximal faces
+    one size at a time, on first use, and cached by size."""
+
     __slots__ = ("vertices", "maximal_faces", "_faces")
 
     def __init__(self, vertices, maximal_faces=()):
@@ -79,19 +77,25 @@ class SimplicialComplex:
         verts = tuple(range(n + 2))
         return cls(n + 2, combinations(verts, n + 1))
 
+    def _faces_of_size(self, size):
+        """The faces with `size` vertices (none below 1), read off the
+        maximal faces the first time that size is asked for."""
+        if size < 1:
+            return frozenset()
+        if self._faces is None:
+            self._faces = {}
+        if size not in self._faces:
+            self._faces[size] = frozenset(
+                c for f in self.maximal_faces for c in combinations(f, size))
+        return self._faces[size]
+
     @property
     def faces(self):
         """All nonempty faces (downward closure of the maximal ones)."""
-        if self._faces is None:
-            out = set()
-            for f in self.maximal_faces:
-                for k in range(1, len(f) + 1):
-                    out.update(combinations(f, k))
-            self._faces = frozenset(out)
-        return self._faces
+        return frozenset().union(*map(self._faces_of_size, range(1, self.dim + 2)))
 
     def faces_of_dim(self, p):
-        return sorted(f for f in self.faces if len(f) == p + 1)
+        return sorted(self._faces_of_size(p + 1))
 
     @property
     def dim(self):
@@ -100,7 +104,8 @@ class SimplicialComplex:
         return max(len(f) for f in self.maximal_faces) - 1
 
     def has_face(self, f):
-        return tuple(sorted(set(f))) in self.faces
+        f = tuple(sorted(set(f)))
+        return f in self._faces_of_size(len(f))
 
     def vertex_set(self):
         return {v for f in self.maximal_faces for v in f}
@@ -109,10 +114,7 @@ class SimplicialComplex:
         return not self.maximal_faces
 
     def face_counts(self):
-        counts = [0] * (self.dim + 1)
-        for f in self.faces:
-            counts[len(f) - 1] += 1
-        return counts
+        return [len(self._faces_of_size(size)) for size in range(1, self.dim + 2)]
 
     def euler_characteristic(self):
         return sum((-1) ** p * c for p, c in enumerate(self.face_counts()))
@@ -154,6 +156,8 @@ class SimplicialComplex:
         if not isinstance(faces, list) or not all(
                 isinstance(f, list) and all(type(v) is int for v in f) for f in faces):
             raise ValueError("maximal_faces must be a list of lists of integers")
+        if vertices == 0 and any(faces):
+            raise ValueError("the complex has no vertices, so it has no nonempty face")
         return cls(vertices, faces)
 
 
@@ -462,27 +466,24 @@ def _homology(chains, low, through=None):
 def reduced_homology(k: SimplicialComplex, through=None) -> HomologyReport:
     """Reduced homology: the empty face spans the augmentation C_{-1} = Z.
 
-    With `through` = q only the faces of dimension <= q + 1 are built,
-    straight from the maximal faces, and the report stops at degree q:
-    the (q+1)-skeleton has the same homology as k through degree q."""
-    chains = {-1: [()]}
-    if through is None:
-        for f in k.faces:
-            chains.setdefault(len(f) - 1, []).append(f)
-    else:
-        for size in range(1, min(through + 2, k.dim + 1) + 1):
-            chains[size - 1] = list({c for f in k.maximal_faces for c in combinations(f, size)})
+    With `through` = q only the faces of dimension <= q + 1 are read, and
+    the report stops at degree q: the (q+1)-skeleton has the same homology
+    as k through degree q."""
+    top = k.dim + 1 if through is None else min(through + 2, k.dim + 1)
+    chains = {size - 1: list(k._faces_of_size(size)) for size in range(1, top + 1)}
+    chains[-1] = [()]
     return _homology(chains, -1, through)
 
 
 def relative_homology(k: SimplicialComplex, sub: SimplicialComplex):
     """Integer homology of the pair (k, sub): chains on faces of k not in
     sub, boundary projected.  Returns a HomologyReport (no degree -1)."""
-    if not sub.faces <= k.faces:
+    if not all(k.has_face(f) for f in sub.maximal_faces):
         raise ValueError("second complex is not a subcomplex")
     chains = {}
-    for f in k.faces - sub.faces:
-        chains.setdefault(len(f) - 1, []).append(f)
+    for size in range(1, k.dim + 2):
+        if rest := k._faces_of_size(size) - sub._faces_of_size(size):
+            chains[size - 1] = list(rest)
     return _homology(chains, 0)
 
 
@@ -547,16 +548,14 @@ def wcm_violation(k: SimplicialComplex, n: int):
 
     Checks vanishing reduced homology of the complex through degree n-1
     and of every p-face link through degree n-p-2, faces by size, then
-    lexicographically.  Only the faces of dimension <= n-1 are asked
-    about, so only those are generated (from the maximal faces, one size
-    at a time), and each homology is computed only through the degree
-    asked.
+    lexicographically.  Only the faces of dimension <= n-1 are read, and
+    each homology is computed only through the degree asked.
     """
     if not reduced_homology(k, n - 1).is_zero_through(n - 1):
         return "complex is not homology %d-connected" % (n - 1)
     for size in range(1, min(n, k.dim + 1) + 1):
         q = n - size - 1
-        for f in sorted({c for g in k.maximal_faces for c in combinations(g, size)}):
+        for f in k.faces_of_dim(size - 1):
             if not reduced_homology(link(k, f), q).is_zero_through(q):
                 return "link of %r is not homology %d-connected" % (f, q)
     return None

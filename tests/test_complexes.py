@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import product
+from itertools import combinations, product
 import tracemalloc
 
 import pytest
@@ -160,6 +160,16 @@ def dense_homology(chains, low):
     return betti, {p: t for p, t in torsion.items() if t}, counts
 
 
+def oracle_faces(k):
+    """Every nonempty face of k: the downward closure of its maximal faces,
+    built in one pass over all sizes, apart from the library's face source."""
+    out = set()
+    for f in k.maximal_faces:
+        for size in range(1, len(f) + 1):
+            out.update(combinations(f, size))
+    return frozenset(out)
+
+
 def chains_of(faces, low):
     chains = {-1: [()]} if low == -1 else {}
     for f in faces:
@@ -180,11 +190,12 @@ def test_homology_matches_dense_reference():
              + [random_complex(rng, max_vertices=9, max_faces=8, max_size=5)
                 for _ in range(150)])
     for k in cases:
-        assert report_of(reduced_homology(k)) == dense_homology(chains_of(k.faces, -1), -1), k
+        closure = oracle_faces(k)
+        assert report_of(reduced_homology(k)) == dense_homology(chains_of(closure, -1), -1), k
         for _ in range(3):
             sub = k.full_subcomplex(v for v in range(k.vertices) if rng.random() < 0.6)
             assert (report_of(relative_homology(k, sub))
-                    == dense_homology(chains_of(k.faces - sub.faces, 0), 0)), (k, sub)
+                    == dense_homology(chains_of(closure - oracle_faces(sub), 0), 0)), (k, sub)
     assert reduced_homology(rp2).torsion == {1: (2,)}
     assert reduced_homology(join(rp2, s0)).torsion == {2: (2,)}
     # Kuenneth for joins: Z/2 (x) Z/2 in degree 3 and Tor(Z/2, Z/2) in degree 4
@@ -220,7 +231,7 @@ def test_cleared_columns_keep_the_invariant_factors():
     cases = clearing_cases()
     cleared_any = torsion = 0
     for k in cases:
-        chains = chains_of(k.faces, -1)
+        chains = chains_of(oracle_faces(k), -1)
         for p in range(-1, k.dim + 1):
             columns = boundary_columns(chains, p)
             rows = _sparse_invariants(boundary_columns(chains, p + 1))[1]
@@ -254,10 +265,27 @@ def test_truncated_homology_agrees_through_its_degree_and_raises_past_it():
             with pytest.raises(ValueError):
                 part.euler_consistent()
     assert truncated > 300
-    # the truncated path builds no face closure
+    # the truncated path builds no face of more than q + 2 vertices
     k = d_matching_linear(2, 14)
     reduced_homology(k, through=1)
-    assert k._faces is None
+    assert sorted(k._faces) == [1, 2, 3] and k.dim == 6
+
+
+def test_faces_by_size_match_the_closure_oracle():
+    _, cases = oracle_cases()
+    for k in clearing_cases() + cases:
+        closure = oracle_faces(k)
+        # has_face first, so sizes outside 1..dim+1 are asked of a fresh cache
+        assert not k.has_face(()) and not k.has_face(tuple(range(k.dim + 2)))
+        probes = [(k.vertices,), (-1,), (0, k.vertices)]
+        probes += [p for f in closure for p in (f, f[::-1], f + f[:1])]
+        for f in probes:
+            assert k.has_face(f) == (tuple(sorted(set(f))) in closure), (k, f)
+        assert k.faces == closure, k
+        by_size = [sorted(f for f in closure if len(f) == p + 1) for p in range(k.dim + 1)]
+        assert k.face_counts() == [len(fs) for fs in by_size], k
+        assert [k.faces_of_dim(p) for p in range(-2, k.dim + 2)] == [[], []] + by_size + [[]]
+        assert k.euler_characteristic() == sum((-1) ** (len(f) - 1) for f in closure)
 
 
 # -- links, stars, joins -------------------------------------------------------
@@ -477,10 +505,15 @@ def test_cost_follows_the_faces_not_the_declared_vertex_count():
     tracemalloc.start()
     try:
         got = [sublevel(big, h, 2), restrict_initial(big, {1, 3}), duplicated_cover(big)]
+        faces = [big.has_face((1, 0)), big.has_face((0, 2)), big.face_counts(),
+                 reduced_homology(big)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert Asked.count <= 3 and peak < 2 ** 20
+    assert faces[:3] == [True, False, [3, 2]]
+    assert report_of(faces[3]) == report_of(reduced_homology(small))
+    assert faces[3].is_zero_through(1)
     assert [c.maximal_faces for c in got[:2]] == [
         sublevel(small, h, 2).maximal_faces, restrict_initial(small, {1, 3}).maximal_faces]
     assert got[2][0].maximal_faces == duplicated_cover(small)[0].maximal_faces

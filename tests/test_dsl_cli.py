@@ -524,6 +524,23 @@ def test_cli_bad_vertex_count_is_a_json_error(capsys, tmp_path):
         assert_input_error(capsys, tmp_path, {"vertices": vertices, "maximal_faces": [[0, 1]]})
 
 
+def test_cli_face_in_a_complex_without_vertices_says_so(capsys, tmp_path):
+    assert_input_error(capsys, tmp_path, {"vertices": 0, "maximal_faces": [[0]]})
+    path = tmp_path / "k.json"
+    for faces in ([[0]], [[], [2, 1]]):
+        path.write_text(json.dumps({"vertices": 0, "maximal_faces": faces}), encoding="utf-8")
+        code = main(["homology", "--file", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert json.loads(captured.err) == {
+            "command": "homology", "ok": False,
+            "error": "the complex has no vertices, so it has no nonempty face"}
+    # empty faces are dropped, so this is the empty complex
+    path.write_text('{"vertices": 0, "maximal_faces": [[]]}', encoding="utf-8")
+    code, data = run_cli(capsys, "homology", "--file", str(path))
+    assert code == 0 and data["reduced_homology"] == [{"degree": -1, "betti": 1, "torsion": []}]
+
+
 def assert_field_error(capsys, argv, field):
     code = main(argv)
     captured = capsys.readouterr()

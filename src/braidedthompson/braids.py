@@ -73,13 +73,12 @@ class Permutation:
         return Permutation._trusted(tuple(inv))
 
     def is_identity(self):
-        return all(x == i + 1 for i, x in enumerate(self.image))
+        return self.image == tuple(range(1, len(self.image) + 1))
 
     def is_cyclic(self):
         """True iff i |-> i + k (mod n) for some fixed k."""
-        n = self.size
-        k = self.image[0] - 1
-        return all(self.image[i] == (i + k) % n + 1 for i in range(n))
+        first = self.image[0]
+        return self.image == tuple(range(first, len(self.image) + 1)) + tuple(range(1, first))
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.image == other.image

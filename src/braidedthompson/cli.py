@@ -208,7 +208,7 @@ ELEMENT_COMMANDS = {
     "retract": (["name"], lambda ctx, args, s: ({"braid": str(ctx.r_label(s))}, True)),
     "embed": ([], _embed),
     "dangling-eq": (["a", "b"], lambda ctx, args, a, b: _answer(
-        "dangling_equal", ctx.dangling_equal(a, b, flavor=args.flavor))),
+        "dangling_equal", ctx.dangling_equal(a, b))),
     "arc-support": (["name"], lambda ctx, args, s: (
         {"supports": sorted(sorted(block) for block in ctx.arc_support(s))}, True)),
 }
@@ -344,7 +344,6 @@ def build_parser():
     elem["member"].add_argument("--sub", choices=["F", "T"], required=True)
     elem["embed"].add_argument("--label", required=True, help="label word, e.g. 'g1 g2^-1' or 'e'")
     elem["embed"].add_argument("--prime", action="store_true", help="first-strand embedding")
-    elem["dangling-eq"].add_argument("--flavor", choices=["V", "F", "T"], default="V")
 
     p = sub.add_parser("complex")
     p.add_argument("kind", choices=["linear-matching", "cyclic-matching"])

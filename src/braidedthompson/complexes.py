@@ -52,6 +52,8 @@ class SimplicialComplex:
             f = tuple(sorted(set(f)))
             if not f:
                 continue
+            if vertices == 0:
+                raise ValueError("the complex has no vertices, so it has no nonempty face")
             if f[0] < 0 or f[-1] >= vertices:
                 raise ValueError("face %r out of vertex range 0..%d" % (f, vertices - 1))
             cleaned.add(f)
@@ -156,8 +158,6 @@ class SimplicialComplex:
         if not isinstance(faces, list) or not all(
                 isinstance(f, list) and all(type(v) is int for v in f) for f in faces):
             raise ValueError("maximal_faces must be a list of lists of integers")
-        if vertices == 0 and any(faces):
-            raise ValueError("the complex has no vertices, so it has no nonempty face")
         return cls(vertices, faces)
 
 

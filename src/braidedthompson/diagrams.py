@@ -21,12 +21,15 @@ caret is decided by `labeled.labeled_uncable`, the inverse of the
 `labeled.labeled_cable` move that expansion makes.
 
 The GroupContext object fixes (d, r, H, flavor) and carries all the
-operations; spraiges themselves are plain immutable data.
+operations; spraiges themselves are plain immutable data.  The flavors F
+and T need H <= PB_d and hold only elements of bF and bT: every element
+a context takes in is checked by `GroupContext.validate`, so the
+operations never decide a flavor again.
 """
 
 from __future__ import annotations
 
-from .braids import BraidWord, Permutation, is_cyclic, is_pure, permutation_of
+from .braids import BraidWord, Permutation, permutation_of
 from .forests import (Forest, attach_caret, elementary_caret_spans,
                       elementary_forest, forest_to_matching, join, leaf_counts,
                       remove_elementary_caret)
@@ -100,7 +103,9 @@ class PairedForestDiagram:
 
 
 class GroupContext:
-    """Fixes the group bV_{d,r}(H) (flavor V) or its F/T siblings."""
+    """Fixes the group bV_{d,r}(H) (flavor V) or its siblings bF_{d,r}(H)
+    and bT_{d,r}(H) (flavors F and T), which need every generator of H to
+    be pure and take in only their own elements (see `validate`)."""
 
     __slots__ = ("d", "r", "spec", "flavor")
 
@@ -151,8 +156,14 @@ class GroupContext:
         return Spraige(t1, LabeledBraid(BraidWord(l), labels), t1)
 
     def validate(self, s: Spraige):
+        """s itself, once checked to be an element of this context's group:
+        arity d, and in an F context a pure braid, in a T context a braid
+        whose permutation is a cyclic rotation (see `in_bF`)."""
         if s.minus.degree != self.d:
             raise ValueError("element has arity %d, context %d" % (s.minus.degree, self.d))
+        if self.flavor != "V" and not _in_flavor(self.flavor, s.lb.braid):
+            raise ValueError("not an element of b%s: its braid is not %s"
+                             % (self.flavor, "pure" if self.flavor == "F" else "cyclic"))
         return s
 
     # -- expansion and reduction -------------------------------------------
@@ -274,16 +285,24 @@ class GroupContext:
 
     def _require_pure_labels(self, what):
         # any flavor will do: what matters is that every label is a pure braid
-        if not all(is_pure(g) for g in self.spec.generators):
+        if not self.spec.require_pure:
             raise ValueError("%s needs a pure label group" % what)
 
     def in_bF(self, s: Spraige) -> bool:
+        """Whether s lies in bF: read off the braid of any representative,
+        with no reduction.  With pure labels, expansion at leaf i cables
+        the braid's permutation along the new caret and puts a pure label
+        braid on the new bundle, so the expanded permutation is the
+        identity (a cyclic rotation) exactly when the old one is; reduction
+        undoes expansion, so every representative of an element agrees with
+        its reduced one."""
         self._require_pure_labels("F membership")
-        return is_pure(self.reduce(s).lb.braid)
+        return _in_flavor("F", self.validate(s).lb.braid)
 
     def in_bT(self, s: Spraige) -> bool:
+        """Whether s lies in bT, read off any representative (see `in_bF`)."""
         self._require_pure_labels("T membership")
-        return is_cyclic(self.reduce(s).lb.braid)
+        return _in_flavor("T", self.validate(s).lb.braid)
 
     def project_to_v(self, s: Spraige) -> PairedForestDiagram:
         """Forget braiding and labels, keep the leaf permutation.  Well
@@ -298,7 +317,7 @@ class GroupContext:
 
     # -- dangling ------------------------------------------------------------
 
-    def dangling_equal(self, x: Spraige, y: Spraige, flavor="V") -> bool:
+    def dangling_equal(self, x: Spraige, y: Spraige) -> bool:
         """Same dangling class, compared within the slice of elementary
         braiges carrying the same merge forest F.
 
@@ -306,12 +325,9 @@ class GroupContext:
         on the feet, cabled along F: z = x.lb^-1 * y.lb has to be a
         labeled cable (`labeled_uncable` with the widths of F), and the
         extracted multiplier must send caret slots to caret slots,
-        otherwise the right action would have changed the forest.
-        `flavor` restricts the multiplier braid: pure for F, cyclic for T,
-        unrestricted for V.
+        otherwise the right action would have changed the forest.  In an
+        F or T context x and y are members, so the multiplier is one too.
         """
-        if flavor not in ("V", "F", "T"):
-            raise ValueError("flavor must be V, F or T")
         self._check_elementary_braige(x)
         self._check_elementary_braige(y)
         if x.leaves != y.leaves:
@@ -322,17 +338,13 @@ class GroupContext:
         mult = labeled_uncable(self.spec, lb_multiply(lb_invert(x.lb), y.lb), widths)
         if mult is None:
             return False
-        rho_c = permutation_of(mult.braid)
-        if flavor == "F" and not rho_c.is_identity():
-            return False
-        if flavor == "T" and not rho_c.is_cyclic():
-            return False
-        return _keeps_slots(widths, rho_c)
+        return _keeps_slots(widths, permutation_of(mult.braid))
 
     def cable_on_feet(self, x: Spraige, c: BraidWord, mus) -> Spraige:
         """Right-multiply the elementary braige x by the labeled braid
         (c, mus) on its feet, cabled along the merge forest (the forest is
-        kept, so c must send caret slots to caret slots)."""
+        kept, so c must send caret slots to caret slots).  The result must
+        lie in the context's group."""
         self._check_elementary_braige(x)
         if c.strands != x.feet:
             raise ValueError("multiplier braid must live on the feet")
@@ -343,7 +355,7 @@ class GroupContext:
         if not _keeps_slots(widths, permutation_of(c)):
             raise ValueError("the multiplier permutation must preserve caret slots")
         ext = labeled_cable(self.spec, LabeledBraid(c, mus), widths)
-        return Spraige(x.minus, lb_multiply(x.lb, ext), x.plus)
+        return self.validate(Spraige(x.minus, lb_multiply(x.lb, ext), x.plus))
 
     def arc_support(self, x: Spraige):
         """Marked-point support of each merge caret: a caret over bottom
@@ -362,6 +374,13 @@ class GroupContext:
             raise ValueError("not a braige: splitting forest is nontrivial")
         if not x.plus.is_elementary():
             raise ValueError("merge forest is not elementary")
+
+
+def _in_flavor(flavor, braid: BraidWord) -> bool:
+    """Whether a diagram with this braid can lie in the group of flavor F
+    (the braid is pure) or T (it rotates the strands cyclically)."""
+    rho = permutation_of(braid)
+    return rho.is_identity() if flavor == "F" else rho.is_cyclic()
 
 
 def _keeps_slots(widths, rho: Permutation) -> bool:

@@ -11,10 +11,11 @@
 Whitespace is free everywhere; a braid word is a run of signed integers,
 a label word is a run of "e" and g<i>[^-1] tokens separated by
 whitespace (an "e" among them stands for nothing, so "g1 e g2" is
-"g1 g2"; the parser and its test oracle both accept it), and label
-words are separated by ";".  `gens:[]` declares the
-trivial label group.  The F and T flavors require pure generators and
-reject the header otherwise.
+"g1 g2", as in `Label.parse`), and label words are separated by ";".
+`gens:[]` declares the trivial label group.  The F and T flavors require
+pure generators and reject the header otherwise, and their sessions hold
+only elements of bF and bT: an element whose braid is not pure (F) or
+not a cyclic rotation (T) is rejected at its name.
 
 Every element of a text is parsed and validated, a field at a time: the
 fixed tokens of an element are compared as slices, its braid run is
@@ -162,12 +163,11 @@ class _Parser:
                 self.pos += 1
                 gens.append(self._generator(d))
         self.expect("]", "}")
-        require_pure = flavor in ("F", "T")
         for at, g in gens:
-            if require_pure and not is_pure(g):
+            if flavor in ("F", "T") and not is_pure(g):
                 self.error("flavor %s requires pure generators; %r is not pure"
                            % (flavor, str(g)), at)
-        spec = self.check(None, LabelGroupSpec, d, [g for _, g in gens], require_pure=require_pure)
+        spec = self.check(None, LabelGroupSpec, d, [g for _, g in gens])
         return self.check(None, GroupContext, d, r, spec, flavor)
 
     def parse_element(self, ctx: GroupContext):
@@ -199,7 +199,8 @@ class _Parser:
             # raises the first bad letter's error at the braid run's first token
             self.check(braid_start, BraidWord, n, letters)
         braid = BraidWord._trusted(n, letters)
-        return name, ctx.validate(Spraige(minus, LabeledBraid(braid, labels), plus))
+        return name, self.check(name, ctx.validate,
+                                Spraige(minus, LabeledBraid(braid, labels), plus))
 
     def _generator(self, d):
         at = self.pos

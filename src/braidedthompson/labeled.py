@@ -31,8 +31,10 @@ from .braids import (BraidWord, braid_equal, cable, delete_strands, half_twist,
 class LabelGroupSpec:
     """The label group H <= B_d, given by generator words.
 
-    `require_pure` must hold for the F and T flavors of the diagram
-    groups; it forces every generator into the pure braid group.
+    `require_pure` is a fact about the generators: true when all of them
+    are pure braids, so that H <= PB_d.  The F and T flavors of the diagram
+    groups need it; passing `require_pure=True` demands it, and a spec
+    built that way equals and hashes like one built without the demand.
     """
 
     __slots__ = ("degree", "generators", "require_pure", "_realized")
@@ -51,21 +53,20 @@ class LabelGroupSpec:
                 raise ValueError("generator %r is not pure" % str(g))
         self.degree = degree
         self.generators = generators
-        self.require_pure = require_pure
+        self.require_pure = all(map(is_pure, generators))
         self._realized = {}  # label word -> BraidWord; see Label.realize
 
     @classmethod
-    def trivial(cls, degree, require_pure=True):
-        return cls(degree, (), require_pure)
+    def trivial(cls, degree):
+        return cls(degree)
 
     def __eq__(self, other):
         return (isinstance(other, LabelGroupSpec)
                 and self.degree == other.degree
-                and self.generators == other.generators
-                and self.require_pure == other.require_pure)
+                and self.generators == other.generators)
 
     def __hash__(self):
-        return hash((self.degree, self.generators, self.require_pure))
+        return hash((self.degree, self.generators))
 
     def __repr__(self):
         return "LabelGroupSpec(d=%d, gens=%r, require_pure=%r)" % (
@@ -77,9 +78,7 @@ def ribbon_spec(d: int, oriented: bool) -> LabelGroupSpec:
     half twist around the boundary (oriented: by the full twist, which is
     pure, so the spec is usable for the F and T flavors)."""
     delta = half_twist(d)
-    if oriented:
-        return LabelGroupSpec(d, (delta * delta,), require_pure=True)
-    return LabelGroupSpec(d, (delta,), require_pure=False)
+    return LabelGroupSpec(d, (delta * delta,) if oriented else (delta,))
 
 
 class Label:
@@ -96,11 +95,12 @@ class Label:
 
     @classmethod
     def parse(cls, text):
-        text = text.strip()
-        if text == "e":
-            return cls()
+        """The word of a run of g<i>[^-1] tokens; an "e" among them stands
+        for nothing, so "e" alone is the empty word."""
         word = []
         for tok in text.split():
+            if tok == "e":
+                continue
             inv = tok.endswith("^-1")
             body = tok[:-3] if inv else tok
             if not body.startswith("g"):

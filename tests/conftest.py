@@ -70,8 +70,7 @@ def random_element(ctx, rng, steps=3):
             k = n - (ctx.d - 1)
             s = ctx.multiply(s, ctx.mu_spraige(k, {rng.randint(1, k)}))
         else:
-            braid = random_braid_word(rng, n, pure_squares=ctx.spec.require_pure
-                                      and ctx.flavor in ("F", "T"))
+            braid = random_braid_word(rng, n, pure_squares=ctx.flavor in ("F", "T"))
             labels = tuple(random_label(rng, ctx) for _ in range(n))
             ins = Spraige(Forest.trivial(ctx.d, n),
                           LabeledBraid(braid, labels),

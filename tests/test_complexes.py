@@ -288,6 +288,18 @@ def test_faces_by_size_match_the_closure_oracle():
         assert k.euler_characteristic() == sum((-1) ** (len(f) - 1) for f in closure)
 
 
+def test_constructor_checks_the_vertex_range():
+    for faces in ([(0,)], [(), (2, 1)], [(-1,)]):
+        with pytest.raises(ValueError, match="^the complex has no vertices, so it has no "
+                                             "nonempty face$"):
+            SimplicialComplex(0, faces)
+    for faces in ([(0, 3)], [(-1, 1)]):
+        with pytest.raises(ValueError, match="out of vertex range 0..2"):
+            SimplicialComplex(3, faces)
+    # empty faces are dropped, so this is the empty complex on no vertices
+    assert SimplicialComplex(0, [()]) == SimplicialComplex.empty()
+
+
 # -- links, stars, joins -------------------------------------------------------
 
 def test_link_star_basics():

@@ -1,9 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidedthompson import (BraidWord, Forest, Label, LabeledBraid,
-                             PairedForestDiagram, Permutation, Spraige,
-                             braid_equal, cable, elementary_forest,
+from braidedthompson import (BraidWord, Forest, GroupContext, Label,
+                             LabeledBraid, LabelGroupSpec, PairedForestDiagram,
+                             Permutation, Spraige, braid_equal, cable,
+                             elementary_forest, half_twist, is_cyclic, is_pure,
                              is_trivial, permutation_of, v_equal, v_expand,
                              v_multiply, v_reduce, word_from_permutation)
 from braidedthompson.forests import attach_caret, decode
@@ -335,6 +336,98 @@ def test_membership_basics():
         bad.in_bF(e)
 
 
+def oracle_in_bF(ctx, s):
+    """Membership as decided before contexts checked their flavor: the
+    braid of the reduced representative is pure."""
+    return is_pure(ctx.reduce(s).lb.braid)
+
+
+def oracle_in_bT(ctx, s):
+    """The reduced representative's braid is a cyclic rotation."""
+    return is_cyclic(ctx.reduce(s).lb.braid)
+
+
+def braided_caret(ctx, n, rotate):
+    """An element over one forest with at least n >= 3 leaves: with
+    `rotate`, the braid s1 s2 ... rotates the leaves by one place, an
+    element of bT; otherwise the braid s1 crosses the first two leaves,
+    which lies in neither bF nor bT."""
+    f = elementary_forest(ctx.r, {1}, ctx.d)
+    while f.leaves < n:
+        f = attach_caret(f, f.leaves)
+    braid = BraidWord(f.leaves, range(1, f.leaves) if rotate else [1])
+    return Spraige(f, LabeledBraid(braid, (Label(),) * f.leaves), f)
+
+
+@pytest.mark.parametrize("ctx", [context_trivial(2, 1), context_full_twist(2, 1),
+                                 context_trivial(3, 2), context_full_twist(2, 1, "F"),
+                                 context_trivial(3, 1, "F"), context_full_twist(2, 1, "T"),
+                                 context_trivial(3, 2, "T")],
+                         ids=["V-trivial-2-1", "V-full-twist", "V-trivial-3-2", "F-full-twist",
+                              "F-trivial-3-1", "T-full-twist", "T-trivial-3-2"])
+def test_membership_reads_any_representative(ctx):
+    # in_bF and in_bT read the braid of the representative they are given;
+    # the oracles reduce first.  Both must agree on every expansion.
+    rng = seeded("membership-%d-%d-%s" % (ctx.d, ctx.r, ctx.flavor))
+    seen = set()
+    for k in range(60):
+        s = random_element(ctx, rng, 3)
+        if ctx.flavor != "F" and k % 3:
+            # V takes both kinds of braided caret, T only the rotations
+            rotate = ctx.flavor == "T" or k % 3 == 1
+            s = ctx.multiply(s, braided_caret(ctx, rng.randint(3, 5), rotate))
+        for _ in range(3):
+            expected = oracle_in_bF(ctx, s), oracle_in_bT(ctx, s)
+            assert (ctx.in_bF(s), ctx.in_bT(s)) == expected
+            seen.add(expected)
+            s = ctx.expand(s, rng.randint(1, s.leaves))
+    if ctx.flavor == "F":
+        assert seen == {(True, True)}
+    else:
+        assert (True, True) in seen and (False, True) in seen
+    if ctx.flavor == "V":
+        assert (False, False) in seen
+
+
+def test_flavor_contexts_reject_nonmembers():
+    caret = decode("(..)", 2)
+    swap = Spraige(caret, LabeledBraid(BraidWord(2, [1]), (Label(), Label())), caret)
+    tri = decode("((..).)", 2)
+    crossing = Spraige(tri, LabeledBraid(BraidWord(3, [1]), (Label(),) * 3), tri)
+    braige = Spraige(Forest.trivial(2, 4), LabeledBraid.trivial(4), decode("(..)|(..)", 2))
+    for flavor, bad in (("F", swap), ("T", crossing)):
+        ctx = context_trivial(2, 1, flavor)
+        e = ctx.identity()
+        message = "not an element of b%s" % flavor
+        for op in (lambda: ctx.multiply(bad, e), lambda: ctx.multiply(e, bad),
+                   lambda: ctx.expand(bad, 1), lambda: ctx.reduce(bad),
+                   lambda: ctx.equal(bad, bad), lambda: ctx.equal(e, bad),
+                   lambda: ctx.in_bF(bad), lambda: ctx.in_bT(bad)):
+            with pytest.raises(ValueError, match=message):
+                op()
+    ctx_f = context_trivial(2, 1, "F")
+    with pytest.raises(ValueError, match="not an element of bF"):
+        ctx_f.cable_on_feet(braige, BraidWord(2, [1]), (Label(), Label()))
+    # the swap is a rotation of two leaves, so T takes it
+    ctx_t = context_trivial(2, 1, "T")
+    assert ctx_t.in_bT(swap) and not ctx_t.in_bF(swap)
+    assert ctx_t.in_bF(ctx_t.multiply(swap, swap))
+
+
+def test_a_spec_of_pure_generators_makes_flavor_contexts():
+    full = half_twist(2) * half_twist(2)
+    found = LabelGroupSpec(2, (full,))
+    declared = LabelGroupSpec(2, (full,), require_pure=True)
+    assert found.require_pure and found == declared and hash(found) == hash(declared)
+    for flavor in ("F", "T"):
+        assert GroupContext(2, 1, found, flavor).spec == declared
+    assert LabelGroupSpec.trivial(3) == LabelGroupSpec(3, (), require_pure=True)
+    impure = LabelGroupSpec(2, (half_twist(2),))
+    assert not impure.require_pure
+    with pytest.raises(ValueError, match="flavor F needs a pure label group"):
+        GroupContext(2, 1, impure, "F")
+
+
 def test_bF_closed_under_products():
     ctx = context_full_twist(2, 1)
     rng = seeded("closure")
@@ -500,9 +593,6 @@ def test_dangling_rejects_distinct_forests():
     x = Spraige(Forest.trivial(2, 3), LabeledBraid.trivial(3), decode("(..)|.", 2))
     y = Spraige(Forest.trivial(2, 3), LabeledBraid.trivial(3), decode(".|(..)", 2))
     assert not ctx.dangling_equal(x, y)
-    for other in (x, y):  # a bad flavor is an error whether or not the forests agree
-        with pytest.raises(ValueError, match="flavor must be V, F or T"):
-            ctx.dangling_equal(x, other, flavor="Q")
 
 
 def test_dangling_rejects_forest_moving_cable():
@@ -517,15 +607,17 @@ def test_dangling_rejects_forest_moving_cable():
 
 
 def test_dangling_flavor_restriction():
-    ctx = context_trivial(2, 1)
+    # the block swap of two carets is a cyclic rotation of the four feet:
+    # a dangling move in T but not in F, where only pure multipliers exist
     f = decode("(..)|(..)", 2)
     x = Spraige(Forest.trivial(2, 4), LabeledBraid.trivial(4), f)
-    swap = ctx.cable_on_feet(x, BraidWord(2, [1]), (Label(), Label()))
-    assert ctx.dangling_equal(x, swap)            # V: any multiplier
-    assert ctx.dangling_equal(x, swap, flavor="T")  # transposition of 2 is cyclic
-    assert not ctx.dangling_equal(x, swap, flavor="F")
-    same = ctx.cable_on_feet(x, BraidWord(2, [1, 1]), (Label(), Label()))
-    assert ctx.dangling_equal(x, same, flavor="F")
+    swap, square = BraidWord(2, [1]), BraidWord(2, [1, 1])
+    ctx_f = context_trivial(2, 1, flavor="F")
+    with pytest.raises(ValueError, match="not an element of bF"):
+        ctx_f.cable_on_feet(x, swap, (Label(), Label()))
+    assert ctx_f.dangling_equal(x, ctx_f.cable_on_feet(x, square, (Label(), Label())))
+    ctx_t = context_trivial(2, 1, flavor="T")
+    assert ctx_t.dangling_equal(x, ctx_t.cable_on_feet(x, swap, (Label(), Label())))
 
 
 def test_value_classes_hash_with_their_equality():

@@ -68,6 +68,33 @@ def test_nonpure_generator_rejected_under_flavor_f():
     assert "pure" in str(err.value)
 
 
+def flavor_session(flavor, elem):
+    return "group { d:2, r:1, flavor:%s, gens:[] }\n  %s\n" % (flavor, elem)
+
+
+SWAP = "elem a { minus: (..) braid: 1 labels: e; e plus: (..) }"
+CROSSING = "elem a { minus: ((..).) braid: 1 labels: e; e; e plus: ((..).) }"
+
+
+def test_flavor_sessions_hold_only_their_members():
+    # the swap of two leaves is in bT but not bF; crossing two of three
+    # leaves is in neither
+    for flavor, elem in (("F", SWAP), ("T", CROSSING)):
+        text = flavor_session(flavor, elem)
+        for parse in (parse_session, oracle_parse_session):
+            with pytest.raises(DslError, match="line 2, column 8: not an element of b%s"
+                               % flavor) as err:
+                parse(text)
+            assert (err.value.line, err.value.col) == (2, 8)
+        ctx, _ = parse_session(flavor_session(flavor, "elem x { minus: . braid: labels: e "
+                                                       "plus: . }"))
+        with pytest.raises(DslError, match="line 1, column 6: not an element"):
+            parse_element_text(ctx, elem)
+    for flavor, elem in (("V", SWAP), ("V", CROSSING), ("T", SWAP)):
+        _, elements = parse_session(flavor_session(flavor, elem))
+        assert list(elements) == ["a"]
+
+
 def test_syntax_error_carries_line_and_column():
     text = HEADER + "\nelem x {\n  minus: (..)|.\n  oops: 1\n}\n"
     with pytest.raises(DslError) as err:
@@ -227,6 +254,26 @@ def test_cli_retract_and_embed(capsys, session_file):
     code, data = run_cli(capsys, "embed", "--input", session_file,
                          "--label", "g1", "--prime")
     assert code == 0 and data["element"]["labels"][0] == "g1"
+
+
+def test_cli_embed_reads_e_in_a_label_word(capsys):
+    golden = str(Path(__file__).parent / "golden" / "case_02.dsl")
+    for label in ("g1 e", "e g1", "g1"):
+        code, data = run_cli(capsys, "embed", "--input", golden, "--label", label)
+        assert code == 0 and data["element"]["labels"] == ["g1"]
+    code, data = run_cli(capsys, "embed", "--input", golden, "--label", "e e", "--prime")
+    assert code == 0 and data["element"]["labels"] == ["e", "e"]
+
+
+def test_cli_rejects_a_session_element_outside_its_flavor(capsys, tmp_path):
+    path = tmp_path / "f.dsl"
+    path.write_text(flavor_session("F", SWAP), encoding="utf-8")
+    code = main(["mul", "--input", str(path), "a", "a"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert json.loads(captured.err) == {
+        "command": "mul", "ok": False,
+        "error": "line 2, column 8: not an element of bF: its braid is not pure"}
 
 
 @pytest.mark.parametrize("prime", [[], ["--prime"]])
@@ -838,7 +885,8 @@ class _OracleParser:
         if len(labels) != minus.leaves:
             self.error("%d labels for %d leaves" % (len(labels), minus.leaves), name_tok)
         braid = self.check(braid_start, BraidWord, minus.leaves, letters)
-        return name_tok, ctx.validate(Spraige(minus, LabeledBraid(braid, labels), plus))
+        return name_tok, self.check(name_tok, ctx.validate,
+                                    Spraige(minus, LabeledBraid(braid, labels), plus))
 
     def _generator(self, d):
         tok = self.peek()

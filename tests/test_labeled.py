@@ -160,6 +160,9 @@ def test_label_parsing_and_realization():
     spec = spec_half_twist_b3()
     assert Label.parse("e") == Label()
     assert Label.parse("g1 g1^-1").word == (1, -1)
+    # an "e" among the tokens stands for nothing, as in a session's label run
+    assert Label.parse("g1 e g2^-1") == Label.parse("g1 g2^-1")
+    assert Label.parse("e e") == Label() == Label.parse(" e ")
     assert str(Label((1, -1))) == "g1 g1^-1"
     assert is_trivial(Label((1, -1)).realize(spec))
     assert braid_equal(Label((1,)).realize(spec), half_twist(3))

@@ -35,6 +35,7 @@ Derived complexes, and faces one size at a time as they are asked for
 from __future__ import annotations
 
 from itertools import combinations, product
+from math import gcd
 
 
 class SimplicialComplex:
@@ -214,80 +215,40 @@ def mutual_link(k: SimplicialComplex, x: int, y: int) -> SimplicialComplex:
 
 def smith_invariants(rows):
     """Invariant factors (positive, each dividing the next) of an integer
-    matrix given as a list of row lists.  Arbitrary precision."""
+    matrix given as a list of row lists, in arbitrary precision.  A pivot
+    of least absolute value in the undiagonalized block moves to (t, t) and
+    clears its column, then its row, by quotient multiples; |pivot| is
+    recorded once both are clear, else a smaller remainder is the next
+    pivot, so the loop ends.  diag(a, b) ~ diag(gcd(a, b), lcm(a, b)), so a
+    last pass doing that to each diagonal pair leaves a divisibility chain."""
     a = [list(r) for r in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    res = []
-    t = 0
+    m, n = len(a), (len(a[0]) if a else 0)
+    diag, t = [], 0
     while t < m and t < n:
-        # smallest nonzero entry as pivot
-        piv = None
-        best = None
-        for i in range(t, m):
-            row = a[i]
-            for j in range(t, n):
-                v = row[j]
-                if v and (best is None or abs(v) < best):
-                    best = abs(v)
-                    piv = (i, j)
-                    if best == 1:
-                        break
-            if best == 1:
-                break
-        if piv is None:
+        nonzero = [(abs(v), i, j) for i in range(t, m)
+                   for j, v in enumerate(a[i][t:], t) if v]
+        if not nonzero:
             break
-        pi, pj = piv
+        _, pi, pj = min(nonzero)
         a[t], a[pi] = a[pi], a[t]
-        if pj != t:
-            for row in a:
-                row[t], row[pj] = row[pj], row[t]
-        while True:
-            # clear the pivot column
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    if q:
-                        a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-            if any(a[i][t] for i in range(t + 1, m)):
-                # a smaller remainder appeared; promote it
-                for i in range(t + 1, m):
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        break
-                continue
-            # clear the pivot row
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    if q:
-                        for row in a:
-                            row[j] -= q * row[t]
-            if any(a[t][j] for j in range(t + 1, n)):
-                for j in range(t + 1, n):
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        break
-                continue
-            break
-        # enforce divisibility of the remaining block by the pivot
-        d = abs(a[t][t])
-        culprit = None
+        for row in a[t:]:
+            row[t], row[pj] = row[pj], row[t]
+        p = a[t][t]
         for i in range(t + 1, m):
-            row = a[i]
-            for j in range(t + 1, n):
-                if row[j] % d:
-                    culprit = i
-                    break
-            if culprit is not None:
-                break
-        if culprit is not None:
-            a[t] = [x + y for x, y in zip(a[t], a[culprit])]
-            continue
-        res.append(d)
-        t += 1
-    return res
+            q = a[i][t] // p
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+        if not any(row[t] for row in a[t + 1:]):
+            # the column is clear, so clearing the row changes only the row
+            a[t][t + 1:] = [x % p for x in a[t][t + 1:]]
+            if not any(a[t][t + 1:]):
+                diag.append(abs(p))
+                t += 1
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] // g * diag[j]
+    return diag
 
 
 class HomologyReport:
@@ -352,10 +313,9 @@ class HomologyReport:
         parts = []
         for p in sorted(set(self.betti) | set(self.torsion)):
             b = self.betti.get(p, 0)
-            t = self.torsion.get(p, ())
-            if b or t:
-                parts.append("H~_%d = Z^%d%s" % (
-                    p, b, "".join(" + Z/%d" % x for x in t)))
+            terms = ["Z^%d" % b] * (b > 0) + ["Z/%d" % x for x in self.torsion.get(p, ())]
+            if terms:
+                parts.append("H~_%d = %s" % (p, " + ".join(terms)))
         return "HomologyReport(%s)" % ("; ".join(parts) or "trivial")
 
 

@@ -242,6 +242,7 @@ class GroupContext:
         return self.reduce(prod)
 
     def invert(self, s: Spraige) -> Spraige:
+        self.validate(s)
         return Spraige(s.plus, lb_invert(s.lb), s.minus)
 
     def is_identity(self, s: Spraige) -> bool:
@@ -308,12 +309,13 @@ class GroupContext:
         """Forget braiding and labels, keep the leaf permutation.  Well
         defined on classes only when the labels are pure."""
         self._require_pure_labels("projection to V")
+        self.validate(s)
         return PairedForestDiagram(s.minus, permutation_of(s.lb.braid), s.plus)
 
     def r_label(self, s: Spraige) -> BraidWord:
         """The realized label of the first strand; invariant under change
         of representative."""
-        return s.lb.labels[0].realize(self.spec)
+        return self.validate(s).lb.labels[0].realize(self.spec)
 
     # -- dangling ------------------------------------------------------------
 

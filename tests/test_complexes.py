@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 import tracemalloc
 
 import pytest
@@ -73,6 +73,17 @@ def test_homology_projective_plane_torsion():
     assert h.euler_consistent()
 
 
+def test_homology_report_text_names_only_nonzero_parts():
+    rp2 = complex_library()["rp2"]
+    assert repr(reduced_homology(rp2)) == "HomologyReport(H~_1 = Z/2)"
+    assert repr(reduced_homology(SimplicialComplex.sphere(2))) == "HomologyReport(H~_2 = Z^1)"
+    assert repr(reduced_homology(SimplicialComplex.simplex(3))) == "HomologyReport(trivial)"
+    # RP^2 beside a hollow triangle: free and torsion parts in one degree
+    both = SimplicialComplex(9, list(rp2.maximal_faces) + [(6, 7), (7, 8), (6, 8)])
+    assert (repr(reduced_homology(both))
+            == "HomologyReport(H~_0 = Z^1; H~_1 = Z^1 + Z/2)")
+
+
 def test_join_with_s0_suspends():
     s0 = SimplicialComplex(2, [(0,), (1,)])
     for k in complex_library().values():
@@ -118,6 +129,152 @@ def test_relative_homology_of_cone_pair_shifts_reduced_homology():
 
 # -- sparse elimination against the dense Smith form ---------------------------
 
+def _oracle_smith(rows):
+    """Invariant factors as the library computed them before its one-loop
+    diagonalization: pivot on a least nonzero entry, promote remainders
+    until the pivot's row and column are clear, and add a row holding an
+    entry the pivot does not divide before moving on.  The dense
+    reference for the sparse elimination and for `smith_invariants`."""
+    a = [list(r) for r in rows]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    res = []
+    t = 0
+    while t < m and t < n:
+        # smallest nonzero entry as pivot
+        piv = None
+        best = None
+        for i in range(t, m):
+            row = a[i]
+            for j in range(t, n):
+                v = row[j]
+                if v and (best is None or abs(v) < best):
+                    best = abs(v)
+                    piv = (i, j)
+                    if best == 1:
+                        break
+            if best == 1:
+                break
+        if piv is None:
+            break
+        pi, pj = piv
+        a[t], a[pi] = a[pi], a[t]
+        if pj != t:
+            for row in a:
+                row[t], row[pj] = row[pj], row[t]
+        while True:
+            # clear the pivot column
+            for i in range(t + 1, m):
+                if a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    if q:
+                        a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+            if any(a[i][t] for i in range(t + 1, m)):
+                # a smaller remainder appeared; promote it
+                for i in range(t + 1, m):
+                    if a[i][t]:
+                        a[t], a[i] = a[i], a[t]
+                        break
+                continue
+            # clear the pivot row
+            for j in range(t + 1, n):
+                if a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    if q:
+                        for row in a:
+                            row[j] -= q * row[t]
+            if any(a[t][j] for j in range(t + 1, n)):
+                for j in range(t + 1, n):
+                    if a[t][j]:
+                        for row in a:
+                            row[t], row[j] = row[j], row[t]
+                        break
+                continue
+            break
+        # enforce divisibility of the remaining block by the pivot
+        d = abs(a[t][t])
+        culprit = None
+        for i in range(t + 1, m):
+            row = a[i]
+            for j in range(t + 1, n):
+                if row[j] % d:
+                    culprit = i
+                    break
+            if culprit is not None:
+                break
+        if culprit is not None:
+            a[t] = [x + y for x, y in zip(a[t], a[culprit])]
+            continue
+        res.append(d)
+        t += 1
+    return res
+
+
+# entries with small, composite and large absolute values
+SMITH_POOLS = ((0, 1, -1, 2, -2, 3, -3), (4, -6, 9, 12, -15, 35), tuple(range(-50, 51)))
+
+
+def random_matrices(rng, count, largest):
+    """`count` integer matrices as row lists, each with 0..largest rows and
+    columns and entries from one of SMITH_POOLS."""
+    out = []
+    for _ in range(count):
+        m, n = rng.randint(0, largest), rng.randint(0, largest)
+        pool = rng.choice(SMITH_POOLS)
+        out.append([[rng.choice(pool) for _ in range(n)] for _ in range(m)])
+    return out
+
+
+def test_smith_invariants_match_the_oracle():
+    rng = random.Random("smith-vs-oracle")
+    chains = 0
+    for rows in random_matrices(rng, 5000, 8):
+        invs = smith_invariants(rows)
+        assert invs == _oracle_smith(rows), rows
+        chains += len({d for d in invs if d > 1}) >= 2
+    # the gcd/lcm pass has chains of distinct factors to build
+    assert chains > 100
+
+
+def leibniz_determinant(rows):
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        term = (-1) ** sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def determinantal_invariants(rows):
+    """s_k = d_k / d_(k-1), where d_k is the gcd of the k x k minors, for
+    every k with d_k nonzero: the invariant factors by their definition."""
+    m, n = len(rows), (len(rows[0]) if rows else 0)
+    out, previous = [], 1
+    for k in range(1, min(m, n) + 1):
+        d = 0
+        for chosen_rows in combinations(range(m), k):
+            for chosen_cols in combinations(range(n), k):
+                d = math.gcd(d, leibniz_determinant(
+                    [[rows[i][j] for j in chosen_cols] for i in chosen_rows]))
+        if not d:
+            break
+        out.append(d // previous)
+        previous = d
+    return out
+
+
+def test_smith_invariants_match_determinantal_divisors():
+    rng = random.Random("smith-vs-minors")
+    torsion = 0
+    for rows in random_matrices(rng, 1500, 4):
+        invs = smith_invariants(rows)
+        assert invs == determinantal_invariants(rows), rows
+        torsion += any(d > 1 for d in invs)
+    assert torsion > 300
+
+
 def test_sparse_invariants_match_dense_smith_form():
     # small entries in -3..3 leave non-unit pivots, so the dense leftover
     # block and torsion are exercised, not only the unit pivots
@@ -128,7 +285,7 @@ def test_sparse_invariants_match_dense_smith_form():
         rows = [[rng.choice((0, 0, 0, 1, -1, 2, -2, 3, -3)) for _ in range(n)]
                 for _ in range(m)]
         columns = [{i: rows[i][j] for i in range(m) if rows[i][j]} for j in range(n)]
-        dense = smith_invariants(rows)
+        dense = _oracle_smith(rows)
         assert _sparse_invariants(columns)[0] == dense, rows
         with_torsion += any(d > 1 for d in dense)
     assert with_torsion > 50
@@ -139,7 +296,7 @@ def test_sparse_invariants_match_dense_smith_form():
 def dense_homology(chains, low):
     """Betti numbers, torsion and face counts of the chain complex with
     basis `chains` (degree -> faces), from dense boundary matrices and
-    smith_invariants; faces missing from the degree below are projected
+    _oracle_smith; faces missing from the degree below are projected
     away.  The reference for the library's sparse elimination."""
     top = max(chains, default=-1)
     invs = {}
@@ -152,7 +309,7 @@ def dense_homology(chains, low):
                 i = index.get(f[:drop] + f[drop + 1:])
                 if i is not None:
                     rows[i][j] = (-1) ** drop
-        invs[p] = smith_invariants(rows) if lower and upper else []
+        invs[p] = _oracle_smith(rows) if lower and upper else []
     degrees = range(low, top + 1)
     betti = {p: len(chains.get(p, ())) - len(invs[p]) - len(invs[p + 1]) for p in degrees}
     torsion = {p: tuple(d for d in invs[p + 1] if d > 1) for p in degrees}

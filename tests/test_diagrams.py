@@ -306,9 +306,9 @@ def test_reduce_checks_the_arity_of_every_element():
             ctx.key(s)
         with pytest.raises(ValueError, match="element has arity 3, context 2"):
             ctx.equal(s, s)
-        for member in (ctx.in_bF, ctx.in_bT):
+        for op in (ctx.in_bF, ctx.in_bT, ctx.invert, ctx.project_to_v, ctx.r_label):
             with pytest.raises(ValueError, match="element has arity 3, context 2"):
-                member(s)
+                op(s)
 
 
 def test_left_cancellation():
@@ -402,9 +402,14 @@ def test_flavor_contexts_reject_nonmembers():
         for op in (lambda: ctx.multiply(bad, e), lambda: ctx.multiply(e, bad),
                    lambda: ctx.expand(bad, 1), lambda: ctx.reduce(bad),
                    lambda: ctx.equal(bad, bad), lambda: ctx.equal(e, bad),
-                   lambda: ctx.in_bF(bad), lambda: ctx.in_bT(bad)):
+                   lambda: ctx.in_bF(bad), lambda: ctx.in_bT(bad),
+                   lambda: ctx.invert(bad), lambda: ctx.project_to_v(bad),
+                   lambda: ctx.r_label(bad)):
             with pytest.raises(ValueError, match=message):
                 op()
+        # mu is the inverse of a lambda, which is a member, so it builds
+        lam, mu = ctx.lambda_spraige(3, {1, 3}), ctx.mu_spraige(3, {1, 3})
+        assert ctx.is_identity(ctx.multiply(lam, mu)) and ctx.in_bF(mu)
     ctx_f = context_trivial(2, 1, "F")
     with pytest.raises(ValueError, match="not an element of bF"):
         ctx_f.cable_on_feet(braige, BraidWord(2, [1]), (Label(), Label()))

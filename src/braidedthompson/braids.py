@@ -3,15 +3,22 @@
 A braid is stored as a word in the generators sigma_1 .. sigma_{n-1}
 (letter i > 0 for sigma_i, i < 0 for its inverse), read left to right,
 which is top to bottom in diagrams.  Equality of braids is decided by
-the left greedy normal form over permutation braids with a Delta-power
-prefix, so `braid_equal` is a complete decision procedure.  The normal
-form packs each maximal run of same-sign letters into few simple factors
-(a negative run as the inverse of a positive word) and multiplies them
-onto the normal form one at a time from the right, left-weighting only
-the pairs that the new factor disturbs.
+Dynnikov coordinates: B_n acts on the integer coordinates of
+laminations in a punctured disk, and the orbit map of one standard
+lamination is injective (Dynnikov, Russian Math. Surveys 57, 2002;
+Dehornoy, "Efficient solutions to the braid isotopy problem", Discrete
+Appl. Math. 156, 2008), so `braid_equal` is a complete decision
+procedure that reads each word once, in exact integers.
 
-A word caches its permutation and exponent sum beside its normal form,
-each computed on first use.
+The left greedy normal form over permutation braids with a Delta-power
+prefix gives each braid a canonical, hashable form (`normal_form`).  It
+packs each maximal run of same-sign letters into few simple factors (a
+negative run as the inverse of a positive word) and multiplies them onto
+the normal form one at a time from the right, left-weighting only the
+pairs that the new factor disturbs.
+
+A word caches its permutation, exponent sum, Dynnikov coordinates and
+normal form, each computed on first use.
 
 Besides the group operations the module provides the geometric moves
 needed by the diagram calculus: half twists, cabling (replacing strands
@@ -91,14 +98,15 @@ class Permutation:
 
 
 class BraidWord:
-    """A word in B_n.  Immutable; the normal form, permutation and
-    exponent sum are cached lazily.
+    """A word in B_n.  Immutable; the normal form (`_nf`), permutation
+    (`_perm`), exponent sum (`_esum`) and Dynnikov coordinates (`_dyn`)
+    are cached lazily.
 
     `==` compares words letter for letter.  Use `braid_equal` for
     equality as group elements.
     """
 
-    __slots__ = ("strands", "letters", "_nf", "_perm", "_esum")
+    __slots__ = ("strands", "letters", "_nf", "_perm", "_esum", "_dyn")
 
     def __init__(self, strands, letters=()):
         if strands < 1:
@@ -109,7 +117,7 @@ class BraidWord:
                 raise ValueError("letter %d out of range for B_%d" % (a, strands))
         self.strands = strands
         self.letters = letters
-        self._nf = self._perm = self._esum = None
+        self._nf = self._perm = self._esum = self._dyn = None
 
     @classmethod
     def _trusted(cls, strands, letters):
@@ -118,7 +126,7 @@ class BraidWord:
         w = object.__new__(cls)
         w.strands = strands
         w.letters = letters
-        w._nf = w._perm = w._esum = None
+        w._nf = w._perm = w._esum = w._dyn = None
         return w
 
     @classmethod
@@ -201,10 +209,66 @@ def permutation_of(w: BraidWord) -> Permutation:
     return w._perm
 
 
-def braid_equal(w1: BraidWord, w2: BraidWord) -> bool:
-    """Decide equality in B_n via the greedy normal form.
+def _dynnikov_act(co, letters):
+    """Act by `letters`, one at a time from the left, on the list co of
+    Dynnikov coordinates (a_1, b_1, .., a_n, b_n), in place.
 
-    Cheap invariants (exponent sum, permutation) are compared first.
+    sigma_i changes only the pairs i and i+1.  With x+ = max(x, 0) and
+    x- = min(x, 0), sigma_i sets, for c = a_i - b_i- - a_{i+1} + b_{i+1}+,
+
+        a_i <- a_i + b_i+ + (b_{i+1}+ - c)+       b_i <- b_{i+1} - c+
+        a_{i+1} <- a_{i+1} + b_{i+1}- + (b_i- + c)-   b_{i+1} <- b_i + c+
+
+    and sigma_i^-1 sets, for d = a_i + b_i- - a_{i+1} - b_{i+1}+,
+
+        a_i <- a_i - b_i+ - (b_{i+1}+ + d)+       b_i <- b_{i+1} + d-
+        a_{i+1} <- a_{i+1} - b_{i+1}- - (b_i- - d)-   b_{i+1} <- b_i - d-
+    """
+    for x in letters:
+        j = 2 * x - 2 if x > 0 else -2 * x - 2
+        a1, b1, a2, b2 = co[j:j + 4]
+        b1p = b1 if b1 > 0 else 0
+        b2p = b2 if b2 > 0 else 0
+        b1m, b2m = b1 - b1p, b2 - b2p
+        if x > 0:
+            c = a1 - b1m - a2 + b2p
+            cp = c if c > 0 else 0
+            u, v = b2p - c, b1m + c
+            co[j:j + 4] = (a1 + b1p + (u if u > 0 else 0), b2 - cp,
+                           a2 + b2m + (v if v < 0 else 0), b1 + cp)
+        else:
+            d = a1 + b1m - a2 - b2p
+            dm = d if d < 0 else 0
+            u, v = b2p + d, b1m - d
+            co[j:j + 4] = (a1 - b1p - (u if u > 0 else 0), b2 + dm,
+                           a2 - b2m - (v if v < 0 else 0), b1 - dm)
+
+
+def _dynnikov(w: BraidWord):
+    """The Dynnikov coordinates of the standard lamination (every a_i = 0,
+    b_i = 1) after w acts on it.  Cached on the word."""
+    if w._dyn is None:
+        co = [0, 1] * w.strands
+        _dynnikov_act(co, w.letters)
+        w._dyn = tuple(co)
+    return w._dyn
+
+
+def braid_equal(w1: BraidWord, w2: BraidWord) -> bool:
+    """Decide equality in B_n by Dynnikov coordinates.
+
+    B_n acts on Z^{2n}, the coordinates of integral laminations in a
+    punctured disk, by the piecewise-linear maps of `_dynnikov_act`, and
+    the orbit map of the standard lamination is injective: two words are
+    equal in B_n exactly when they send it to the same integer vector
+    (Dynnikov, "On a Yang-Baxter map and the Dehornoy ordering", Russian
+    Math. Surveys 57, 2002; Dehornoy, "Efficient solutions to the braid
+    isotopy problem", Discrete Appl. Math. 156, 2008).  This takes one
+    pass over each word, in exact integers whose bit length grows at
+    most linearly with the length of the word.
+
+    Identical letters, the exponent sum and the permutation are compared
+    first.  No normal form is built.
     """
     if w1.strands != w2.strands:
         raise ValueError("cannot compare words in B_%d and B_%d" % (w1.strands, w2.strands))
@@ -214,7 +278,7 @@ def braid_equal(w1: BraidWord, w2: BraidWord) -> bool:
         return False
     if permutation_of(w1) != permutation_of(w2):
         return False
-    return w1.normal_form() == w2.normal_form()
+    return _dynnikov(w1) == _dynnikov(w2)
 
 
 def is_trivial(w: BraidWord) -> bool:

@@ -271,11 +271,11 @@ class GroupContext:
     def equal(self, g: Spraige, h: Spraige) -> bool:
         """Compare the reduced representatives part by part: the forests,
         then the braids (`braid_equal`: identical letters, exponent sum and
-        permutation before any normal form), then the labels (`label_equal`:
-        an identical word before any realization).  Sound and complete
-        because every class has a unique reduced representative, so it
-        agrees with comparing `key`s while building normal forms only where
-        the cheaper tests leave the answer open."""
+        permutation, then Dynnikov coordinates), then the labels
+        (`label_equal`: an identical word before any realization).  Sound
+        and complete because every class has a unique reduced
+        representative, so it agrees with comparing `key`s; it builds no
+        normal form."""
         if g.heads != h.heads or g.feet != h.feet:
             raise ValueError("shape mismatch: (%d,%d) vs (%d,%d)"
                              % (g.heads, g.feet, h.heads, h.feet))

@@ -13,7 +13,7 @@ equality is decided after realization in B_d, which is sound and
 complete because H embeds in B_d.  Each spec memoizes the realizations
 of the label words it has seen, keyed by the word, for as long as the
 spec lives, so every comparison and cable of one label reuses one
-`BraidWord` and its cached normal form; a word naming an undeclared
+`BraidWord` and what it caches; a word naming an undeclared
 generator is never stored and raises on every call.
 
 Cabling is the one move through which that embedding enters the diagram

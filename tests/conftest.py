@@ -153,6 +153,12 @@ def random_complex(rng, max_vertices=7, max_faces=6, max_size=4):
     return SimplicialComplex(nv, faces)
 
 
+def forbidden(word):
+    """Stands in, through monkeypatch, for a computation on a braid word
+    (`BraidWord.normal_form`, say) that a test forbids."""
+    raise AssertionError("forbidden computation on a word in B_%d" % word.strands)
+
+
 def seeded(name):
     """A generator seeded from the name alone (string seeds go through
     SHA-512, not the per-process salted hash), so every run draws the same

@@ -9,10 +9,11 @@ from braidedthompson import (BraidWord, Label, LabeledBraid, LabelGroupSpec,
                              delete_strands, half_twist, is_cyclic, is_pure,
                              is_trivial, permutation_of, shifted,
                              word_from_permutation)
-from braidedthompson.braids import _free_reduce, _leftweight_pair, _tau
+from braidedthompson.braids import (_dynnikov, _dynnikov_act, _free_reduce,
+                                    _leftweight_pair, _tau)
 from braidedthompson.forests import decode
 from braidedthompson.labeled import label_equal
-from conftest import context_half_twist, seeded
+from conftest import context_half_twist, forbidden, seeded
 
 
 def test_permutation_of_identity():
@@ -485,6 +486,21 @@ def test_twisted_power_equality_at_scale():
     assert not ctx.equal(lhs, changed)
 
 
+def test_twisted_power_equality_at_24_builds_no_normal_form(monkeypatch):
+    # g^24 lives on 99 strands with a 108,912-letter braid; reduction and
+    # equality compare braids by their Dynnikov coordinates alone
+    monkeypatch.setattr(BraidWord, "normal_form", forbidden)
+    ctx, powers = _twisted_powers(24)
+    lhs = ctx.multiply(powers[11], powers[11])
+    g24 = powers[23]
+    start = time.perf_counter()
+    assert ctx.equal(lhs, g24)
+    assert time.perf_counter() - start < 2
+    labels = g24.lb.labels[:5] + (g24.lb.labels[5] * Label.parse("g1"),) + g24.lb.labels[6:]
+    changed = Spraige(g24.minus, LabeledBraid(g24.lb.braid, labels), g24.plus)
+    assert not ctx.equal(lhs, changed)
+
+
 @st.composite
 def _word_and_rewrite(draw, max_strands=9, max_letters=60):
     """A word on up to max_strands strands and max_letters letters, and
@@ -517,6 +533,116 @@ def test_normal_form_is_invariant_under_relations(pair):
     nf = w.normal_form()
     assert v.normal_form() == nf
     assert nf == _oracle_normal_form(w.strands, w.letters)
+
+
+# -- Dynnikov coordinates: the maps, and equality against normal forms --------
+
+def _act(co, letters):
+    co = list(co)
+    _dynnikov_act(co, letters)
+    return co
+
+
+@st.composite
+def _vector_and_generators(draw):
+    """A random vector in Z^{2n}, n >= 4, with entries near zero (where
+    the maps change piece) or large; a generator i < n - 1; signed far
+    generators k, j with j >= k + 2."""
+    n = draw(st.integers(4, 9))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-10 ** 9, 10 ** 9))
+    co = draw(st.lists(entry, min_size=2 * n, max_size=2 * n))
+    i = draw(st.integers(1, n - 2))
+    k = draw(st.integers(1, n - 3))
+    j = draw(st.integers(k + 2, n - 1))
+    sign = st.sampled_from((1, -1))
+    return co, i, draw(sign) * k, draw(sign) * j
+
+
+@given(_vector_and_generators())
+def test_dynnikov_maps_satisfy_the_braid_group_relations(case):
+    # the maps alone, on arbitrary integer vectors: no faithfulness assumed
+    co, i, k, j = case
+    for a in (i, i + 1, k, j):
+        assert _act(co, (a, -a)) == co
+        assert _act(co, (-a, a)) == co
+    assert _act(co, (i, i + 1, i)) == _act(co, (i + 1, i, i + 1))
+    assert _act(co, (-i, -i - 1, -i)) == _act(co, (-i - 1, -i, -i - 1))
+    assert _act(co, (k, j)) == _act(co, (j, k))
+
+
+def _flipped(w, *positions):
+    letters = list(w.letters)
+    for p in positions:
+        letters[p] = -letters[p]
+    return BraidWord(w.strands, letters)
+
+
+def _normal_forms_equal(w, v):
+    """Equality as braid_equal decided it before Dynnikov coordinates."""
+    return w.normal_form() == v.normal_form()
+
+
+@given(_word_and_rewrite(), st.data())
+def test_braid_equal_agrees_with_normal_forms(pair, data):
+    # a word against its rewrite, the rewrite with one letter flipped, and
+    # the rewrite with a positive and a negative letter flipped, which keeps
+    # the exponent sum and the permutation, so only the full test decides
+    w, v = pair
+    candidates = [v, _flipped(v, data.draw(st.integers(0, len(v) - 1)))]
+    positive = [p for p, a in enumerate(v.letters) if a > 0]
+    negative = [p for p, a in enumerate(v.letters) if a < 0]
+    if positive and negative:
+        candidates.append(_flipped(v, data.draw(st.sampled_from(positive)),
+                                   data.draw(st.sampled_from(negative))))
+    for u in candidates:
+        assert braid_equal(w, u) == _normal_forms_equal(w, u)
+
+
+def test_full_twist_is_central_and_not_trivial():
+    rng = seeded("full-twist-centre")
+    for n in range(3, 12):
+        delta2 = half_twist(n) * half_twist(n)
+        # pure, with the exponent sum of sigma_1^{n(n-1)}: only the full test
+        # tells them apart
+        assert not braid_equal(delta2, BraidWord(n, [1] * (n * (n - 1))))
+        assert _dynnikov(delta2) != _dynnikov(BraidWord(n))
+        for _ in range(5):
+            w = _random_word(rng, n, rng.randint(1, 40))
+            assert braid_equal(delta2 * w, w * delta2)
+            assert not braid_equal(delta2 * w, w)
+
+
+def test_pure_commutator_is_not_trivial():
+    # sigma_1^2 sigma_2^2 sigma_1^-2 sigma_2^-2, the commutator the braided
+    # session benchmark multiplies by: pure with exponent sum 0, so no cheap
+    # invariant sees it
+    c = BraidWord(3, (1, 1, 2, 2, -1, -1, -2, -2))
+    assert is_pure(c) and c.exponent_sum() == 0
+    assert not is_trivial(c) and not _normal_forms_equal(c, BraidWord(3))
+    assert braid_equal(c * c.inverse(), BraidWord(3))
+
+
+def test_braid_equal_builds_no_normal_form():
+    pairs = [(BraidWord(3, [1, 2, 1]), BraidWord(3, [2, 1, 2])),
+             (BraidWord(3, (1, 1, 2, 2, -1, -1, -2, -2)), BraidWord(3))]
+    for w, v in pairs:
+        braid_equal(w, v)
+        assert w._dyn is not None and v._dyn is not None
+        assert w._nf is None and v._nf is None
+
+
+def test_pseudo_anosov_word_in_exact_integers():
+    # (sigma_1 sigma_2^-1)^k stretches laminations by phi^2 per period, so
+    # its coordinates gain log2(phi^2) = 1.39 bits per period
+    w = BraidWord(3, (1, -2) * 20000)
+    letters = list(w.letters)
+    letters[20000:20000] = [1, 2, 1, -2, -1, -2]
+    v = BraidWord(3, letters)
+    assert braid_equal(w, v)
+    assert not braid_equal(w, _flipped(v, 20000, 20004))
+    bits = max(abs(x) for x in _dynnikov(w)).bit_length()
+    half = max(abs(x) for x in _dynnikov(BraidWord(3, (1, -2) * 10000))).bit_length()
+    assert bits > 27000 and abs(bits - 2 * half) <= 2
 
 
 # -- Artin's representation: a faithful oracle on every strand count ----------

@@ -7,12 +7,13 @@ from braidedthompson import (BraidWord, Forest, GroupContext, Label,
                              elementary_forest, half_twist, is_cyclic, is_pure,
                              is_trivial, permutation_of, v_equal, v_expand,
                              v_multiply, v_reduce, word_from_permutation)
+from braidedthompson import braids
 from braidedthompson.forests import attach_caret, decode
 from braidedthompson.labeled import lb_equal
 from conftest import (context_full_twist, context_half_twist, context_trivial,
-                      make_context, random_element, random_elementary_braige,
-                      random_label, reduce_descending, seeded,
-                      width_preserving_multiplier)
+                      forbidden, make_context, random_element,
+                      random_elementary_braige, random_label, reduce_descending,
+                      seeded, width_preserving_multiplier)
 
 
 def test_identity_and_lambda_mu():
@@ -269,8 +270,8 @@ def test_equal_agrees_with_the_product_oracle(name):
 @pytest.mark.parametrize("name", sorted(KEY_CONTEXTS))
 def test_equal_needs_no_normal_form_when_a_cheap_test_decides(name, monkeypatch):
     # Reduced forests that differ decide False, and reduced braids and labels
-    # spelled letter for letter alike decide True, before any Garside normal
-    # form is computed.  x is x0-shaped with a pure braid and one label word
+    # spelled letter for letter alike decide True, before any Dynnikov
+    # coordinates or normal form is computed.  x is x0-shaped with a pure braid and one label word
     # on every strand, so reducing it or its expansions compares no labels
     # or braids that are spelled differently.
     ctx = KEY_CONTEXTS[name]
@@ -286,12 +287,27 @@ def test_equal_needs_no_normal_form_when_a_cheap_test_decides(name, monkeypatch)
     for g, h in true_pairs:
         assert ctx.reduce(h).lb.braid.letters == g.lb.braid.letters
 
-    def no_normal_form(self):
-        raise AssertionError("normal form computed")
-
-    monkeypatch.setattr(BraidWord, "normal_form", no_normal_form)
+    monkeypatch.setattr(BraidWord, "normal_form", forbidden)
+    monkeypatch.setattr(braids, "_dynnikov", forbidden)
     assert not any(ctx.equal(a, b) for a, b in false_pairs)
     assert all(ctx.equal(g, h) for g, h in true_pairs)
+
+
+@pytest.mark.parametrize("name", sorted(KEY_CONTEXTS))
+def test_equality_paths_build_no_normal_form(name, monkeypatch):
+    # When the cheap tests leave the answer open, reduction, equal and
+    # is_identity (through labeled_uncable, lb_equal and label_equal)
+    # compare braids by their Dynnikov coordinates; only key builds normal
+    # forms.
+    ctx = KEY_CONTEXTS[name]
+    rng = seeded("no-normal-form-" + name)
+    monkeypatch.setattr(BraidWord, "normal_form", forbidden)
+    for _ in range(10):
+        a, b = random_element(ctx, rng), random_element(ctx, rng)
+        ab = ctx.multiply(a, b)
+        assert ctx.is_identity(ctx.multiply(a, ctx.invert(a)))
+        assert ctx.equal(ab, ctx.expand(ab, rng.randint(1, ab.leaves)))
+        assert ctx.equal(ctx.multiply(ab, ctx.invert(b)), a)
 
 
 def test_reduce_checks_the_arity_of_every_element():
@@ -578,7 +594,9 @@ def test_factorization_into_unlabeled_and_label_parts():
         assert ctx.equal(g, ctx.multiply(unlabeled, labelpart))
 
 
-def test_dangling_equal_under_cabled_multipliers():
+def test_dangling_equal_under_cabled_multipliers(monkeypatch):
+    # the cable test compares braids without any normal form
+    monkeypatch.setattr(BraidWord, "normal_form", forbidden)
     ctx = make_context(2, 1, (BraidWord(2, [1, 1]),))
     rng = seeded("dangling")
     for _ in range(100):

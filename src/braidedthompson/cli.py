@@ -268,6 +268,8 @@ def cmd_join_check(args):
 
 
 def cmd_morse(args):
+    if not (args.filter or args.heights):
+        raise CliError("morse needs --filter start or --heights")
     k = _read_complex(args)
     if args.filter == "start":
         heights = {v: v + 1 for v in k.vertex_set()}
@@ -325,9 +327,17 @@ def _emit(out, fh, plain):
         fh.write("%s\t%s\n" % (key, val))
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A usage error raises CliError, so it is reported like any other
+    failure; --help still prints help and exits 0."""
+
+    def error(self, message):
+        raise CliError("%s: %s" % (self.prog, message))
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(prog="bht", description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap = _ArgumentParser(prog="bht", description=__doc__,
+                         formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--strict", action="store_true",
                     help="exit 1 when a predicate answer is false")
     ap.add_argument("--plain", action="store_true", help="line output instead of JSON")
@@ -387,10 +397,10 @@ def main(argv=None):
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
-    if args.command == "morse" and not (args.filter or args.heights):
-        _parser.error("morse needs --filter start or --heights")
+    # filled in as parsing goes, so a usage error still knows the command and --plain
+    args = argparse.Namespace(command="", plain=False)
     try:
+        _parser.parse_args(argv, args)
         out, truth = args.fn(args)
     # DslError and JSONDecodeError are ValueErrors; too deep an input ends in RecursionError
     except (CliError, OSError, ValueError, KeyError, RecursionError) as exc:

@@ -28,8 +28,11 @@ relative-homology conclusion of the Morse lemma level by level and can
 derive the largest degree its hypothesis supports (`morse_check` is the
 one-level predicate).
 
-Derived complexes, and faces one size at a time as they are asked for
-(cached on the complex), are read off the maximal faces.
+Faces are read off the maximal faces one size at a time, as they are
+asked for, and cached on the complex.  Full subcomplexes, links, mutual
+links and descending links come from one restriction (some faces of the
+complex cut down to a vertex set), and the chains of a Morse level pair
+are the cones over the faces of the descending links the sweep built.
 """
 
 from __future__ import annotations
@@ -124,13 +127,7 @@ class SimplicialComplex:
 
     def full_subcomplex(self, keep):
         """Faces spanned by the vertex subset `keep`; ambient ids kept."""
-        keep = set(keep)
-        faces = set()
-        for f in self.maximal_faces:
-            g = tuple(v for v in f if v in keep)
-            if g:
-                faces.add(g)
-        return SimplicialComplex(self.vertices, faces)
+        return _restrict(self, self.maximal_faces, set(keep))
 
     def __eq__(self, other):
         return (isinstance(other, SimplicialComplex)
@@ -162,7 +159,13 @@ class SimplicialComplex:
         return cls(vertices, faces)
 
 
-# -- link, star, join, mutual link ------------------------------------------
+# -- restriction: link, star, join, mutual link ------------------------------
+
+
+def _restrict(k: SimplicialComplex, faces, keep) -> SimplicialComplex:
+    """The complex on k's ambient vertices spanned by the given faces of k
+    cut down to `keep`; every kind of link, and every full subcomplex, is one."""
+    return SimplicialComplex(k.vertices, [tuple(v for v in f if v in keep) for f in faces])
 
 
 def _cofaces(k: SimplicialComplex, sigma):
@@ -176,9 +179,8 @@ def _cofaces(k: SimplicialComplex, sigma):
 
 
 def link(k: SimplicialComplex, sigma) -> SimplicialComplex:
-    s = set(sigma)
-    return SimplicialComplex(k.vertices, [tuple(v for v in f if v not in s)
-                                          for f in _cofaces(k, s)])
+    cofaces = _cofaces(k, sigma)
+    return _restrict(k, cofaces, set().union(*cofaces).difference(sigma))
 
 
 def star(k: SimplicialComplex, sigma) -> SimplicialComplex:
@@ -201,13 +203,15 @@ def join(k1: SimplicialComplex, k2: SimplicialComplex) -> SimplicialComplex:
 
 
 def mutual_link(k: SimplicialComplex, x: int, y: int) -> SimplicialComplex:
-    """Lk(x) intersected with Lk(y), the complex seen from both vertices."""
-    verts = k.vertex_set()
+    """Lk(x) intersected with Lk(y), the complex seen from both vertices:
+    the intersections of a coface of x with a coface of y, minus x and y."""
+    cofaces = {v: [f for f in k.maximal_faces if v in f] for v in (x, y)}
     for v in (x, y):
-        if v not in verts:
+        if not cofaces[v]:
             raise ValueError("%d is not a vertex" % v)
-    lx, ly = link(k, (x,)).maximal_faces, link(k, (y,)).maximal_faces
-    return SimplicialComplex(k.vertices, [tuple(v for v in a if v in b) for a in lx for b in ly])
+    ys = [set(b) for b in cofaces[y]]
+    return _restrict(k, [tuple(v for v in a if v in b) for a in cofaces[x] for b in ys],
+                     set().union(*cofaces[x]).difference((x, y)))
 
 
 # -- integer Smith normal form and homology ----------------------------------
@@ -612,8 +616,8 @@ def sublevel(k: SimplicialComplex, h: HeightFunction, t: int, strict=False) -> S
 
 def _descending_link(k: SimplicialComplex, h: HeightFunction, v: int) -> SimplicialComplex:
     hv = h(v)
-    return SimplicialComplex(k.vertices, [tuple(u for u in f if h.heights[u] < hv)
-                                          for f in _cofaces(k, (v,))])
+    cofaces = _cofaces(k, (v,))
+    return _restrict(k, cofaces, {u for f in cofaces for u in f if h.heights[u] < hv})
 
 
 def morse_descending_link(k: SimplicialComplex, h: HeightFunction, v: int) -> SimplicialComplex:
@@ -627,24 +631,19 @@ def morse_descending_link(k: SimplicialComplex, h: HeightFunction, v: int) -> Si
     return _descending_link(k, h, v)
 
 
-def _level_pair_homology(k: SimplicialComplex, h: HeightFunction, t: int, through: int):
-    """H_*(K^{<=t}, K^{<t}) through degree `through`, for a valid h.  The
-    pair's chains are the faces of K^{<=t} that meet level t.  Such a face
-    holds exactly one height-t vertex v, since h is valid, and lies in the
-    part at or below t of a maximal face through v; so the faces are read
-    off those parts, and neither sublevel complex is built."""
+def _level_pair_homology(links, through):
+    """H_*(K^{<=t}, K^{<t}) through degree `through`, from the descending
+    links {v: D_v} of the height-t vertices of a valid h.  A face of
+    K^{<=t} that meets level t holds one height-t vertex v, and the rest
+    is a face c of D_v, maybe empty: the pair's chains are the cones c + v,
+    read off the cached faces of each link by size."""
     chains = {}
-    for f in k.maximal_faces:
-        at = [u for u in f if h.heights[u] == t]
-        if not at:
-            continue
-        v = at[0]
-        below = [u for u in f if h.heights[u] < t]
-        for size in range(min(len(below), through + 1) + 1):
-            faces = chains.setdefault(size, set())
-            for c in combinations(below, size):
-                faces.add(tuple(sorted(c + (v,))))
-    return _homology({p: list(fs) for p, fs in chains.items()}, 0, through)
+    for v, d in links.items():
+        chains.setdefault(0, []).append((v,))
+        for size in range(1, min(through, d.dim) + 2):
+            chains.setdefault(size, []).extend(
+                tuple(sorted(c + (v,))) for c in d._faces_of_size(size))
+    return _homology(chains, 0, through)
 
 
 def morse_sweep(k: SimplicialComplex, h: HeightFunction, levels, kk=None):
@@ -662,8 +661,8 @@ def morse_sweep(k: SimplicialComplex, h: HeightFunction, levels, kk=None):
     sweep = []
     through = None if kk is None else kk - 1
     for t in levels:
-        reports = [reduced_homology(_descending_link(k, h, v), through)
-                   for v in k.vertex_set() if h(v) == t]
+        links = {v: _descending_link(k, h, v) for v in k.vertex_set() if h(v) == t}
+        reports = [reduced_homology(d, through) for d in links.values()]
         deg = kk
         if deg is None:
             deg = -1
@@ -671,7 +670,7 @@ def morse_sweep(k: SimplicialComplex, h: HeightFunction, levels, kk=None):
                 deg += 1
         # a failed hypothesis makes the implication hold vacuously
         holds = (not all(r.is_zero_through(deg - 1) for r in reports)
-                 or _level_pair_homology(k, h, t, deg).is_zero_through(deg))
+                 or _level_pair_homology(links, deg).is_zero_through(deg))
         sweep.append((t, deg, holds))
     return sweep
 

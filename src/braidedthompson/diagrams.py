@@ -29,7 +29,7 @@ operations never decide a flavor again.
 
 from __future__ import annotations
 
-from .braids import BraidWord, Permutation, permutation_of
+from .braids import BraidWord, Permutation, is_pure, permutation_of
 from .forests import (Forest, attach_caret, elementary_caret_spans,
                       elementary_forest, forest_to_matching, join, leaf_counts,
                       remove_elementary_caret)
@@ -112,14 +112,18 @@ class GroupContext:
     def __init__(self, d, r, spec, flavor="V"):
         if d < 2:
             raise ValueError("arity must be >= 2")
-        if r < 1:
-            raise ValueError("need at least one root")
         if spec.degree != d:
             raise ValueError("label group lives in B_%d, context has d=%d" % (spec.degree, d))
         if flavor not in ("V", "F", "T"):
             raise ValueError("flavor must be V, F or T")
         if flavor in ("F", "T") and not spec.require_pure:
-            raise ValueError("flavor %s needs a pure label group" % flavor)
+            impure = next(g for g in spec.generators if not is_pure(g))
+            raise ValueError("flavor %s needs a pure label group; generator %r is not pure"
+                             % (flavor, str(impure)))
+        # after the purity check: a session header reports the context's
+        # error at the first impure generator, when it has one
+        if r < 1:
+            raise ValueError("need at least one root")
         self.d = d
         self.r = r
         self.spec = spec

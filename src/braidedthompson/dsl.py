@@ -8,14 +8,18 @@
       plus: .|(..)
     }
 
-Whitespace is free everywhere; a braid word is a run of signed integers,
-a label word is a run of "e" and g<i>[^-1] tokens separated by
+Each of the characters "{}[],;:" is a token by itself, and every other
+token is a run of characters without whitespace, which is free between
+tokens.  So a forest text is one token and holds no whitespace:
+"(..)|." parses, "(..) | ." does not.  A braid word is a run of signed
+integers, a label word is a run of "e" and g<i>[^-1] tokens separated by
 whitespace (an "e" among them stands for nothing, so "g1 e g2" is
 "g1 g2", as in `Label.parse`), and label words are separated by ";".
 `gens:[]` declares the trivial label group.  The F and T flavors require
-pure generators and reject the header otherwise, and their sessions hold
-only elements of bF and bT: an element whose braid is not pure (F) or
-not a cyclic rotation (T) is rejected at its name.
+pure generators and reject the header otherwise, at its first impure
+generator, and their sessions hold only elements of bF and bT: an
+element whose braid is not pure (F) or not a cyclic rotation (T) is
+rejected at its name.
 
 Every element of a text is parsed and validated, a field at a time: the
 fixed tokens of an element are compared as slices, its braid run is
@@ -163,12 +167,10 @@ class _Parser:
                 self.pos += 1
                 gens.append(self._generator(d))
         self.expect("]", "}")
-        for at, g in gens:
-            if flavor in ("F", "T") and not is_pure(g):
-                self.error("flavor %s requires pure generators; %r is not pure"
-                           % (flavor, str(g)), at)
         spec = self.check(None, LabelGroupSpec, d, [g for _, g in gens])
-        return self.check(None, GroupContext, d, r, spec, flavor)
+        # the F and T flavors' error names the first impure generator: raise it there
+        impure = [at for at, g in gens if flavor != "V" and not is_pure(g)]
+        return self.check(impure[0] if impure else None, GroupContext, d, r, spec, flavor)
 
     def parse_element(self, ctx: GroupContext):
         """One element; returns (index of its name token, Spraige)."""

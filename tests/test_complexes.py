@@ -735,7 +735,7 @@ def test_morse_sweep_reports_a_failed_conclusion(monkeypatch):
     for k, h in filtrations:
         assert all(holds for _, _, holds in morse_sweep(k, h, h.levels(k)))
     h0 = complexes.HomologyReport({0: 1}, {}, [1])
-    monkeypatch.setattr(complexes, "_level_pair_homology", lambda k, h, t, through: h0)
+    monkeypatch.setattr(complexes, "_level_pair_homology", lambda links, through: h0)
     failed = 0
     for k, h in filtrations:
         for t, kk, holds in morse_sweep(k, h, h.levels(k)):
@@ -782,6 +782,12 @@ def tied_filtrations():
             yield k, h
 
 
+def level_links(k, h, t):
+    """The descending links of the height-t vertices, as morse_sweep
+    hands them to the level pair helper."""
+    return {v: complexes._descending_link(k, h, v) for v in k.vertex_set() if h(v) == t}
+
+
 def test_level_pair_homology_matches_the_sublevel_pair():
     filtrations = list(matching_filtrations()) + list(random_filtrations()) + list(tied_filtrations())
     nonzero = ties = 0
@@ -789,10 +795,10 @@ def test_level_pair_homology_matches_the_sublevel_pair():
         levels = h.levels(k)
         for t in levels + [levels[0] - 1]:
             want = relative_homology(sublevel(k, h, t), sublevel(k, h, t, strict=True))
-            got = complexes._level_pair_homology(k, h, t, k.dim + 1)
+            got = complexes._level_pair_homology(level_links(k, h, t), k.dim + 1)
             assert report_of(got) == report_of(want), (k, t)
             for through in range(-1, k.dim + 1):
-                part = complexes._level_pair_homology(k, h, t, through)
+                part = complexes._level_pair_homology(level_links(k, h, t), through)
                 for p in range(0, through + 1):
                     assert part.betti_number(p) == want.betti_number(p), (k, t, through)
                     assert part.torsion_coefficients(p) == want.torsion_coefficients(p)
@@ -800,6 +806,26 @@ def test_level_pair_homology_matches_the_sublevel_pair():
             nonzero += not want.is_zero_through(k.dim)
             ties += sum(1 for v in k.vertex_set() if h(v) == t) > 1
     assert nonzero > 10 and ties > 10
+
+
+def test_level_pair_chains_are_the_cones_over_the_descending_links(monkeypatch):
+    # with a valid h, the faces of K^{<=t} that meet level t are exactly
+    # the cones c + v over the faces c of the descending links D_v; the
+    # pair helper's chains are caught on their way into _homology
+    monkeypatch.setattr(complexes, "_homology", lambda chains, low, through: chains)
+    filtrations = list(matching_filtrations()) + list(random_filtrations()) + list(tied_filtrations())
+    for k, h in filtrations:
+        levels = h.levels(k)
+        for t in levels + [levels[0] - 1]:
+            upper, lower = sublevel(k, h, t), sublevel(k, h, t, strict=True)
+            want = {size - 1: upper._faces_of_size(size) - lower._faces_of_size(size)
+                    for size in range(1, k.dim + 2)}
+            for through in range(-1, k.dim + 1):
+                chains = complexes._level_pair_homology(level_links(k, h, t), through)
+                assert all(len(set(fs)) == len(fs) for fs in chains.values())
+                got = {p: frozenset(chains.get(p, ())) for p in range(0, k.dim + 1)}
+                cut = {p: fs if p <= through + 1 else frozenset() for p, fs in want.items()}
+                assert got == cut, (k.maximal_faces, h.heights, t, through)
 
 
 def test_json_roundtrip():

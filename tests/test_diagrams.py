@@ -445,7 +445,8 @@ def test_a_spec_of_pure_generators_makes_flavor_contexts():
     assert LabelGroupSpec.trivial(3) == LabelGroupSpec(3, (), require_pure=True)
     impure = LabelGroupSpec(2, (half_twist(2),))
     assert not impure.require_pure
-    with pytest.raises(ValueError, match="flavor F needs a pure label group"):
+    with pytest.raises(ValueError, match="^flavor F needs a pure label group; "
+                                         "generator '1' is not pure$"):
         GroupContext(2, 1, impure, "F")
 
 

@@ -95,6 +95,19 @@ def test_flavor_sessions_hold_only_their_members():
         assert list(elements) == ["a"]
 
 
+def test_a_forest_text_is_one_token():
+    # whitespace is free between tokens, but it ends a forest text: after
+    # "minus: (..)" the parser wants "braid" and meets the "|"
+    elem = "elem a { minus: %s braid: 1 labels: e; e; e plus: (..)|. }\n"
+    text = "group { d:2, r:2, flavor:V, gens:[] }\n" + elem
+    for parse in (parse_session, oracle_parse_session):
+        assert list(parse(text % "(..)|.")[1]) == ["a"]
+        with pytest.raises(DslError) as err:
+            parse(text % "(..) | .")
+        assert str(err.value) == "line 2, column 22: expected 'braid', found '|'"
+        assert (err.value.line, err.value.col) == (2, 22)
+
+
 def test_syntax_error_carries_line_and_column():
     text = HEADER + "\nelem x {\n  minus: (..)|.\n  oops: 1\n}\n"
     with pytest.raises(DslError) as err:
@@ -134,9 +147,12 @@ MALFORMED = [
     (H.replace("[1 1]", "[1 3]"), "letter 3 out of range for B_2", 1, 35),
     (H.replace("] }", "] ]"), "expected '}', found ']'", 1, 40),
     (H.replace("flavor:V", "flavor:F").replace("[1 1]", "[1]"),
-     "flavor F requires pure generators; '1' is not pure", 1, 35),
+     "flavor F needs a pure label group; generator '1' is not pure", 1, 35),
     (H.replace("flavor:V", "flavor:F").replace("[1 1]", "[1 1, 1]") + E,
-     "flavor F requires pure generators; '1' is not pure", 1, 40),
+     "flavor F needs a pure label group; generator '1' is not pure", 1, 40),
+    # the impure generator is reported even with a bad root count as well
+    (H.replace("flavor:V", "flavor:T").replace("r:1", "r:0").replace("[1 1]", "[1 1, -1]"),
+     "flavor T needs a pure label group; generator '-1' is not pure", 1, 40),
     (H.replace("r:1", "r:0"), "need at least one root (at end of input)", 1, 40),
     (H + E.replace("elem", "elm"), "expected 'elem', found 'elm'", 2, 1),
     (H + E.replace("elem a {", "elem {"), "bad element name '{'", 2, 6),
@@ -233,6 +249,45 @@ def test_cli_errors_exit_2(capsys, session_file):
     assert code == 2 and "ok" in err
     code = main(["eq", "--input", session_file, "a", "missing"])
     assert code == 2
+
+
+def usage_error(capsys, argv):
+    """Run a command that argparse rejects; return its JSON error, checked
+    against RESULT_SCHEMA, after checking exit code 2 and empty stdout."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "", argv
+    err = json.loads(captured.err)
+    jsonschema.validate(err, RESULT_SCHEMA)
+    assert err["ok"] is False
+    return err
+
+
+def test_cli_missing_operand_is_a_json_error(capsys, session_file):
+    err = usage_error(capsys, ["eq", "--input", session_file, "a"])
+    assert err == {"command": "eq", "ok": False,
+                   "error": "bht eq: the following arguments are required: b"}
+
+
+def test_cli_unknown_option_is_a_json_error(capsys, session_file):
+    err = usage_error(capsys, ["eq", "--input", session_file, "a", "b", "--bogus"])
+    assert err == {"command": "eq", "ok": False,
+                   "error": "bht: unrecognized arguments: --bogus"}
+
+
+def test_cli_morse_without_heights_is_a_json_error(capsys, tmp_path):
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps(cx.d_matching_linear(2, 6).to_json_dict()), encoding="utf-8")
+    err = usage_error(capsys, ["morse", "--file", str(path)])
+    assert err == {"command": "morse", "ok": False,
+                   "error": "morse needs --filter start or --heights"}
+
+
+def test_cli_help_still_prints_help(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["morse", "--help"])
+    assert done.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: bht morse")
 
 
 def test_cli_reduce_mul_inv(capsys, session_file):
@@ -855,7 +910,7 @@ class _OracleParser:
         require_pure = flavor in ("F", "T")
         for tok, g in gens:
             if require_pure and not is_pure(g):
-                self.error("flavor %s requires pure generators; %r is not pure"
+                self.error("flavor %s needs a pure label group; generator %r is not pure"
                            % (flavor, str(g)), tok)
         gens = [g for _, g in gens]
         spec = self.check(None, LabelGroupSpec, d, gens, require_pure=require_pure)

@@ -45,6 +45,8 @@ class Permutation:
     def __init__(self, image):
         image = tuple(image)
         n = len(image)
+        if not all(type(x) is int for x in image):
+            raise ValueError("permutation entries must be integers: %r" % (image,))
         if sorted(image) != list(range(1, n + 1)):
             raise ValueError("not a bijection of 1..%d: %r" % (n, image))
         self.image = image
@@ -113,6 +115,8 @@ class BraidWord:
             raise ValueError("need at least one strand")
         letters = tuple(letters)
         for a in letters:
+            if type(a) is not int:
+                raise ValueError("letter %r is not an integer" % (a,))
             if a == 0 or abs(a) >= strands:
                 raise ValueError("letter %d out of range for B_%d" % (a, strands))
         self.strands = strands

@@ -26,7 +26,9 @@ complete-join checker, and discrete-Morse machinery: descending links,
 sublevel filtrations, and one sweep (`morse_sweep`) that checks the
 relative-homology conclusion of the Morse lemma level by level and can
 derive the largest degree its hypothesis supports (`morse_check` is the
-one-level predicate).
+one-level predicate).  Each of these reads every vertex's height as h(v),
+and a vertex without one is a ValueError naming it; only validity spares
+a vertex in no edge.
 
 Faces are read off the maximal faces one size at a time, as they are
 asked for, and cached on the complex.  Full subcomplexes, links, mutual
@@ -114,7 +116,7 @@ class SimplicialComplex:
         return f in self._faces_of_size(len(f))
 
     def vertex_set(self):
-        return {v for f in self.maximal_faces for v in f}
+        return {v for v, in self._faces_of_size(1)}
 
     def is_empty(self):
         return not self.maximal_faces
@@ -194,24 +196,19 @@ def join(k1: SimplicialComplex, k2: SimplicialComplex) -> SimplicialComplex:
     off = k1.vertices
     m1 = list(k1.maximal_faces) or [()]
     m2 = [tuple(v + off for v in f) for f in k2.maximal_faces] or [()]
-    faces = set()
-    for a in m1:
-        for b in m2:
-            if a or b:
-                faces.add(tuple(sorted(a + b)))
-    return SimplicialComplex(k1.vertices + k2.vertices, faces)
+    return SimplicialComplex(k1.vertices + k2.vertices,
+                             {tuple(sorted(a + b)) for a in m1 for b in m2 if a or b})
 
 
 def mutual_link(k: SimplicialComplex, x: int, y: int) -> SimplicialComplex:
     """Lk(x) intersected with Lk(y), the complex seen from both vertices:
     the intersections of a coface of x with a coface of y, minus x and y."""
-    cofaces = {v: [f for f in k.maximal_faces if v in f] for v in (x, y)}
     for v in (x, y):
-        if not cofaces[v]:
+        if not k.has_face((v,)):
             raise ValueError("%d is not a vertex" % v)
-    ys = [set(b) for b in cofaces[y]]
-    return _restrict(k, [tuple(v for v in a if v in b) for a in cofaces[x] for b in ys],
-                     set().union(*cofaces[x]).difference((x, y)))
+    xs, ys = _cofaces(k, (x,)), [set(b) for b in _cofaces(k, (y,))]
+    return _restrict(k, [tuple(v for v in a if v in b) for a in xs for b in ys],
+                     set().union(*xs).difference((x, y)))
 
 
 # -- integer Smith normal form and homology ----------------------------------
@@ -537,12 +534,13 @@ def complete_join_check(source: SimplicialComplex, target: SimplicialComplex,
     the join of its vertex fibers.  Raises if the map is not simplicial.
     """
     vmap = dict(enumerate(vertex_map)) if not isinstance(vertex_map, dict) else dict(vertex_map)
-    targets = target.vertex_set()
+    targets, fibers = target.vertex_set(), {}
     for v in source.vertex_set():
         if v not in vmap:
             raise ValueError("vertex %d has no image" % v)
         if vmap[v] not in targets:
             raise ValueError("image of vertex %d is not a vertex of the target" % v)
+        fibers.setdefault(vmap[v], []).append(v)
     for f in source.maximal_faces:
         img = tuple(sorted({vmap[v] for v in f}))
         if not target.has_face(img):
@@ -551,9 +549,6 @@ def complete_join_check(source: SimplicialComplex, target: SimplicialComplex,
     for f in source.maximal_faces:
         if len({vmap[v] for v in f}) != len(f):
             return False
-    fibers = {}
-    for v in source.vertex_set():
-        fibers.setdefault(vmap[v], []).append(v)
     # surjectivity on vertices
     if set(fibers) != targets:
         return False
@@ -570,11 +565,9 @@ def duplicated_cover(k: SimplicialComplex):
     """The double cover used as a stock complete join: each vertex v is
     duplicated into 2v and 2v+1, faces lift in all combinations.
     Returns (cover, vertex_map)."""
-    faces = []
-    for f in k.maximal_faces:
-        for eps in product((0, 1), repeat=len(f)):
-            faces.append(tuple(2 * v + e for v, e in zip(f, eps)))
-    cover = SimplicialComplex(2 * k.vertices, faces)
+    cover = SimplicialComplex(2 * k.vertices, [tuple(2 * v + e for v, e in zip(f, eps))
+                                               for f in k.maximal_faces
+                                               for eps in product((0, 1), repeat=len(f))])
     vmap = {2 * v + e: v for v in k.vertex_set() for e in (0, 1)}
     return cover, vmap
 
@@ -583,12 +576,14 @@ def duplicated_cover(k: SimplicialComplex):
 
 
 _INVALID_HEIGHTS = "invalid height function: some cell has no unique maximum"
+_NO_HEIGHT = "vertex %d has no height"
 
 
 class HeightFunction:
-    """Integer heights on the ambient vertices.  Valid for a complex iff
+    """Integer heights on the ambient vertices, read as h(v): a vertex
+    without one is a ValueError that names it.  Valid for a complex iff
     every face has a unique maximizing vertex (equivalently no edge is
-    level)."""
+    level), so a vertex in no edge needs no height to be valid."""
 
     __slots__ = ("heights",)
 
@@ -596,28 +591,33 @@ class HeightFunction:
         self.heights = dict(heights) if isinstance(heights, dict) else dict(enumerate(heights))
 
     def __call__(self, v):
-        return self.heights[v]
+        try:
+            return self.heights[v]
+        except KeyError:
+            raise ValueError(_NO_HEIGHT % v) from None
 
     def is_valid_for(self, k: SimplicialComplex) -> bool:
-        for f in k.maximal_faces:
-            if len(f) > 1 and len({self.heights[v] for v in f}) < len(f):
-                return False
+        heights = self.heights
+        try:
+            for f in k.maximal_faces:
+                if len(f) > 1 and len({heights[v] for v in f}) < len(f):
+                    return False
+        except KeyError as missing:
+            raise ValueError(_NO_HEIGHT % missing.args[0]) from None
         return True
 
     def levels(self, k: SimplicialComplex):
-        return sorted({self.heights[v] for v in k.vertex_set()})
+        return sorted(set(map(self, k.vertex_set())))
 
 
 def sublevel(k: SimplicialComplex, h: HeightFunction, t: int, strict=False) -> SimplicialComplex:
-    keep = {v for v in k.vertex_set()
-            if v in h.heights and (h.heights[v] < t if strict else h.heights[v] <= t)}
-    return k.full_subcomplex(keep)
+    return k.full_subcomplex({v for v in k.vertex_set() if (h(v) < t if strict else h(v) <= t)})
 
 
 def _descending_link(k: SimplicialComplex, h: HeightFunction, v: int) -> SimplicialComplex:
     hv = h(v)
     cofaces = _cofaces(k, (v,))
-    return _restrict(k, cofaces, {u for f in cofaces for u in f if h.heights[u] < hv})
+    return _restrict(k, cofaces, {u for u in set().union(*cofaces) if h(u) < hv})
 
 
 def morse_descending_link(k: SimplicialComplex, h: HeightFunction, v: int) -> SimplicialComplex:
@@ -626,7 +626,7 @@ def morse_descending_link(k: SimplicialComplex, h: HeightFunction, v: int) -> Si
     the parts below h(v) of the maximal faces through v."""
     if not h.is_valid_for(k):
         raise ValueError(_INVALID_HEIGHTS)
-    if v not in k.vertex_set():
+    if not k.has_face((v,)):
         raise ValueError("%d is not a vertex" % v)
     return _descending_link(k, h, v)
 

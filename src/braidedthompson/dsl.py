@@ -15,11 +15,12 @@ tokens.  So a forest text is one token and holds no whitespace:
 integers, a label word is a run of "e" and g<i>[^-1] tokens separated by
 whitespace (an "e" among them stands for nothing, so "g1 e g2" is
 "g1 g2", as in `Label.parse`), and label words are separated by ";".
-`gens:[]` declares the trivial label group.  The F and T flavors require
-pure generators and reject the header otherwise, at its first impure
-generator, and their sessions hold only elements of bF and bT: an
-element whose braid is not pure (F) or not a cyclic rotation (T) is
-rejected at its name.
+`gens:[]` declares the trivial label group.  A header whose arity is
+below 2 or whose root count is below 1 is rejected at that number.  The
+F and T flavors require pure generators and reject the header otherwise,
+at its first impure generator, and their sessions hold only elements of
+bF and bT: an element whose braid is not pure (F) or not a cyclic
+rotation (T) is rejected at its name.
 
 Every element of a text is parsed and validated, a field at a time: the
 fixed tokens of an element are compared as slices, its braid run is
@@ -152,9 +153,9 @@ class _Parser:
 
     def parse_header(self) -> GroupContext:
         self.expect("group", "{", "d", ":")
-        d = self.int_token("an arity")
+        d_at, d = self.pos, self.int_token("an arity")
         self.expect(",", "r", ":")
-        r = self.int_token("a root count")
+        r_at, r = self.pos, self.int_token("a root count")
         self.expect(",", "flavor", ":")
         flavor = self.next()
         if flavor not in ("V", "F", "T"):
@@ -167,10 +168,11 @@ class _Parser:
                 self.pos += 1
                 gens.append(self._generator(d))
         self.expect("]", "}")
-        spec = self.check(None, LabelGroupSpec, d, [g for _, g in gens])
-        # the F and T flavors' error names the first impure generator: raise it there
+        # the arity error at the arity, and the context's at the first impure
+        # generator of an F or T header, or else (too few roots) at the root count
+        spec = self.check(d_at, LabelGroupSpec, d, [g for _, g in gens])
         impure = [at for at, g in gens if flavor != "V" and not is_pure(g)]
-        return self.check(impure[0] if impure else None, GroupContext, d, r, spec, flavor)
+        return self.check(impure[0] if impure else r_at, GroupContext, d, r, spec, flavor)
 
     def parse_element(self, ctx: GroupContext):
         """One element; returns (index of its name token, Spraige)."""

@@ -89,6 +89,8 @@ class Label:
 
     def __init__(self, word=()):
         word = tuple(word)
+        if not all(type(x) is int for x in word):
+            raise ValueError("generator indices must be integers: %r" % (word,))
         if any(x == 0 for x in word):
             raise ValueError("generator indices are signed and nonzero")
         self.word = word

@@ -864,6 +864,22 @@ def test_public_constructors_and_moves_still_validate():
     with pytest.raises(ValueError) as err:
         Permutation((1, 1, 3))
     assert str(err.value) == "not a bijection of 1..3: (1, 1, 3)"
+
+
+def test_non_integer_entries_are_rejected_at_construction():
+    # a float or a bool equal to a valid entry used to pass the range test
+    # and fail later, inside permutation_of or inverse
+    for letters, bad in (([1.5], "1.5"), ([1, 1.0], "1.0"), ([True], "True"),
+                         ([-1, "1"], "'1'")):
+        with pytest.raises(ValueError) as err:
+            BraidWord(3, letters)
+        assert str(err.value) == "letter %s is not an integer" % bad
+    for image in ([2.0, 1.0], [2, 1, 3.0], [True, 2], [False]):
+        with pytest.raises(ValueError) as err:
+            Permutation(image)
+        assert str(err.value) == "permutation entries must be integers: %r" % (tuple(image),)
+    assert BraidWord(3, (1, -2)).inverse().letters == (2, -1)
+    assert Permutation([2, 1]).inverse().image == (2, 1)
     w = BraidWord(3, [1, -2])
     for fn, arg, message in ((cable, [1, 2], "need one width per strand"),
                              (cable, [1, 0, 2], "widths must be positive"),

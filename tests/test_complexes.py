@@ -665,9 +665,9 @@ def test_cost_follows_the_faces_not_the_declared_vertex_count():
     class Asked(dict):
         count = 0
 
-        def __contains__(self, v):
+        def __getitem__(self, v):
             Asked.count += 1
-            return dict.__contains__(self, v)
+            return dict.__getitem__(self, v)
 
     h = HeightFunction({})
     h.heights = Asked({0: 1, 1: 3, 2: 2})
@@ -1053,15 +1053,51 @@ def test_descending_links_and_validity_match_closure_oracles():
                     assert morse_sweep(k, h, [t])[0][1] == oracle_morse_max_degree(k, h, t)
     assert verdicts == {True, False}
     # a vertex in no edge needs no height, and one without a height has
-    # no descending link
+    # no descending link; the oracle's sublevel would read vertex 2, so it
+    # runs on the full subcomplex without it, where 1 has the same link
     k = SimplicialComplex(3, [(0, 1), (2,)])
     h = HeightFunction({0: 0, 1: 1})
     assert h.is_valid_for(k) and oracle_is_valid(h, k)
-    assert morse_descending_link(k, h, 1) == oracle_descending_link(k, h, 1)
-    with pytest.raises(KeyError):
+    assert morse_descending_link(k, h, 1) == oracle_descending_link(
+        k.full_subcomplex({0, 1}), h, 1)
+    with pytest.raises(ValueError, match="^vertex 2 has no height$"):
         morse_descending_link(k, h, 2)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="^vertex 1 has no height$"):
         HeightFunction({0: 0}).is_valid_for(k)
+
+
+def test_a_missing_height_is_a_value_error_naming_its_vertex():
+    """Each library complex and 200 random ones, with distinct heights
+    minus the height of one vertex u: every question that reads u's height
+    raises ValueError naming u, never KeyError; a descending link that
+    reads no height of u (u in no edge, v != u) is the one of full heights."""
+    rng = seeded("missing-height")
+    cases = list(complex_library().values()) + [random_complex(rng) for _ in range(200)]
+    kinds = []
+    for k in cases:
+        full = HeightFunction(rng.sample(range(k.vertices), k.vertices))
+        vertices = sorted(k.vertex_set())
+        u = rng.choice(vertices)
+        h = HeightFunction({v: t for v, t in full.heights.items() if v != u})
+        missing = ("raised", ValueError, "vertex %d has no height" % u)
+        levels = full.levels(k)
+        in_edge = any(u in f for f in k.maximal_faces if len(f) > 1)
+        kinds.append(in_edge)
+        # validity reads only the vertices of edges
+        assert outcome(h.is_valid_for, k) == (missing if in_edge else ("value", True))
+        asked = [(h.levels, k), (morse_sweep, k, h, levels), (morse_sweep, k, h, levels, 1)]
+        for t in levels:
+            asked += [(sublevel, k, h, t), (sublevel, k, h, t, True),
+                      (morse_check, k, h, t, 0), (morse_check, k, h, t, 2)]
+        for fn, *args in asked:
+            assert outcome(fn, *args) == missing, (k, u, fn, args)
+        for v in vertices:
+            got = outcome(morse_descending_link, k, h, v)
+            if in_edge or v == u:
+                assert got == missing, (k, u, v)
+            else:
+                assert got == ("value", morse_descending_link(k, full, v)), (k, u, v)
+    assert 5 <= kinds.count(False) <= len(kinds) - 5
 
 
 def test_complete_join_check_matches_closure_oracle():

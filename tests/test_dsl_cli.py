@@ -153,7 +153,12 @@ MALFORMED = [
     # the impure generator is reported even with a bad root count as well
     (H.replace("flavor:V", "flavor:T").replace("r:1", "r:0").replace("[1 1]", "[1 1, -1]"),
      "flavor T needs a pure label group; generator '-1' is not pure", 1, 40),
-    (H.replace("r:1", "r:0"), "need at least one root (at end of input)", 1, 40),
+    (H.replace("r:1", "r:0"), "need at least one root", 1, 16),
+    (H.replace("r:1", "r:0") + E, "need at least one root", 1, 16),
+    (H.replace("d:2", "d:1").replace("[1 1]", "[]"), "label group lives in B_d with d >= 2",
+     1, 11),
+    (H.replace("d:2", "d:-3").replace("r:1", "r:0").replace("[1 1]", "[]") + E,
+     "label group lives in B_d with d >= 2", 1, 11),
     (H + E.replace("elem", "elm"), "expected 'elem', found 'elm'", 2, 1),
     (H + E.replace("elem a {", "elem {"), "bad element name '{'", 2, 6),
     (H + E.replace("elem a", "elem group"), "bad element name 'group'", 2, 6),
@@ -891,8 +896,10 @@ class _OracleParser:
 
     def parse_header(self) -> GroupContext:
         self.expect("group", "{", "d", ":")
+        d_tok = self.peek()
         d = self.int_token("an arity")
         self.expect(",", "r", ":")
+        r_tok = self.peek()
         r = self.int_token("a root count")
         self.expect(",", "flavor", ":")
         tok = self.next()
@@ -913,8 +920,8 @@ class _OracleParser:
                 self.error("flavor %s needs a pure label group; generator %r is not pure"
                            % (flavor, str(g)), tok)
         gens = [g for _, g in gens]
-        spec = self.check(None, LabelGroupSpec, d, gens, require_pure=require_pure)
-        return self.check(None, GroupContext, d, r, spec, flavor)
+        spec = self.check(d_tok, LabelGroupSpec, d, gens, require_pure=require_pure)
+        return self.check(r_tok, GroupContext, d, r, spec, flavor)
 
     def parse_element(self, ctx: GroupContext):
         self.expect("elem")

@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 import sys
 from itertools import combinations, product
 
@@ -487,3 +489,52 @@ def test_expansion_path_agrees_with_compare_until_equal_oracle(d):
             h = attach_caret(h, rng.randint(1, h.leaves))
         j, pf, ph = forest_join(f, h)
         assert pf == _oracle_expansion_path(f, j) and ph == _oracle_expansion_path(h, j)
+
+
+# The self-recursive functions of the package, all in forests.py.  Each one
+# fails on Python's recursion limit for a deep enough input, so a new one
+# fails the test below, and one made iterative must leave this set too.
+RECURSIVE = {("forests.py", name)
+             for name in ("_tree_leaves", "enc", "rebuild", "pref", "union", "walk")}
+
+
+def self_recursive_functions(source):
+    """The functions in `source` (nested ones included) whose bodies call
+    their own name, as f(...) or as self.f(...) / cls.f(...)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            f = call.func
+            if (isinstance(f, ast.Name) and f.id == node.name
+                    or isinstance(f, ast.Attribute) and f.attr == node.name
+                    and isinstance(f.value, ast.Name) and f.value.id in ("self", "cls")):
+                found.add(node.name)
+    return found
+
+
+def test_recursive_functions_are_exactly_the_known_ones():
+    package = pathlib.Path(__file__).resolve().parent.parent / "src" / "braidedthompson"
+    found = {(path.name, name) for path in sorted(package.glob("*.py"))
+             for name in self_recursive_functions(path.read_text(encoding="utf-8"))}
+    assert found == RECURSIVE
+
+
+def test_recursion_scan_sees_nested_functions_and_methods():
+    source = """
+def outer(n):
+    def inner(m):
+        return inner(m - 1) if m else 0
+    return inner(n) + other(n)
+
+class C:
+    def method(self, n):
+        return self.method(n - 1) if n else super().method(n)
+
+    def plain(self, x):
+        return x.plain()
+"""
+    assert self_recursive_functions(source) == {"inner", "method"}

@@ -186,6 +186,18 @@ def test_long_label_realizes_to_concatenated_generator_words():
     assert str(err.value) == "label references undeclared generator g3"
 
 
+def test_non_integer_generator_indices_are_rejected_at_construction():
+    # Label([1.5]).realize(spec) used to report "undeclared generator g1"
+    for word in ([1.5], [1, 2.0], [True], [-1, None]):
+        with pytest.raises(ValueError) as err:
+            Label(word)
+        assert str(err.value) == "generator indices must be integers: %r" % (tuple(word),)
+    with pytest.raises(ValueError, match="^generator indices are signed and nonzero$"):
+        Label([1, 0])
+    spec = LabelGroupSpec(3, (BraidWord(3, [1]), BraidWord(3, [2, -1])))
+    assert Label([2, -1]).realize(spec).letters == (2, -1, -1)
+
+
 def test_realizations_are_memoized_per_spec():
     spec = LabelGroupSpec(3, (BraidWord(3, [1]), BraidWord(3, [2, -1])))
     other = LabelGroupSpec(3, (BraidWord(3, [2]), BraidWord(3, [2, -1])))

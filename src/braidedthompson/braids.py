@@ -111,6 +111,8 @@ class BraidWord:
     __slots__ = ("strands", "letters", "_nf", "_perm", "_esum", "_dyn")
 
     def __init__(self, strands, letters=()):
+        if type(strands) is not int:
+            raise ValueError("strand count %r is not an integer" % (strands,))
         if strands < 1:
             raise ValueError("need at least one strand")
         letters = tuple(letters)
@@ -312,6 +314,8 @@ def half_twist(d: int) -> BraidWord:
 
 def shifted(w: BraidWord, offset: int, strands: int) -> BraidWord:
     """Embed w on strands offset+1 .. offset+w.strands inside B_strands."""
+    if type(offset) is not int or type(strands) is not int:
+        raise ValueError("offset %r and strand count %r must be integers" % (offset, strands))
     if offset < 0 or offset + w.strands > strands:
         raise ValueError("shift out of range")
     return BraidWord._trusted(strands, tuple([a + offset if a > 0 else a - offset

@@ -51,10 +51,15 @@ class SimplicialComplex:
     __slots__ = ("vertices", "maximal_faces", "_faces")
 
     def __init__(self, vertices, maximal_faces=()):
+        if type(vertices) is not int:
+            raise ValueError("vertex count %r is not an integer" % (vertices,))
         if vertices < 0:
             raise ValueError("vertex count must be >= 0")
         cleaned = set()
         for f in maximal_faces:
+            f = tuple(f)
+            if not all(type(v) is int for v in f):
+                raise ValueError("face %r has a vertex that is not an integer" % (f,))
             f = tuple(sorted(set(f)))
             if not f:
                 continue
@@ -491,7 +496,7 @@ def restrict_initial(k: SimplicialComplex, z) -> SimplicialComplex:
     """Full subcomplex of a matching complex on the arcs whose initial
     position lies in z (positions are 1-based, vertex ids 0-based)."""
     z = set(z)
-    if not all(1 <= p <= k.vertices for p in z):
+    if not all(type(p) is int and 1 <= p <= k.vertices for p in z):
         raise ValueError("initial positions must lie in 1..%d" % k.vertices)
     return k.full_subcomplex({p - 1 for p in z})
 

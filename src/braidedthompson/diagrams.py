@@ -110,6 +110,8 @@ class GroupContext:
     __slots__ = ("d", "r", "spec", "flavor")
 
     def __init__(self, d, r, spec, flavor="V"):
+        if type(d) is not int:
+            raise ValueError("arity %r is not an integer" % (d,))
         if d < 2:
             raise ValueError("arity must be >= 2")
         if spec.degree != d:
@@ -122,6 +124,8 @@ class GroupContext:
                              % (flavor, str(impure)))
         # after the purity check: a session header reports the context's
         # error at the first impure generator, when it has one
+        if type(r) is not int:
+            raise ValueError("root count %r is not an integer" % (r,))
         if r < 1:
             raise ValueError("need at least one root")
         self.d = d

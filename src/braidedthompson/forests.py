@@ -9,11 +9,13 @@ node (caret) has exactly d ordered children.  Leaves are numbered
 
 so "(..)|." is the binary forest whose first tree is a single caret.
 
-Trees are nested tuples; a leaf is None.  Everything is immutable.  Each
-forest keeps its text, stored by `decode` or built once by `encode`.  The
-text is canonical per degree: forests compare and hash by it, its
-elementary carets are the substrings "(" + "."*d + ")", and each tree's
-leaves are its dots.
+Everything is immutable.  A forest is spelled at birth, by `decode` or
+by `Forest(d, trees)`, and its text is its one canonical spelling per
+degree: forests compare and hash by it, every shape question reads it,
+its elementary carets are the substrings "(" + "."*d + ")", and each
+tree's leaves are its dots.  The trees as nested tuples (a leaf is None)
+are only the working form of `attach_caret` and of the union behind
+`join` and `is_prefix`.
 
 An expansion path is a tuple of leaf indices; applying carets at those
 leaves in order (indices refer to the forest as it grows) carries a
@@ -23,19 +25,12 @@ source forest to a target forest.
 from __future__ import annotations
 
 LEAF = None
-
-
-def _tree_leaves(tree, d):
-    """The leaf count of a tree, checking that every caret has d children."""
-    if tree is LEAF:
-        return 1
-    if len(tree) != d:
-        raise ValueError("caret with %d children in a %d-ary forest" % (len(tree), d))
-    return sum(_tree_leaves(c, d) for c in tree)
+_CLOSE = object()  # on the spelling stack, where a caret's ")" goes
 
 
 class Forest:
-    """An ordered (d,r)-forest.  leaves == roots + (d-1) * carets."""
+    """An ordered (d,r)-forest.  leaves == roots + (d-1) * carets.  Its
+    text (see `encode`) is spelled when the forest is made."""
 
     __slots__ = ("degree", "trees", "_leaves", "_text")
 
@@ -45,10 +40,31 @@ class Forest:
         trees = tuple(trees)
         if not trees:
             raise ValueError("a forest needs at least one root")
-        self._leaves = sum(_tree_leaves(t, degree) for t in trees)
+        # checks the arity, spells the text and counts the leaves in one
+        # pass over an explicit stack, so any depth builds
+        out, leaves = [], 0
+        for tree in trees:
+            if out:
+                out.append("|")
+            stack = [tree]
+            while stack:
+                node = stack.pop()
+                if node is LEAF:
+                    out.append(".")
+                    leaves += 1
+                elif node is _CLOSE:
+                    out.append(")")
+                elif len(node) != degree:
+                    raise ValueError("caret with %d children in a %d-ary forest"
+                                     % (len(node), degree))
+                else:
+                    out.append("(")
+                    stack.append(_CLOSE)
+                    stack.extend(reversed(node))
         self.degree = degree
         self.trees = trees
-        self._text = None
+        self._leaves = leaves
+        self._text = "".join(out)
 
     @classmethod
     def _trusted(cls, degree, trees, leaves, text):
@@ -78,41 +94,37 @@ class Forest:
         return (self.leaves - self.roots) // (self.degree - 1)
 
     def is_trivial(self):
-        return all(t is LEAF for t in self.trees)
+        return "(" not in self._text
 
     def is_elementary(self):
-        """Every caret's children are leaves of the forest (depth <= 1 trees)."""
-        return all(t is LEAF or all(c is LEAF for c in t) for t in self.trees)
+        """Every caret's children are leaves of the forest (depth <= 1 trees):
+        every "(" opens an elementary caret "(" + "."*d + ")"."""
+        text = self._text
+        return text.count("(") == text.count("(" + "." * self.degree + ")")
 
     def __eq__(self, other):
         # the text is canonical per degree, so it decides
         if not isinstance(other, Forest) or self.degree != other.degree:
             return False
-        return encode(self) == encode(other)
+        return self._text == other._text
 
     def __hash__(self):
-        return hash((self.degree, encode(self)))
+        return hash((self.degree, self._text))
 
     def __repr__(self):
-        return "Forest(%d, %r)" % (self.degree, encode(self))
+        return "Forest(%d, %r)" % (self.degree, self._text)
 
     def __str__(self):
-        return encode(self)
+        return self._text
 
 
 def leaf_counts(forest: Forest):
     """The number of leaves of each tree, root by root."""
-    return tuple(part.count(".") for part in encode(forest).split("|"))
+    return tuple(part.count(".") for part in forest._text.split("|"))
 
 
 def encode(forest: Forest) -> str:
-    """The forest's text, built from its trees the first time it is asked for."""
-    if forest._text is None:
-        def enc(tree):
-            if tree is LEAF:
-                return "."
-            return "(" + "".join(enc(c) for c in tree) + ")"
-        forest._text = "|".join(enc(t) for t in forest.trees)
+    """The forest's text."""
     return forest._text
 
 
@@ -162,6 +174,8 @@ def decode(text: str, degree: int) -> Forest:
 
 def attach_caret(forest: Forest, i: int) -> Forest:
     """Replace leaf i (global numbering) by a caret with d fresh leaves."""
+    if type(i) is not int:
+        raise ValueError("leaf index %r is not an integer" % (i,))
     if not 1 <= i <= forest.leaves:
         raise ValueError("leaf index %d out of range 1..%d" % (i, forest.leaves))
     d = forest.degree
@@ -203,17 +217,9 @@ def elementary_forest(n: int, J, d: int) -> Forest:
 
 
 def is_prefix(f: Forest, g: Forest) -> bool:
-    """True iff g refines f node by node (f is obtained from g by pruning)."""
-    _check_compatible(f, g)
-
-    def pref(a, b):
-        if a is LEAF:
-            return True
-        if b is LEAF:
-            return False
-        return all(pref(x, y) for x, y in zip(a, b))
-
-    return all(pref(a, b) for a, b in zip(f.trees, g.trees))
+    """True iff g refines f node by node (f is obtained from g by pruning),
+    that is, iff the join of f and g is g."""
+    return _union(f, g) == g
 
 
 def join(f: Forest, g: Forest):
@@ -222,6 +228,12 @@ def join(f: Forest, g: Forest):
     Returns (j, path_f, path_g) where apply_path(f, path_f) == j and
     apply_path(g, path_g) == j.
     """
+    j = _union(f, g)
+    return j, expansion_path(f, j), expansion_path(g, j)
+
+
+def _union(f: Forest, g: Forest) -> Forest:
+    """The smallest forest refining both: their trees laid over each other."""
     _check_compatible(f, g)
 
     def union(a, b):
@@ -231,8 +243,7 @@ def join(f: Forest, g: Forest):
             return a
         return tuple(union(x, y) for x, y in zip(a, b))
 
-    j = Forest(f.degree, tuple(union(a, b) for a, b in zip(f.trees, g.trees)))
-    return j, expansion_path(f, j), expansion_path(g, j)
+    return Forest(f.degree, tuple(union(a, b) for a, b in zip(f.trees, g.trees)))
 
 
 def expansion_path(f: Forest, g: Forest):
@@ -255,26 +266,13 @@ def apply_path(f: Forest, path) -> Forest:
 
 
 def _first_expandable_leaf(cur: Forest, target: Forest):
-    # leaf index (1-based) of the first leaf of cur that is internal in target
-    counter = [0]
-
-    def walk(a, b):
-        if a is LEAF:
-            counter[0] += 1
-            if b is not LEAF:
-                return counter[0]
-            return None
-        for x, y in zip(a, b):
-            hit = walk(x, y)
-            if hit is not None:
-                return hit
-        return None
-
-    for a, b in zip(cur.trees, target.trees):
-        hit = walk(a, b)
-        if hit is not None:
-            return hit
-    raise AssertionError("no expandable leaf although forests differ")
+    """The index of the first leaf of cur that is internal in target, for
+    cur a proper prefix of target: their texts first differ at that leaf,
+    where cur has "." and target "(", so it is one more than the dots
+    before it."""
+    a, b = cur._text, target._text
+    pos = next(k for k, (x, y) in enumerate(zip(a, b)) if x != y)
+    return a.count(".", 0, pos) + 1
 
 
 def _check_compatible(f, g):

@@ -40,6 +40,8 @@ class LabelGroupSpec:
     __slots__ = ("degree", "generators", "require_pure", "_realized")
 
     def __init__(self, degree, generators=(), require_pure=False):
+        if type(degree) is not int:
+            raise ValueError("label group degree %r is not an integer" % (degree,))
         if degree < 2:
             raise ValueError("label group lives in B_d with d >= 2")
         generators = tuple(generators)
@@ -107,10 +109,10 @@ class Label:
             body = tok[:-3] if inv else tok
             if not body.startswith("g"):
                 raise ValueError("bad label token %r" % tok)
-            try:
-                idx = int(body[1:])
-            except ValueError:
-                raise ValueError("bad label token %r" % tok) from None
+            digits = body[1:]
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError("bad label token %r" % tok)
+            idx = int(digits)
             if idx < 1:
                 raise ValueError("generator index must be positive in %r" % tok)
             word.append(-idx if inv else idx)

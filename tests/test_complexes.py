@@ -833,6 +833,32 @@ def test_json_roundtrip():
         assert SimplicialComplex.from_json_dict(k.to_json_dict()) == k
 
 
+def test_non_integer_vertices_are_rejected():
+    # each of these used to build a complex that kept the non-integer
+    for args, message in (((3, [(0, 1.5)]), "face (0, 1.5) has a vertex that is not an integer"),
+                          ((3, [(0, True)]), "face (0, True) has a vertex that is not an integer"),
+                          ((3, [[1], ["0"]]), "face ('0',) has a vertex that is not an integer"),
+                          ((2.5, [(0, 1)]), "vertex count 2.5 is not an integer"),
+                          ((False, ()), "vertex count False is not an integer")):
+        with pytest.raises(ValueError) as err:
+            SimplicialComplex(*args)
+        assert str(err.value) == message
+    # a position 1.5 used to give an empty complex
+    k = d_matching_linear(2, 5)
+    for z in ([1.5], [2, True]):
+        with pytest.raises(ValueError, match=r"^initial positions must lie in 1\.\.4$"):
+            restrict_initial(k, z)
+    assert restrict_initial(k, [1, 3]) == k.full_subcomplex({0, 2})
+    # the JSON reader keeps its own messages
+    for data, message in (({"vertices": 2.5, "maximal_faces": []},
+                           "vertices must be an integer, got 2.5"),
+                          ({"vertices": 3, "maximal_faces": [[0, 1.5]]},
+                           "maximal_faces must be a list of lists of integers")):
+        with pytest.raises(ValueError) as err:
+            SimplicialComplex.from_json_dict(data)
+        assert str(err.value) == message
+
+
 # -- closure-based oracles for the maximal-face constructions -----------------
 # The earlier library code, which scanned the face closure for links,
 # stars, descending links, vertex sets and validity, checked transversals

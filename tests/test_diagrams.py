@@ -65,6 +65,26 @@ def test_expand_then_reduce_roundtrip():
         assert ctx.equal(back, s)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: BraidWord(2.5, [1]), "strand count 2.5 is not an integer"),
+    (lambda: BraidWord(True, []), "strand count True is not an integer"),
+    (lambda: LabelGroupSpec(2.0), "label group degree 2.0 is not an integer"),
+    (lambda: GroupContext(2, 1.5, LabelGroupSpec(2)), "root count 1.5 is not an integer"),
+    (lambda: GroupContext(True, 1, LabelGroupSpec(2)), "arity True is not an integer"),
+    (lambda: braids.shifted(BraidWord(2, [1]), 0.5, 3),
+     "offset 0.5 and strand count 3 must be integers"),
+    (lambda: braids.shifted(BraidWord(2, [1]), 1, 3.0),
+     "offset 1 and strand count 3.0 must be integers"),
+    (lambda: attach_caret(decode("(..)", 2), 1.0), "leaf index 1.0 is not an integer"),
+], ids=["strands-float", "strands-bool", "label-degree", "roots", "arity", "shift-offset",
+        "shift-strands", "leaf-index"])
+def test_non_integer_sizes_and_indices_are_rejected_where_they_enter(call, message):
+    # each of these calls used to return an object holding the non-integer
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_try_reduce_rejects_trivial_diagram():
     ctx = context_trivial(2, 1)
     with pytest.raises(ValueError):

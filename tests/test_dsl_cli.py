@@ -170,6 +170,10 @@ MALFORMED = [
     (H + E.replace("plus:", "plus ="), "expected ':', found '='", 6, 8),
     (H + E.replace("}", "]"), "expected '}', found ']'", 7, 1),
     (H + E.replace("g1\n", "g1x\n"), "bad label token 'g1x'", 5, 14),
+    # an index is ASCII decimal digits, not whatever int() reads
+    (H + E.replace("g1\n", "g1_0\n"), "bad label token 'g1_0'", 5, 14),
+    (H + E.replace("g1\n", "g+1\n"), "bad label token 'g+1'", 5, 14),
+    (H + E.replace("g1\n", "g\u0663\n"), "bad label token 'g\u0663'", 5, 14),
     (H + E.replace("e; g1", "e; ; g1"), "expected a label word", 5, 14),
     (H + E.replace("g1\n", "g2^-1\n"), "label references undeclared generator g2", 5, 14),
     (H + E.replace("minus: (..)", "minus: (...)"), "expected ')' at position 3 (is the arity 2?)",

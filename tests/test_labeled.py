@@ -186,6 +186,17 @@ def test_long_label_realizes_to_concatenated_generator_words():
     assert str(err.value) == "label references undeclared generator g3"
 
 
+def test_label_indices_are_ascii_decimal_digits():
+    # int() would read these as g10, g1, g3 and g-1
+    for tok in ("g1_0", "g+1", "g\u0663", "g-1", "g1_0^-1", "g 1"):
+        with pytest.raises(ValueError) as err:
+            Label.parse("g2 " + tok)
+        assert str(err.value) == "bad label token %r" % tok.split()[0]
+    with pytest.raises(ValueError, match="^generator index must be positive in 'g00'$"):
+        Label.parse("g00")
+    assert Label.parse("g10 g01^-1").word == (10, -1)
+
+
 def test_non_integer_generator_indices_are_rejected_at_construction():
     # Label([1.5]).realize(spec) used to report "undeclared generator g1"
     for word in ([1.5], [1, 2.0], [True], [-1, None]):

@@ -304,6 +304,8 @@ def half_twist(d: int) -> BraidWord:
 
     Its square generates the center of B_d for d >= 3.
     """
+    if type(d) is not int:
+        raise ValueError("strand count %r is not an integer" % (d,))
     if d < 2:
         raise ValueError("half twist needs d >= 2")
     letters = []
@@ -332,8 +334,11 @@ def cable(w: BraidWord, widths) -> BraidWord:
     widths = list(widths)
     if len(widths) != w.strands:
         raise ValueError("need one width per strand")
-    if any(x < 1 for x in widths):
-        raise ValueError("widths must be positive")
+    for x in widths:
+        if type(x) is not int:
+            raise ValueError("width %r is not an integer" % (x,))
+        if x < 1:
+            raise ValueError("widths must be positive")
     order = list(range(w.strands))  # block ids by current position
     starts = [1] * w.strands  # first cable strand of the block at each position
     for k in range(1, w.strands):
@@ -360,6 +365,9 @@ def delete_strands(w: BraidWord, kill) -> BraidWord:
     braid equality.
     """
     kill = set(kill)
+    for i in kill:
+        if type(i) is not int:
+            raise ValueError("strand index %r is not an integer" % (i,))
     if not kill <= set(range(1, w.strands + 1)):
         raise ValueError("strand indices out of range")
     if len(kill) >= w.strands:

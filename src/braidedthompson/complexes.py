@@ -82,11 +82,15 @@ class SimplicialComplex:
     @classmethod
     def simplex(cls, n_vertices):
         """The full simplex on n_vertices vertices."""
+        if type(n_vertices) is not int:
+            raise ValueError("vertex count %r is not an integer" % (n_vertices,))
         return cls(n_vertices, (tuple(range(n_vertices)),))
 
     @classmethod
     def sphere(cls, n):
         """The boundary of the (n+1)-simplex, a combinatorial n-sphere."""
+        if type(n) is not int:
+            raise ValueError("sphere dimension %r is not an integer" % (n,))
         verts = tuple(range(n + 2))
         return cls(n + 2, combinations(verts, n + 1))
 
@@ -435,6 +439,8 @@ def reduced_homology(k: SimplicialComplex, through=None) -> HomologyReport:
     With `through` = q only the faces of dimension <= q + 1 are read, and
     the report stops at degree q: the (q+1)-skeleton has the same homology
     as k through degree q."""
+    if through is not None and type(through) is not int:
+        raise ValueError("degree %r is not an integer" % (through,))
     top = k.dim + 1 if through is None else min(through + 2, k.dim + 1)
     chains = {size - 1: list(k._faces_of_size(size)) for size in range(1, top + 1)}
     chains[-1] = [()]
@@ -471,12 +477,18 @@ def _disjoint_systems(supports):
     return systems
 
 
+def _check_matching_sizes(d, m):
+    if type(d) is not int or type(m) is not int:
+        raise ValueError("arity %r and length %r must be integers" % (d, m))
+    if d < 2 or m < 1:
+        raise ValueError("need d >= 2 and m >= 1")
+
+
 def d_matching_linear(d: int, m: int) -> SimplicialComplex:
     """Disjoint systems of intervals [p, p+d-1] inside the path on m
     vertices.  Complex vertex v is the interval with initial position
     v+1; there are m-d+1 of them (none if m < d)."""
-    if d < 2 or m < 1:
-        raise ValueError("need d >= 2 and m >= 1")
+    _check_matching_sizes(d, m)
     nv = max(0, m - d + 1)
     return SimplicialComplex(nv, _disjoint_systems([((1 << d) - 1) << v for v in range(nv)]))
 
@@ -484,8 +496,7 @@ def d_matching_linear(d: int, m: int) -> SimplicialComplex:
 def d_matching_cyclic(d: int, m: int) -> SimplicialComplex:
     """Same over the cycle on m vertices: intervals wrap modulo m and a
     face is a set of intervals with pairwise disjoint supports."""
-    if d < 2 or m < 1:
-        raise ValueError("need d >= 2 and m >= 1")
+    _check_matching_sizes(d, m)
     if m < d:
         return SimplicialComplex(0)
     return SimplicialComplex(m, _disjoint_systems(
@@ -517,6 +528,8 @@ def wcm_violation(k: SimplicialComplex, n: int):
     lexicographically.  Only the faces of dimension <= n-1 are read, and
     each homology is computed only through the degree asked.
     """
+    if type(n) is not int:
+        raise ValueError("dimension %r is not an integer" % (n,))
     if not reduced_homology(k, n - 1).is_zero_through(n - 1):
         return "complex is not homology %d-connected" % (n - 1)
     for size in range(1, min(n, k.dim + 1) + 1):
@@ -661,6 +674,8 @@ def morse_sweep(k: SimplicialComplex, h: HeightFunction, levels, kk=None):
     is validated once, and each descending link and its homology are
     computed once; with kk given, the homology of the links and of the
     pair is computed only through the degrees asked."""
+    if kk is not None and type(kk) is not int:
+        raise ValueError("degree %r is not an integer" % (kk,))
     if not h.is_valid_for(k):
         raise ValueError(_INVALID_HEIGHTS)
     sweep = []

@@ -178,6 +178,8 @@ class GroupContext:
 
     def expand(self, s: Spraige, i: int) -> Spraige:
         """Expansion at leaf i; the result represents the same element."""
+        if type(i) is not int:
+            raise ValueError("leaf index %r is not an integer" % (i,))
         self.validate(s)
         l = s.leaves
         if not 1 <= i <= l:
@@ -199,6 +201,8 @@ class GroupContext:
         (c) deleting the non-leader strands and re-cabling with h
         inserted reproduces the braid.
         """
+        if type(start) is not int:
+            raise ValueError("leaf index %r is not an integer" % (start,))
         d = self.d
         self.validate(s)
         if start not in elementary_caret_spans(s.minus):

@@ -9,12 +9,14 @@ node (caret) has exactly d ordered children.  Leaves are numbered
 
 so "(..)|." is the binary forest whose first tree is a single caret.
 
-Everything is immutable.  A forest is spelled at birth, by `decode` or
-by `Forest(d, trees)`, and its text is its one canonical spelling per
-degree: forests compare and hash by it, every shape question reads it,
-its elementary carets are the substrings "(" + "."*d + ")", and each
+Everything is immutable.  A forest enters and leaves only as text.  It
+comes from `decode`, `Forest.trivial`, `elementary_forest`,
+`matching_to_forest` or a move, each of which checks its sizes where they
+enter, and is spelled at birth; the text is its one canonical spelling
+per degree: forests compare and hash by it, every shape question reads
+it, its elementary carets are the substrings "(" + "."*d + ")", and each
 tree's leaves are its dots.  The trees as nested tuples (a leaf is None)
-are only the working form of `attach_caret` and of the union behind
+are private, the working form of `attach_caret` and of the union behind
 `join` and `is_prefix`.
 
 An expansion path is a tuple of leaf indices; applying carets at those
@@ -29,61 +31,31 @@ _CLOSE = object()  # on the spelling stack, where a caret's ")" goes
 
 
 class Forest:
-    """An ordered (d,r)-forest.  leaves == roots + (d-1) * carets.  Its
-    text (see `encode`) is spelled when the forest is made."""
+    """An ordered (d,r)-forest.  leaves == roots + (d-1) * carets.  It has
+    no public constructor: it comes from a text or a named constructor (see
+    the module docstring), and its text (`encode`) is spelled then."""
 
-    __slots__ = ("degree", "trees", "_leaves", "_text")
-
-    def __init__(self, degree, trees):
-        if degree < 2:
-            raise ValueError("arity must be >= 2")
-        trees = tuple(trees)
-        if not trees:
-            raise ValueError("a forest needs at least one root")
-        # checks the arity, spells the text and counts the leaves in one
-        # pass over an explicit stack, so any depth builds
-        out, leaves = [], 0
-        for tree in trees:
-            if out:
-                out.append("|")
-            stack = [tree]
-            while stack:
-                node = stack.pop()
-                if node is LEAF:
-                    out.append(".")
-                    leaves += 1
-                elif node is _CLOSE:
-                    out.append(")")
-                elif len(node) != degree:
-                    raise ValueError("caret with %d children in a %d-ary forest"
-                                     % (len(node), degree))
-                else:
-                    out.append("(")
-                    stack.append(_CLOSE)
-                    stack.extend(reversed(node))
-        self.degree = degree
-        self.trees = trees
-        self._leaves = leaves
-        self._text = "".join(out)
+    __slots__ = ("degree", "_trees", "_leaves", "_text")
 
     @classmethod
     def _trusted(cls, degree, trees, leaves, text):
-        """A forest from a tuple of trees the library built arity-checked,
-        with its leaf count and its text already known."""
+        """The one constructor: a forest from a tuple of trees the library
+        built arity-checked, with its leaf count and its text."""
         f = object.__new__(cls)
         f.degree = degree
-        f.trees = trees
+        f._trees = trees
         f._leaves = leaves
         f._text = text
         return f
 
     @classmethod
     def trivial(cls, degree, roots):
-        return cls(degree, (LEAF,) * roots)
+        _check_sizes(degree, roots)
+        return _spell(degree, (LEAF,) * roots)
 
     @property
     def roots(self):
-        return len(self.trees)
+        return len(self._trees)
 
     @property
     def leaves(self):
@@ -118,6 +90,41 @@ class Forest:
         return self._text
 
 
+def _check_sizes(degree, roots=1):
+    """An arity and a root count, checked where they enter."""
+    if type(degree) is not int:
+        raise ValueError("arity %r is not an integer" % (degree,))
+    if degree < 2:
+        raise ValueError("arity must be >= 2")
+    if type(roots) is not int:
+        raise ValueError("root count %r is not an integer" % (roots,))
+    if roots < 1:
+        raise ValueError("a forest needs at least one root")
+
+
+def _spell(degree, trees):
+    """The forest of a tuple of trees the library built: its text spelled
+    and its leaves counted in one pass over an explicit stack, so any
+    depth builds."""
+    out, leaves = [], 0
+    for tree in trees:
+        if out:
+            out.append("|")
+        stack = [tree]
+        while stack:
+            node = stack.pop()
+            if node is LEAF:
+                out.append(".")
+                leaves += 1
+            elif node is _CLOSE:
+                out.append(")")
+            else:
+                out.append("(")
+                stack.append(_CLOSE)
+                stack.extend(reversed(node))
+    return Forest._trusted(degree, trees, leaves, "".join(out))
+
+
 def leaf_counts(forest: Forest):
     """The number of leaves of each tree, root by root."""
     return tuple(part.count(".") for part in forest._text.split("|"))
@@ -133,8 +140,7 @@ def decode(text: str, degree: int) -> Forest:
 
     One pass per tree with an explicit stack of the open carets' children,
     so any depth parses under the recursion limit."""
-    if degree < 2:
-        raise ValueError("arity must be >= 2")
+    _check_sizes(degree)
     trees, leaves = [], 0
     parts = [part.strip() for part in text.split("|")]
     for part in parts:
@@ -195,23 +201,21 @@ def attach_caret(forest: Forest, i: int) -> Forest:
         return None, used
 
     skip = i - 1
-    trees = list(forest.trees)
+    trees = forest._trees
     for idx, t in enumerate(trees):
         new, cnt = rebuild(t, skip)
         if new is not None:
-            trees[idx] = new
-            return Forest(d, trees)
+            return _spell(d, trees[:idx] + (new,) + trees[idx + 1:])
         skip -= cnt
     raise AssertionError("unreachable")
 
 
 def elementary_forest(n: int, J, d: int) -> Forest:
     """n roots, with a single caret on root i for each i in J."""
+    _check_sizes(d, n)
     J = set(J)
-    if not J <= set(range(1, n + 1)):
-        raise ValueError("J must be a subset of 1..%d" % n)
-    if n < 1:
-        raise ValueError("a forest needs at least one root")
+    if not all(type(i) is int and 1 <= i <= n for i in J):
+        raise ValueError("J must be a subset of 1..%d, got %r" % (n, J))
     caret = "(" + "." * d + ")"
     return decode("|".join(caret if i in J else "." for i in range(1, n + 1)), d)
 
@@ -234,7 +238,10 @@ def join(f: Forest, g: Forest):
 
 def _union(f: Forest, g: Forest) -> Forest:
     """The smallest forest refining both: their trees laid over each other."""
-    _check_compatible(f, g)
+    if f.degree != g.degree:
+        raise ValueError("arity mismatch: %d vs %d" % (f.degree, g.degree))
+    if f.roots != g.roots:
+        raise ValueError("root count mismatch: %d vs %d" % (f.roots, g.roots))
 
     def union(a, b):
         if a is LEAF:
@@ -243,19 +250,17 @@ def _union(f: Forest, g: Forest) -> Forest:
             return a
         return tuple(union(x, y) for x, y in zip(a, b))
 
-    return Forest(f.degree, tuple(union(a, b) for a, b in zip(f.trees, g.trees)))
+    return _spell(f.degree, tuple(union(a, b) for a, b in zip(f._trees, g._trees)))
 
 
 def expansion_path(f: Forest, g: Forest):
     """A witness path of caret attachments carrying prefix f to g."""
     if not is_prefix(f, g):
         raise ValueError("source is not a prefix of target")
-    path = []
-    cur = f
+    path, cur = [], f
     for _ in range(g.carets - f.carets):
-        i = _first_expandable_leaf(cur, g)
-        cur = attach_caret(cur, i)
-        path.append(i)
+        path.append(_first_expandable_leaf(cur, g))
+        cur = attach_caret(cur, path[-1])
     return tuple(path)
 
 
@@ -275,13 +280,6 @@ def _first_expandable_leaf(cur: Forest, target: Forest):
     return a.count(".", 0, pos) + 1
 
 
-def _check_compatible(f, g):
-    if f.degree != g.degree:
-        raise ValueError("arity mismatch: %d vs %d" % (f.degree, g.degree))
-    if f.roots != g.roots:
-        raise ValueError("root count mismatch: %d vs %d" % (f.roots, g.roots))
-
-
 def _elementary_carets(text, d):
     """(first leaf, offset) of each elementary caret "(" + "."*d + ")" in text."""
     caret = "(" + "." * d + ")"
@@ -296,16 +294,16 @@ def _elementary_carets(text, d):
 
 
 def elementary_caret_spans(forest: Forest):
-    """For each elementary caret, the global index of its first leaf.
-
-    Returned in increasing order.  Non-elementary carets are skipped.
-    """
+    """For each elementary caret, the global index of its first leaf, in
+    increasing order; non-elementary carets are skipped."""
     return [leaf for leaf, _ in _elementary_carets(encode(forest), forest.degree)]
 
 
 def remove_elementary_caret(forest: Forest, start: int) -> Forest:
     """Collapse the elementary caret whose leaves start at `start` back to
     a leaf."""
+    if type(start) is not int:
+        raise ValueError("leaf index %r is not an integer" % (start,))
     d, text = forest.degree, encode(forest)
     for leaf, pos in _elementary_carets(text, d):
         if leaf == start:
@@ -319,24 +317,24 @@ def forest_to_matching(forest: Forest):
     (start, end) pairs."""
     if not forest.is_elementary():
         raise ValueError("forest is not elementary")
-    d = forest.degree
-    return frozenset((s, s + d - 1) for s in elementary_caret_spans(forest))
+    return frozenset((s, s + forest.degree - 1) for s in elementary_caret_spans(forest))
 
 
 def matching_to_forest(intervals, m: int, d: int) -> Forest:
     """Inverse of forest_to_matching: rebuild the elementary forest with m
     leaves from disjoint intervals [i, i+d-1] inside [1, m]."""
-    starts = set()
-    covered = set()
+    _check_sizes(d)
+    if type(m) is not int:
+        raise ValueError("leaf count %r is not an integer" % (m,))
+    starts = []
     for iv in intervals:
         a, b = iv
-        if b != a + d - 1 or a < 1 or b > m:
+        if type(a) is not int or type(b) is not int or b != a + d - 1 or a < 1 or b > m:
             raise ValueError("bad interval %r for d=%d, m=%d" % (iv, d, m))
-        block = set(range(a, b + 1))
-        if covered & block:
-            raise ValueError("overlapping intervals")
-        covered |= block
-        starts.add(a)
+        starts.append(a)
+    starts.sort()
+    if any(b - a < d for a, b in zip(starts, starts[1:])):
+        raise ValueError("overlapping intervals")
     # with k carets to its left, the caret over a..a+d-1 sits on root a-(d-1)k
-    J = {a - (d - 1) * k for k, a in enumerate(sorted(starts))}
+    J = {a - (d - 1) * k for k, a in enumerate(starts)}
     return elementary_forest(m - (d - 1) * len(J), J, d)

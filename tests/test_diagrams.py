@@ -7,8 +7,10 @@ from braidedthompson import (BraidWord, Forest, GroupContext, Label,
                              elementary_forest, half_twist, is_cyclic, is_pure,
                              is_trivial, permutation_of, v_equal, v_expand,
                              v_multiply, v_reduce, word_from_permutation)
-from braidedthompson import braids
-from braidedthompson.forests import attach_caret, decode
+from braidedthompson import braids, complexes
+from braidedthompson.complexes import HeightFunction
+from braidedthompson.forests import (attach_caret, decode, matching_to_forest,
+                                    remove_elementary_caret)
 from braidedthompson.labeled import lb_equal
 from conftest import (context_full_twist, context_half_twist, context_trivial,
                       forbidden, make_context, random_element,
@@ -65,21 +67,102 @@ def test_expand_then_reduce_roundtrip():
         assert ctx.equal(back, s)
 
 
+def _caret_element():
+    """A trivial-context element with one caret on each side, and its context."""
+    ctx = context_trivial(2, 1)
+    return ctx, ctx.expand(ctx.identity(), 1)
+
+
+def _flat_heights(k):
+    return HeightFunction({v: 2 for v in range(k.vertices)})
+
+
+_PATH5 = complexes.d_matching_linear(2, 5)
+
+
 @pytest.mark.parametrize("call,message", [
-    (lambda: BraidWord(2.5, [1]), "strand count 2.5 is not an integer"),
-    (lambda: BraidWord(True, []), "strand count True is not an integer"),
-    (lambda: LabelGroupSpec(2.0), "label group degree 2.0 is not an integer"),
-    (lambda: GroupContext(2, 1.5, LabelGroupSpec(2)), "root count 1.5 is not an integer"),
-    (lambda: GroupContext(True, 1, LabelGroupSpec(2)), "arity True is not an integer"),
-    (lambda: braids.shifted(BraidWord(2, [1]), 0.5, 3),
-     "offset 0.5 and strand count 3 must be integers"),
-    (lambda: braids.shifted(BraidWord(2, [1]), 1, 3.0),
-     "offset 1 and strand count 3.0 must be integers"),
-    (lambda: attach_caret(decode("(..)", 2), 1.0), "leaf index 1.0 is not an integer"),
-], ids=["strands-float", "strands-bool", "label-degree", "roots", "arity", "shift-offset",
-        "shift-strands", "leaf-index"])
+    pytest.param(lambda: BraidWord(2.5, [1]), "strand count 2.5 is not an integer",
+                 id="strands-float"),
+    pytest.param(lambda: BraidWord(True, []), "strand count True is not an integer",
+                 id="strands-bool"),
+    pytest.param(lambda: LabelGroupSpec(2.0), "label group degree 2.0 is not an integer",
+                 id="label-degree"),
+    pytest.param(lambda: GroupContext(2, 1.5, LabelGroupSpec(2)),
+                 "root count 1.5 is not an integer", id="roots"),
+    pytest.param(lambda: GroupContext(True, 1, LabelGroupSpec(2)),
+                 "arity True is not an integer", id="arity"),
+    pytest.param(lambda: braids.shifted(BraidWord(2, [1]), 0.5, 3),
+                 "offset 0.5 and strand count 3 must be integers", id="shift-offset"),
+    pytest.param(lambda: braids.shifted(BraidWord(2, [1]), 1, 3.0),
+                 "offset 1 and strand count 3.0 must be integers", id="shift-strands"),
+    pytest.param(lambda: attach_caret(decode("(..)", 2), 1.0),
+                 "leaf index 1.0 is not an integer", id="leaf-index"),
+    # forests: every way in checks its sizes
+    pytest.param(lambda: decode("(..)", 2.0), "arity 2.0 is not an integer", id="decode-arity"),
+    pytest.param(lambda: Forest.trivial(2.0, 2), "arity 2.0 is not an integer",
+                 id="trivial-arity"),
+    pytest.param(lambda: Forest.trivial(2, 1.5), "root count 1.5 is not an integer",
+                 id="trivial-roots"),
+    pytest.param(lambda: Forest.trivial(2, True), "root count True is not an integer",
+                 id="trivial-roots-bool"),
+    pytest.param(lambda: elementary_forest(3, {1.0}, 2), "J must be a subset of 1..3, got {1.0}",
+                 id="elementary-J"),
+    pytest.param(lambda: elementary_forest(2.0, {1}, 2), "root count 2.0 is not an integer",
+                 id="elementary-roots"),
+    pytest.param(lambda: elementary_forest(3, {1}, 2.0), "arity 2.0 is not an integer",
+                 id="elementary-arity"),
+    pytest.param(lambda: matching_to_forest({(1.0, 2.0)}, 4, 2),
+                 "bad interval (1.0, 2.0) for d=2, m=4", id="matching-interval"),
+    pytest.param(lambda: matching_to_forest({(1, 2)}, 4.0, 2),
+                 "leaf count 4.0 is not an integer", id="matching-leaves"),
+    pytest.param(lambda: matching_to_forest({(1, 2)}, 4, 2.0), "arity 2.0 is not an integer",
+                 id="matching-arity"),
+    pytest.param(lambda: remove_elementary_caret(decode("(..)", 2), 1.0),
+                 "leaf index 1.0 is not an integer", id="remove-caret"),
+    # leaf indices of a group context
+    pytest.param(lambda: GroupContext.expand(*_caret_element(), 1.0),
+                 "leaf index 1.0 is not an integer", id="expand-float"),
+    pytest.param(lambda: GroupContext.expand(*_caret_element(), True),
+                 "leaf index True is not an integer", id="expand-bool"),
+    pytest.param(lambda: GroupContext.try_reduce_at(*_caret_element(), 1.0),
+                 "leaf index 1.0 is not an integer", id="try-reduce-float"),
+    pytest.param(lambda: GroupContext.try_reduce_at(*_caret_element(), True),
+                 "leaf index True is not an integer", id="try-reduce-bool"),
+    pytest.param(lambda: context_trivial(2, 1).identity(1.0), "root count 1.0 is not an integer",
+                 id="identity"),
+    pytest.param(lambda: context_trivial(2, 1).lambda_spraige(1, {True}),
+                 "J must be a subset of 1..1, got {True}", id="lambda"),
+    pytest.param(lambda: context_trivial(2, 1).mu_spraige(1.5, {1}),
+                 "root count 1.5 is not an integer", id="mu"),
+    # the braid layer
+    pytest.param(lambda: cable(BraidWord(2, [1]), [1.5, 1]), "width 1.5 is not an integer",
+                 id="cable-width"),
+    pytest.param(lambda: half_twist(3.0), "strand count 3.0 is not an integer", id="half-twist"),
+    pytest.param(lambda: braids.delete_strands(BraidWord(2, [1]), [1.0]),
+                 "strand index 1.0 is not an integer", id="delete-strands"),
+    # the complex lab
+    pytest.param(lambda: complexes.d_matching_linear(2, 5.0),
+                 "arity 2 and length 5.0 must be integers", id="matching-linear"),
+    pytest.param(lambda: complexes.d_matching_cyclic(2.0, 5),
+                 "arity 2.0 and length 5 must be integers", id="matching-cyclic"),
+    pytest.param(lambda: complexes.SimplicialComplex.simplex(2.5),
+                 "vertex count 2.5 is not an integer", id="simplex"),
+    pytest.param(lambda: complexes.SimplicialComplex.sphere(1.5),
+                 "sphere dimension 1.5 is not an integer", id="sphere"),
+    pytest.param(lambda: complexes.wcm_violation(_PATH5, 1.5), "dimension 1.5 is not an integer",
+                 id="wcm"),
+    pytest.param(lambda: complexes.reduced_homology(_PATH5, 0.5), "degree 0.5 is not an integer",
+                 id="homology-through"),
+    pytest.param(lambda: complexes.reduced_homology(_PATH5, True),
+                 "degree True is not an integer", id="homology-through-bool"),
+    pytest.param(lambda: complexes.morse_sweep(_PATH5, _flat_heights(_PATH5), [2], 1.5),
+                 "degree 1.5 is not an integer", id="morse-sweep"),
+    pytest.param(lambda: complexes.morse_check(_PATH5, _flat_heights(_PATH5), 2, 1.5),
+                 "degree 1.5 is not an integer", id="morse-check"),
+])
 def test_non_integer_sizes_and_indices_are_rejected_where_they_enter(call, message):
-    # each of these calls used to return an object holding the non-integer
+    # each of these calls used to return an object or answer holding the
+    # non-integer, or to fail later with a TypeError
     with pytest.raises(ValueError) as err:
         call()
     assert str(err.value) == message

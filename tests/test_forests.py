@@ -9,10 +9,12 @@ import pytest
 from braidedthompson import (Forest, apply_path, attach_caret,
                              elementary_forest, expansion_path, forest_join,
                              forest_to_matching, is_prefix, matching_to_forest)
-from braidedthompson.forests import (LEAF, _first_expandable_leaf, decode,
+from braidedthompson.forests import (_first_expandable_leaf, decode,
                                     elementary_caret_spans, encode, leaf_counts,
                                     remove_elementary_caret)
 from conftest import seeded
+
+LEAF = None  # a leaf in the oracles' nested tuples, parsed from a forest's text
 
 
 def compositions(total, slots):
@@ -26,10 +28,10 @@ def compositions(total, slots):
 
 
 def trees_by_carets(d, max_carets):
-    """trees[k] lists every d-ary tree with exactly k carets, k <= max_carets."""
-    trees = [[LEAF]]
+    """trees[k] spells every d-ary tree with exactly k carets, k <= max_carets."""
+    trees = [["."]]
     for k in range(1, max_carets + 1):
-        trees.append([combo for split in compositions(k - 1, d)
+        trees.append(["(" + "".join(combo) + ")" for split in compositions(k - 1, d)
                       for combo in product(*[trees[x] for x in split])])
     return trees
 
@@ -40,7 +42,7 @@ def all_forests(d, r, max_carets):
     for total in range(max_carets + 1):
         for split in compositions(total, r):
             for combo in product(*[trees[x] for x in split]):
-                yield Forest(d, combo)
+                yield decode("|".join(combo), d)
 
 
 def test_attach_caret_counts():
@@ -72,16 +74,18 @@ def test_attach_caret_range_check():
         attach_caret(Forest.trivial(2, 1), 2)
 
 
-def test_forest_from_trees_checks_arity_at_every_depth():
-    for d, trees, message in (
-            (2, [LEAF, (LEAF, (LEAF,) * 3)], "caret with 3 children in a 2-ary forest"),
-            (3, [((LEAF,) * 3, LEAF, (LEAF, LEAF))], "caret with 2 children in a 3-ary forest"),
-            (2, [], "a forest needs at least one root"),
-            (1, [LEAF], "arity must be >= 2")):
-        with pytest.raises(ValueError) as err:
-            Forest(d, trees)
-        assert str(err.value) == message
-    assert str(Forest(3, [LEAF, ((LEAF,) * 3, LEAF, LEAF)])) == ".|((...)..)"
+def test_forests_come_only_from_text_and_the_named_constructors():
+    # nested tuples (or lists) are no way in: the class has no constructor
+    for trees in (((LEAF, LEAF),), [[LEAF, LEAF]]):
+        with pytest.raises(TypeError):
+            Forest(2, trees)
+    f = attach_caret(decode(".|((...)..)", 3), 1)
+    assert str(f) == "(...)|((...)..)" and repr(f) == "Forest(3, '(...)|((...)..)')"
+    # no public attribute of a forest holds its trees
+    for name in (n for n in dir(f) if not n.startswith("_")):
+        assert not isinstance(getattr(f, name), (tuple, list)), name
+    with pytest.raises(ValueError, match="^arity must be >= 2$"):
+        decode("(..)", 1)
 
 
 def test_elementary_forest():
@@ -204,7 +208,7 @@ def test_encoding_roundtrip():
         built.append(f)
     # two decoded forests compare by their texts, and agree with their trees
     for f, g in zip(built, built[:1] + built[:-1]):
-        same = f.degree == g.degree and f.trees == g.trees
+        same = f.degree == g.degree and _oracle_trees(f) == _oracle_trees(g)
         assert (decode(encode(f), f.degree) == decode(encode(g), g.degree)) == same
     assert decode(".|.", 2) != decode(".|.", 3)
     with pytest.raises(ValueError):
@@ -229,8 +233,9 @@ def test_remove_caret_inverts_attach():
 # -- differential oracle: the recursive decoder --------------------------------
 #
 # The recursive-descent decoder that the one-pass `decode` replaced, frozen
-# as it was.  The two must agree on every text: equal forests with equal
-# leaf counts, or the same ValueError text.
+# as it was, now returning the nested tuples it parses (a leaf is LEAF).
+# The two must agree on every text: the same spelling (by the recursive
+# encoder below) with equal leaf counts, or the same ValueError text.
 
 def _oracle_decode(text, degree):
     trees = []
@@ -240,7 +245,12 @@ def _oracle_decode(text, degree):
         if pos != len(part):
             raise ValueError("trailing characters in tree %r" % part)
         trees.append(tree)
-    return Forest(degree, trees)
+    return tuple(trees)
+
+
+def _oracle_trees(forest):
+    """The forest's trees as nested tuples, parsed by the oracle from its text."""
+    return _oracle_decode(str(forest), forest.degree)
 
 
 def _oracle_parse_tree(s, pos, d):
@@ -261,12 +271,19 @@ def _oracle_parse_tree(s, pos, d):
     raise ValueError("unexpected character %r at position %d" % (ch, pos))
 
 
+def _spelled(result):
+    """A forest, or an oracle's nested tuples, as its text and leaf count."""
+    if isinstance(result, Forest):
+        return str(result), result.leaves
+    return _oracle_encode(result), _oracle_leaves(result)
+
+
 def decode_outcome(decoder, text, d):
     try:
         f = decoder(text, d)
     except ValueError as exc:
         return "error", str(exc)
-    return "ok", f, f.leaves
+    return ("ok",) + _spelled(f)
 
 
 def mutate_forest_text(text, rng):
@@ -307,7 +324,7 @@ def test_decode_agrees_with_recursive_oracle(d):
     for text in random_forest_texts(rng, d):
         got = decode_outcome(decode, text, d)
         assert got[0] == "ok" and got == decode_outcome(_oracle_decode, text, d), text
-        assert encode(got[1]) == text
+        assert got[1] == text
         for _ in range(40):
             bad = text
             for _ in range(rng.randint(1, 2)):
@@ -325,33 +342,40 @@ def test_decode_agrees_with_recursive_oracle(d):
 # -- differential oracle: the recursive caret walkers --------------------------
 #
 # Before forests kept their text, elementary carets were found and removed,
-# carets counted, the shape questions answered and the prefix order decided
-# by recursive walks over the trees.  Those walkers, frozen as they were,
-# must agree with the text-based functions, and the text a forest keeps
-# must be the one the recursive builder makes from its trees.
+# carets attached and counted, the shape questions answered and the prefix
+# order decided by recursive walks over the trees.  Those walkers, frozen as
+# they were, read the nested tuples `_oracle_trees` parses from a forest's
+# text, and must agree with the library's functions; a text the library
+# spells must be the one the recursive encoder makes from the same trees.
 
-def _oracle_encode(forest):
+def _oracle_encode(trees):
     def enc(tree):
         if tree is LEAF:
             return "."
         return "(" + "".join(enc(c) for c in tree) + ")"
-    return "|".join(enc(t) for t in forest.trees)
+    return "|".join(enc(t) for t in trees)
 
 
-def _oracle_carets(forest):
+def _oracle_leaves(trees):
+    def leaves(tree):
+        return 1 if tree is LEAF else sum(leaves(c) for c in tree)
+    return sum(leaves(t) for t in trees)
+
+
+def _oracle_carets(trees):
     def carets(tree):
         if tree is LEAF:
             return 0
         return 1 + sum(carets(c) for c in tree)
-    return sum(carets(t) for t in forest.trees)
+    return sum(carets(t) for t in trees)
 
 
-def _oracle_is_trivial(forest):
-    return all(t is LEAF for t in forest.trees)
+def _oracle_is_trivial(trees):
+    return all(t is LEAF for t in trees)
 
 
-def _oracle_is_elementary(forest):
-    return all(t is LEAF or all(c is LEAF for c in t) for t in forest.trees)
+def _oracle_is_elementary(trees):
+    return all(t is LEAF or all(c is LEAF for c in t) for t in trees)
 
 
 def _oracle_is_prefix(f, g):
@@ -362,10 +386,23 @@ def _oracle_is_prefix(f, g):
             return False
         return all(pref(x, y) for x, y in zip(a, b))
 
-    return all(pref(a, b) for a, b in zip(f.trees, g.trees))
+    return all(pref(a, b) for a, b in zip(f, g))
 
 
-def _oracle_elementary_caret_spans(forest):
+def _oracle_attach_caret(trees, i, d):
+    """The trees with leaf i (global numbering) replaced by a caret."""
+    counter = [0]
+
+    def grow(tree):
+        if tree is LEAF:
+            counter[0] += 1
+            return (LEAF,) * d if counter[0] == i else LEAF
+        return tuple(grow(c) for c in tree)
+
+    return tuple(grow(t) for t in trees)
+
+
+def _oracle_elementary_caret_spans(trees):
     spans = []
     counter = [0]
 
@@ -380,7 +417,7 @@ def _oracle_elementary_caret_spans(forest):
         for c in tree:
             walk(c)
 
-    for t in forest.trees:
+    for t in trees:
         walk(t)
     return spans
 
@@ -409,13 +446,13 @@ def _oracle_remove_elementary_caret(forest, start):
 
     trees = []
     found = False
-    for t in forest.trees:
+    for t in _oracle_trees(forest):
         new, h = rebuild(t)
         trees.append(new)
         found = found or h
     if not found:
         raise ValueError("no elementary caret with leaves starting at %d" % start)
-    return Forest(d, trees)
+    return tuple(trees)
 
 
 def removal_outcome(remove, forest, start):
@@ -423,13 +460,13 @@ def removal_outcome(remove, forest, start):
         g = remove(forest, start)
     except ValueError as exc:
         return "error", str(exc)
-    return "ok", g, g.leaves
+    return ("ok",) + _spelled(g)
 
 
 def caret_oracle_forests():
-    """Every forest with at most 5 carets for d = 2, 3 and 1..3 roots, then
-    seeded random forests up to 12 carets for d = 2, 3, 4; all built from
-    trees."""
+    """Every forest with at most 5 carets for d = 2, 3 and 1..3 roots, all
+    decoded from their texts, then seeded random forests up to 12 carets
+    for d = 2, 3, 4, all grown by `attach_caret`."""
     for d in (2, 3):
         for r in (1, 2, 3):
             yield from all_forests(d, r, 5)
@@ -446,40 +483,42 @@ def test_caret_functions_agree_with_recursive_oracles():
     count = 0
     rng = seeded("prefix-oracle")
     for built in caret_oracle_forests():
-        d, text = built.degree, _oracle_encode(built)
+        d, trees = built.degree, _oracle_trees(built)
+        text = _oracle_encode(trees)
+        assert str(built) == encode(built) == text and built.leaves == _oracle_leaves(trees)
         # the same forest decoded from its text, with blanks around each tree
         parsed = decode(" %s\t" % " | ".join(text.split("|")), d)
-        assert parsed == built and parsed._text == text
-        spans = _oracle_elementary_caret_spans(built)
+        assert parsed == built and str(parsed) == text
+        spans = _oracle_elementary_caret_spans(trees)
         # the prefix order against a refinement, a coarsening and an
-        # unrelated forest of the same shape of roots
-        finer = attach_caret(built, rng.randint(1, built.leaves))
+        # unrelated forest of the same shape of roots; the refinement is
+        # spelled as the recursive walker grows it
+        i = rng.randint(1, built.leaves)
+        finer = attach_caret(built, i)
+        assert str(finer) == _oracle_encode(_oracle_attach_caret(trees, i, d))
         other = Forest.trivial(d, built.roots)
         for _ in range(rng.randint(0, 4)):
             other = attach_caret(other, rng.randint(1, other.leaves))
         for f in (built, parsed):
             assert elementary_caret_spans(f) == spans
-            assert f.carets == _oracle_carets(f)
-            assert f.is_trivial() == _oracle_is_trivial(built)
-            assert f.is_elementary() == _oracle_is_elementary(built)
+            assert f.carets == _oracle_carets(trees)
+            assert f.is_trivial() == _oracle_is_trivial(trees)
+            assert f.is_elementary() == _oracle_is_elementary(trees)
             for g in (built, finer, other, Forest.trivial(d, built.roots)):
-                assert is_prefix(f, g) == _oracle_is_prefix(built, g)
-                assert is_prefix(g, f) == _oracle_is_prefix(g, built)
+                assert is_prefix(f, g) == _oracle_is_prefix(trees, _oracle_trees(g))
+                assert is_prefix(g, f) == _oracle_is_prefix(_oracle_trees(g), trees)
             for start in range(f.leaves + 2):
                 got = removal_outcome(remove_elementary_caret, f, start)
                 assert got == removal_outcome(_oracle_remove_elementary_caret, f, start)
                 assert (got[0] == "ok") == (start in spans)
-                if got[0] == "ok":
-                    assert got[1]._text == _oracle_encode(got[1])
-                    count += 1
-        assert encode(built) == text
+                count += got[0] == "ok"
     assert count > 10000
     # the prefix order on every pair of small forests
     for d, r in ((2, 1), (2, 2), (3, 2)):
-        fs = list(all_forests(d, r, 3))
+        fs = [(f, _oracle_trees(f)) for f in all_forests(d, r, 3)]
         pairs = [(f, g) for f in fs for g in fs]
-        assert all(is_prefix(f, g) == _oracle_is_prefix(f, g) for f, g in pairs)
-        assert sum(_oracle_is_prefix(f, g) for f, g in pairs) > len(fs)
+        assert all(is_prefix(f, g) == _oracle_is_prefix(a, b) for (f, a), (g, b) in pairs)
+        assert sum(_oracle_is_prefix(a, b) for (_, a), (_, b) in pairs) > len(fs)
 
 
 # -- equality, hashing and expansion paths read the text -----------------------
@@ -492,25 +531,27 @@ def test_deep_forests_compare_hash_and_count_under_the_recursion_limit():
     other = decode(".|" + left, 2)
     assert a == b and hash(a) == hash(b) and a is not b
     assert a != other and leaf_counts(a) == (n + 1, 1) and leaf_counts(other) == (1, n + 1)
-    # built from its trees, the forest is spelled without recursion too
-    c = Forest(2, a.trees)
-    assert c == a and hash(c) == hash(a) and str(c) == left + "|." and c.leaves == n + 2
-    assert repr(c) == "Forest(2, %r)" % (left + "|.")
-    for f in (a, c):
+    # spelled from its trees by a move, the forest is built without recursion
+    # too: attach_caret at the shallow root, and the union behind is_prefix
+    c = attach_caret(other, 1)
+    assert c == decode("(..)|" + left, 2) and hash(c) == hash(decode(str(c), 2))
+    assert str(c) == "(..)|" + left and c.leaves == n + 3 and leaf_counts(c) == (2, n + 1)
+    assert repr(c) == "Forest(2, %r)" % ("(..)|" + left)
+    assert is_prefix(Forest.trivial(2, 2), other) and not is_prefix(c, a)
+    for f in (a, c, other):
         assert not f.is_trivial() and not f.is_elementary()
 
 
 def test_forests_compare_and_hash_by_text_however_built():
     for built in caret_oracle_forests():
-        d = built.degree
-        parsed = decode(_oracle_encode(built), d)
+        trees = _oracle_trees(built)
+        parsed = decode(_oracle_encode(trees), built.degree)
         assert parsed == built and built == parsed
         assert hash(parsed) == hash(built)
-        assert leaf_counts(parsed) == tuple(_oracle_encode(Forest(d, [t])).count(".")
-                                            for t in built.trees)
+        assert leaf_counts(parsed) == tuple(_oracle_leaves([t]) for t in trees)
     # the same text in two degrees names two forests
     assert Forest.trivial(2, 3) != Forest.trivial(3, 3)
-    assert Forest(2, [LEAF]) != decode(".", 3)
+    assert Forest.trivial(2, 1) != decode(".", 3)
     assert len({Forest.trivial(2, 1), decode(".", 2), Forest.trivial(3, 1)}) == 2
 
 

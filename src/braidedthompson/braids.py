@@ -36,6 +36,8 @@ from __future__ import annotations
 
 from itertools import groupby
 
+from ._checks import require_int
+
 
 class Permutation:
     """A bijection of {1..n}, stored as the tuple of images."""
@@ -67,7 +69,10 @@ class Permutation:
         return len(self.image)
 
     def __call__(self, i):
-        return self.image[i - 1]
+        if type(i) is int and 0 < i <= len(self.image):
+            return self.image[i - 1]
+        raise ValueError("permutation index %d out of range 1..%d"
+                         % (require_int(i, "permutation index"), len(self.image)))
 
     def __mul__(self, other):
         """Left-to-right composition: (p*q)(i) = q(p(i))."""
@@ -111,15 +116,11 @@ class BraidWord:
     __slots__ = ("strands", "letters", "_nf", "_perm", "_esum", "_dyn")
 
     def __init__(self, strands, letters=()):
-        if type(strands) is not int:
-            raise ValueError("strand count %r is not an integer" % (strands,))
-        if strands < 1:
+        if require_int(strands, "strand count") < 1:
             raise ValueError("need at least one strand")
         letters = tuple(letters)
         for a in letters:
-            if type(a) is not int:
-                raise ValueError("letter %r is not an integer" % (a,))
-            if a == 0 or abs(a) >= strands:
+            if require_int(a, "letter") == 0 or abs(a) >= strands:
                 raise ValueError("letter %d out of range for B_%d" % (a, strands))
         self.strands = strands
         self.letters = letters
@@ -304,9 +305,7 @@ def half_twist(d: int) -> BraidWord:
 
     Its square generates the center of B_d for d >= 3.
     """
-    if type(d) is not int:
-        raise ValueError("strand count %r is not an integer" % (d,))
-    if d < 2:
+    if require_int(d, "strand count") < 2:
         raise ValueError("half twist needs d >= 2")
     letters = []
     for k in range(1, d):
@@ -335,9 +334,7 @@ def cable(w: BraidWord, widths) -> BraidWord:
     if len(widths) != w.strands:
         raise ValueError("need one width per strand")
     for x in widths:
-        if type(x) is not int:
-            raise ValueError("width %r is not an integer" % (x,))
-        if x < 1:
+        if require_int(x, "width") < 1:
             raise ValueError("widths must be positive")
     order = list(range(w.strands))  # block ids by current position
     starts = [1] * w.strands  # first cable strand of the block at each position
@@ -366,8 +363,7 @@ def delete_strands(w: BraidWord, kill) -> BraidWord:
     """
     kill = set(kill)
     for i in kill:
-        if type(i) is not int:
-            raise ValueError("strand index %r is not an integer" % (i,))
+        require_int(i, "strand index")
     if not kill <= set(range(1, w.strands + 1)):
         raise ValueError("strand indices out of range")
     if len(kill) >= w.strands:

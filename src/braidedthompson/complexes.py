@@ -30,6 +30,10 @@ one-level predicate).  Each of these reads every vertex's height as h(v),
 and a vertex without one is a ValueError naming it; only validity spares
 a vertex in no edge.
 
+Sizes, vertices, dimensions, degrees, heights and levels are ints (not
+bools or floats); anything else is a ValueError that names it, raised
+where it enters.
+
 Faces are read off the maximal faces one size at a time, as they are
 asked for, and cached on the complex.  Full subcomplexes, links, mutual
 links and descending links come from one restriction (some faces of the
@@ -42,6 +46,8 @@ from __future__ import annotations
 from itertools import combinations, product
 from math import gcd
 
+from ._checks import require_int
+
 
 class SimplicialComplex:
     """A finite simplicial complex stored by its maximal faces over the
@@ -51,9 +57,7 @@ class SimplicialComplex:
     __slots__ = ("vertices", "maximal_faces", "_faces")
 
     def __init__(self, vertices, maximal_faces=()):
-        if type(vertices) is not int:
-            raise ValueError("vertex count %r is not an integer" % (vertices,))
-        if vertices < 0:
+        if require_int(vertices, "vertex count") < 0:
             raise ValueError("vertex count must be >= 0")
         cleaned = set()
         for f in maximal_faces:
@@ -82,15 +86,13 @@ class SimplicialComplex:
     @classmethod
     def simplex(cls, n_vertices):
         """The full simplex on n_vertices vertices."""
-        if type(n_vertices) is not int:
-            raise ValueError("vertex count %r is not an integer" % (n_vertices,))
-        return cls(n_vertices, (tuple(range(n_vertices)),))
+        return cls(require_int(n_vertices, "vertex count"), (tuple(range(n_vertices)),))
 
     @classmethod
     def sphere(cls, n):
         """The boundary of the (n+1)-simplex, a combinatorial n-sphere."""
-        if type(n) is not int:
-            raise ValueError("sphere dimension %r is not an integer" % (n,))
+        if require_int(n, "sphere dimension") < -1:
+            raise ValueError("sphere dimension %d must be >= -1" % n)
         verts = tuple(range(n + 2))
         return cls(n + 2, combinations(verts, n + 1))
 
@@ -112,7 +114,7 @@ class SimplicialComplex:
         return frozenset().union(*map(self._faces_of_size, range(1, self.dim + 2)))
 
     def faces_of_dim(self, p):
-        return sorted(self._faces_of_size(p + 1))
+        return sorted(self._faces_of_size(require_int(p, "dimension") + 1))
 
     @property
     def dim(self):
@@ -138,7 +140,7 @@ class SimplicialComplex:
 
     def full_subcomplex(self, keep):
         """Faces spanned by the vertex subset `keep`; ambient ids kept."""
-        return _restrict(self, self.maximal_faces, set(keep))
+        return _restrict(self, self.maximal_faces, {require_int(v, "vertex") for v in keep})
 
     def __eq__(self, other):
         return (isinstance(other, SimplicialComplex)
@@ -182,7 +184,7 @@ def _restrict(k: SimplicialComplex, faces, keep) -> SimplicialComplex:
 def _cofaces(k: SimplicialComplex, sigma):
     """The maximal faces of k that contain sigma; ValueError if sigma is
     not a nonempty face."""
-    s = set(sigma)
+    s = {require_int(v, "vertex") for v in sigma}
     found = [f for f in k.maximal_faces if s.issubset(f)] if s else []
     if not found:
         raise ValueError("%r is not a face" % (tuple(sorted(s)),))
@@ -213,7 +215,7 @@ def mutual_link(k: SimplicialComplex, x: int, y: int) -> SimplicialComplex:
     """Lk(x) intersected with Lk(y), the complex seen from both vertices:
     the intersections of a coface of x with a coface of y, minus x and y."""
     for v in (x, y):
-        if not k.has_face((v,)):
+        if not k.has_face((require_int(v, "vertex"),)):
             raise ValueError("%d is not a vertex" % v)
     xs, ys = _cofaces(k, (x,)), [set(b) for b in _cofaces(k, (y,))]
     return _restrict(k, [tuple(v for v in a if v in b) for a in xs for b in ys],
@@ -277,6 +279,7 @@ class HomologyReport:
         self.through = through
 
     def _known(self, p):
+        require_int(p, "degree")
         if self.through is not None and p > self.through:
             raise ValueError("homology was computed through degree %d, not %d"
                              % (self.through, p))
@@ -439,8 +442,8 @@ def reduced_homology(k: SimplicialComplex, through=None) -> HomologyReport:
     With `through` = q only the faces of dimension <= q + 1 are read, and
     the report stops at degree q: the (q+1)-skeleton has the same homology
     as k through degree q."""
-    if through is not None and type(through) is not int:
-        raise ValueError("degree %r is not an integer" % (through,))
+    if through is not None:
+        require_int(through, "degree")
     top = k.dim + 1 if through is None else min(through + 2, k.dim + 1)
     chains = {size - 1: list(k._faces_of_size(size)) for size in range(1, top + 1)}
     chains[-1] = [()]
@@ -528,8 +531,7 @@ def wcm_violation(k: SimplicialComplex, n: int):
     lexicographically.  Only the faces of dimension <= n-1 are read, and
     each homology is computed only through the degree asked.
     """
-    if type(n) is not int:
-        raise ValueError("dimension %r is not an integer" % (n,))
+    require_int(n, "dimension")
     if not reduced_homology(k, n - 1).is_zero_through(n - 1):
         return "complex is not homology %d-connected" % (n - 1)
     for size in range(1, min(n, k.dim + 1) + 1):
@@ -606,7 +608,8 @@ class HeightFunction:
     __slots__ = ("heights",)
 
     def __init__(self, heights):
-        self.heights = dict(heights) if isinstance(heights, dict) else dict(enumerate(heights))
+        items = heights.items() if isinstance(heights, dict) else enumerate(heights)
+        self.heights = {require_int(v, "vertex"): require_int(t, "height") for v, t in items}
 
     def __call__(self, v):
         try:
@@ -629,6 +632,7 @@ class HeightFunction:
 
 
 def sublevel(k: SimplicialComplex, h: HeightFunction, t: int, strict=False) -> SimplicialComplex:
+    require_int(t, "level")
     return k.full_subcomplex({v for v in k.vertex_set() if (h(v) < t if strict else h(v) <= t)})
 
 
@@ -644,7 +648,7 @@ def morse_descending_link(k: SimplicialComplex, h: HeightFunction, v: int) -> Si
     the parts below h(v) of the maximal faces through v."""
     if not h.is_valid_for(k):
         raise ValueError(_INVALID_HEIGHTS)
-    if not k.has_face((v,)):
+    if not k.has_face((require_int(v, "vertex"),)):
         raise ValueError("%d is not a vertex" % v)
     return _descending_link(k, h, v)
 
@@ -674,8 +678,9 @@ def morse_sweep(k: SimplicialComplex, h: HeightFunction, levels, kk=None):
     is validated once, and each descending link and its homology are
     computed once; with kk given, the homology of the links and of the
     pair is computed only through the degrees asked."""
-    if kk is not None and type(kk) is not int:
-        raise ValueError("degree %r is not an integer" % (kk,))
+    if kk is not None:
+        require_int(kk, "degree")
+    levels = [require_int(t, "level") for t in levels]
     if not h.is_valid_for(k):
         raise ValueError(_INVALID_HEIGHTS)
     sweep = []

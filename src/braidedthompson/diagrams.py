@@ -29,6 +29,7 @@ operations never decide a flavor again.
 
 from __future__ import annotations
 
+from ._checks import require_int
 from .braids import BraidWord, Permutation, is_pure, permutation_of
 from .forests import (Forest, attach_caret, elementary_caret_spans,
                       elementary_forest, forest_to_matching, join, leaf_counts,
@@ -110,9 +111,7 @@ class GroupContext:
     __slots__ = ("d", "r", "spec", "flavor")
 
     def __init__(self, d, r, spec, flavor="V"):
-        if type(d) is not int:
-            raise ValueError("arity %r is not an integer" % (d,))
-        if d < 2:
+        if require_int(d, "arity") < 2:
             raise ValueError("arity must be >= 2")
         if spec.degree != d:
             raise ValueError("label group lives in B_%d, context has d=%d" % (spec.degree, d))
@@ -124,9 +123,7 @@ class GroupContext:
                              % (flavor, str(impure)))
         # after the purity check: a session header reports the context's
         # error at the first impure generator, when it has one
-        if type(r) is not int:
-            raise ValueError("root count %r is not an integer" % (r,))
-        if r < 1:
+        if require_int(r, "root count") < 1:
             raise ValueError("need at least one root")
         self.d = d
         self.r = r
@@ -178,15 +175,10 @@ class GroupContext:
 
     def expand(self, s: Spraige, i: int) -> Spraige:
         """Expansion at leaf i; the result represents the same element."""
-        if type(i) is not int:
-            raise ValueError("leaf index %r is not an integer" % (i,))
         self.validate(s)
-        l = s.leaves
-        if not 1 <= i <= l:
-            raise ValueError("leaf index %d out of range 1..%d" % (i, l))
-        lb = labeled_cable(self.spec, s.lb, [1] * (i - 1) + [self.d] + [1] * (l - i))
-        return Spraige(attach_caret(s.minus, i), lb,
-                       attach_caret(s.plus, permutation_of(s.lb.braid)(i)))
+        minus = attach_caret(s.minus, i)  # checks the leaf index
+        lb = labeled_cable(self.spec, s.lb, [1] * (i - 1) + [self.d] + [1] * (s.leaves - i))
+        return Spraige(minus, lb, attach_caret(s.plus, permutation_of(s.lb.braid)(i)))
 
     def try_reduce_at(self, s: Spraige, start: int):
         """Undo an expansion at the elementary caret of minus whose leaves
@@ -201,8 +193,7 @@ class GroupContext:
         (c) deleting the non-leader strands and re-cabling with h
         inserted reproduces the braid.
         """
-        if type(start) is not int:
-            raise ValueError("leaf index %r is not an integer" % (start,))
+        require_int(start, "leaf index")
         d = self.d
         self.validate(s)
         if start not in elementary_caret_spans(s.minus):

@@ -26,6 +26,8 @@ source forest to a target forest.
 
 from __future__ import annotations
 
+from ._checks import require_int
+
 LEAF = None
 _CLOSE = object()  # on the spelling stack, where a caret's ")" goes
 
@@ -92,13 +94,9 @@ class Forest:
 
 def _check_sizes(degree, roots=1):
     """An arity and a root count, checked where they enter."""
-    if type(degree) is not int:
-        raise ValueError("arity %r is not an integer" % (degree,))
-    if degree < 2:
+    if require_int(degree, "arity") < 2:
         raise ValueError("arity must be >= 2")
-    if type(roots) is not int:
-        raise ValueError("root count %r is not an integer" % (roots,))
-    if roots < 1:
+    if require_int(roots, "root count") < 1:
         raise ValueError("a forest needs at least one root")
 
 
@@ -180,9 +178,7 @@ def decode(text: str, degree: int) -> Forest:
 
 def attach_caret(forest: Forest, i: int) -> Forest:
     """Replace leaf i (global numbering) by a caret with d fresh leaves."""
-    if type(i) is not int:
-        raise ValueError("leaf index %r is not an integer" % (i,))
-    if not 1 <= i <= forest.leaves:
+    if not 1 <= require_int(i, "leaf index") <= forest.leaves:
         raise ValueError("leaf index %d out of range 1..%d" % (i, forest.leaves))
     d = forest.degree
 
@@ -302,8 +298,7 @@ def elementary_caret_spans(forest: Forest):
 def remove_elementary_caret(forest: Forest, start: int) -> Forest:
     """Collapse the elementary caret whose leaves start at `start` back to
     a leaf."""
-    if type(start) is not int:
-        raise ValueError("leaf index %r is not an integer" % (start,))
+    require_int(start, "leaf index")
     d, text = forest.degree, encode(forest)
     for leaf, pos in _elementary_carets(text, d):
         if leaf == start:
@@ -324,8 +319,7 @@ def matching_to_forest(intervals, m: int, d: int) -> Forest:
     """Inverse of forest_to_matching: rebuild the elementary forest with m
     leaves from disjoint intervals [i, i+d-1] inside [1, m]."""
     _check_sizes(d)
-    if type(m) is not int:
-        raise ValueError("leaf count %r is not an integer" % (m,))
+    require_int(m, "leaf count")
     starts = []
     for iv in intervals:
         a, b = iv

@@ -24,6 +24,7 @@ labeled h with the braid of h on top of the bundle, and
 
 from __future__ import annotations
 
+from ._checks import require_int
 from .braids import (BraidWord, braid_equal, cable, delete_strands, half_twist,
                      is_pure, permutation_of, shifted)
 
@@ -40,9 +41,7 @@ class LabelGroupSpec:
     __slots__ = ("degree", "generators", "require_pure", "_realized")
 
     def __init__(self, degree, generators=(), require_pure=False):
-        if type(degree) is not int:
-            raise ValueError("label group degree %r is not an integer" % (degree,))
-        if degree < 2:
+        if require_int(degree, "label group degree") < 2:
             raise ValueError("label group lives in B_d with d >= 2")
         generators = tuple(generators)
         for g in generators:

@@ -78,6 +78,7 @@ def _flat_heights(k):
 
 
 _PATH5 = complexes.d_matching_linear(2, 5)
+_RISING = HeightFunction(range(_PATH5.vertices))  # valid: no edge is level
 
 
 @pytest.mark.parametrize("call,message", [
@@ -159,10 +160,58 @@ _PATH5 = complexes.d_matching_linear(2, 5)
                  "degree 1.5 is not an integer", id="morse-sweep"),
     pytest.param(lambda: complexes.morse_check(_PATH5, _flat_heights(_PATH5), 2, 1.5),
                  "degree 1.5 is not an integer", id="morse-check"),
+    # degrees asked of a homology report
+    pytest.param(lambda: complexes.reduced_homology(_PATH5).betti_number(1.0),
+                 "degree 1.0 is not an integer", id="betti"),
+    pytest.param(lambda: complexes.reduced_homology(_PATH5).betti_number("x"),
+                 "degree 'x' is not an integer", id="betti-str"),
+    pytest.param(lambda: complexes.reduced_homology(_PATH5).torsion_coefficients(1.5),
+                 "degree 1.5 is not an integer", id="torsion"),
+    pytest.param(lambda: complexes.reduced_homology(_PATH5).is_zero_through(1.5),
+                 "degree 1.5 is not an integer", id="zero-through"),
+    pytest.param(lambda: complexes.reduced_homology(_PATH5).is_zero_through("a"),
+                 "degree 'a' is not an integer", id="zero-through-str"),
+    # vertices, dimensions, heights and levels in the lab
+    pytest.param(lambda: complexes.link(_PATH5, (1.0,)), "vertex 1.0 is not an integer",
+                 id="link-float"),
+    pytest.param(lambda: complexes.link(_PATH5, (True,)), "vertex True is not an integer",
+                 id="link-bool"),
+    pytest.param(lambda: complexes.star(_PATH5, (1.0,)), "vertex 1.0 is not an integer",
+                 id="star"),
+    pytest.param(lambda: complexes.mutual_link(_PATH5, 1.0, 2), "vertex 1.0 is not an integer",
+                 id="mutual-link"),
+    pytest.param(lambda: _PATH5.full_subcomplex({1.0, 2}), "vertex 1.0 is not an integer",
+                 id="full-subcomplex"),
+    pytest.param(lambda: complexes.morse_descending_link(_PATH5, _RISING, 1.0),
+                 "vertex 1.0 is not an integer", id="descending-link"),
+    pytest.param(lambda: _PATH5.faces_of_dim(1.0), "dimension 1.0 is not an integer",
+                 id="faces-of-dim"),
+    pytest.param(lambda: HeightFunction({0: 1.5, 1: 2}), "height 1.5 is not an integer",
+                 id="height"),
+    pytest.param(lambda: HeightFunction({0.5: 1}), "vertex 0.5 is not an integer",
+                 id="height-vertex"),
+    pytest.param(lambda: complexes.morse_sweep(_PATH5, _RISING, [1.5]),
+                 "level 1.5 is not an integer", id="sweep-level"),
+    pytest.param(lambda: complexes.sublevel(_PATH5, _RISING, 1.5),
+                 "level 1.5 is not an integer", id="sublevel"),
+    # permutation indices, and integers out of range at two of these ways in
+    pytest.param(lambda: Permutation((2, 1))(1.0), "permutation index 1.0 is not an integer",
+                 id="perm-index-float"),
+    pytest.param(lambda: Permutation((2, 1))(True), "permutation index True is not an integer",
+                 id="perm-index-bool"),
+    pytest.param(lambda: Permutation((2, 1))(0), "permutation index 0 out of range 1..2",
+                 id="perm-index-zero"),
+    pytest.param(lambda: Permutation((2, 1))(-1), "permutation index -1 out of range 1..2",
+                 id="perm-index-negative"),
+    pytest.param(lambda: Permutation((2, 1))(3), "permutation index 3 out of range 1..2",
+                 id="perm-index-past-end"),
+    pytest.param(lambda: complexes.SimplicialComplex.sphere(-2),
+                 "sphere dimension -2 must be >= -1", id="sphere-below"),
 ])
 def test_non_integer_sizes_and_indices_are_rejected_where_they_enter(call, message):
     # each of these calls used to return an object or answer holding the
-    # non-integer, or to fail later with a TypeError
+    # non-integer (or a wrapped-round index), or to fail later with a
+    # TypeError or an IndexError
     with pytest.raises(ValueError) as err:
         call()
     assert str(err.value) == message

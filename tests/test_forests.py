@@ -595,6 +595,7 @@ def test_expansion_path_agrees_with_compare_until_equal_oracle(d):
 # speeds up thompson-powers enough that the benchmark, which keeps every
 # round's answers, charges the extra rounds to peak_rss_mb.
 RECURSIVE = {("forests.py", name) for name in ("rebuild", "union")}
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "braidedthompson"
 
 
 def self_recursive_functions(source):
@@ -616,10 +617,17 @@ def self_recursive_functions(source):
 
 
 def test_recursive_functions_are_exactly_the_known_ones():
-    package = pathlib.Path(__file__).resolve().parent.parent / "src" / "braidedthompson"
-    found = {(path.name, name) for path in sorted(package.glob("*.py"))
+    found = {(path.name, name) for path in sorted(PACKAGE.glob("*.py"))
              for name in self_recursive_functions(path.read_text(encoding="utf-8"))}
     assert found == RECURSIVE
+
+
+def test_integer_rule_is_spelled_in_one_module():
+    # every single-value integer check goes through _checks.require_int,
+    # so a new way in cannot grow its own copy of the rule
+    spelled = {path.name for path in PACKAGE.glob("*.py")
+               if "%r is not an integer" in path.read_text(encoding="utf-8")}
+    assert spelled == {"_checks.py"}
 
 
 def test_recursion_scan_sees_nested_functions_and_methods():

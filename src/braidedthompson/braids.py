@@ -60,10 +60,6 @@ class Permutation:
         p.image = image
         return p
 
-    @classmethod
-    def identity(cls, n):
-        return cls(range(1, n + 1))
-
     @property
     def size(self):
         return len(self.image)
@@ -119,9 +115,13 @@ class BraidWord:
         if require_int(strands, "strand count") < 1:
             raise ValueError("need at least one strand")
         letters = tuple(letters)
-        for a in letters:
-            if require_int(a, "letter") == 0 or abs(a) >= strands:
-                raise ValueError("letter %d out of range for B_%d" % (a, strands))
+        # one bulk pass (the range read off the distinct letters) for a valid
+        # word; only an invalid one is walked, to name its first bad letter
+        if letters and not (set(map(type, letters)) == {int} and 0 not in (seen := set(letters))
+                            and -strands < min(seen) and max(seen) < strands):
+            for a in letters:
+                if require_int(a, "letter") == 0 or abs(a) >= strands:
+                    raise ValueError("letter %d out of range for B_%d" % (a, strands))
         self.strands = strands
         self.letters = letters
         self._nf = self._perm = self._esum = self._dyn = None
@@ -138,26 +138,9 @@ class BraidWord:
 
     @classmethod
     def from_string(cls, strands, text):
-        """Parse a whitespace-separated word like "1 -2 3".
-
-        An explicit "B4:" prefix may carry the strand count instead; pass
-        strands=None to rely on it.  When both are given they must agree.
-        """
-        text = text.strip()
-        if text.startswith("B"):
-            head, sep, rest = text.partition(":")
-            if sep and head[1:].isdigit():
-                n = int(head[1:])
-                if strands is not None and strands != n:
-                    raise ValueError("prefix says B_%d but %d strands expected" % (n, strands))
-                strands = n
-                text = rest
-        if strands is None:
-            raise ValueError("no strand count: give one or use a B<n>: prefix")
+        """Parse a whitespace-separated word like "1 -2 3" on `strands`
+        strands."""
         return cls(strands, [int(p) for p in text.split()])
-
-    def to_prefixed_string(self):
-        return "B%d: %s" % (self.strands, self)
 
     def __str__(self):
         return " ".join(str(a) for a in self.letters)

@@ -19,7 +19,6 @@ import sys
 from . import complexes as cx
 from .diagrams import Spraige, v_reduce
 from .dsl import format_element, parse_session
-from .forests import encode as encode_forest
 from .labeled import Label
 
 RESULT_SCHEMA = {
@@ -96,10 +95,10 @@ class CliError(Exception):
 def _element_json(name, s: Spraige):
     return {
         "name": name,
-        "minus": encode_forest(s.minus),
+        "minus": str(s.minus),
         "braid": str(s.lb.braid),
         "labels": [str(l) for l in s.lb.labels],
-        "plus": encode_forest(s.plus),
+        "plus": str(s.plus),
         "heads": s.heads,
         "feet": s.feet,
         "leaves": s.leaves,
@@ -184,9 +183,9 @@ def _embed(ctx, args):
 
 def _project_v(ctx, args, s):
     pfd = v_reduce(ctx.project_to_v(s))
-    return {"diagram": {"minus": encode_forest(pfd.minus),
+    return {"diagram": {"minus": str(pfd.minus),
                         "permutation": list(pfd.perm.image),
-                        "plus": encode_forest(pfd.plus)}}, True
+                        "plus": str(pfd.plus)}}, True
 
 
 def _answer(field, truth):
@@ -293,7 +292,7 @@ def _write_dot(path, name, s: Spraige):
     for tag, forest in (("minus", s.minus), ("plus", s.plus)):
         open_carets = []
         nodes = 0
-        for ch in encode_forest(forest):
+        for ch in str(forest):
             if ch == ")":
                 open_carets.pop()
             elif ch in "(.":

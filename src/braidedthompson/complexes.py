@@ -30,9 +30,9 @@ one-level predicate).  Each of these reads every vertex's height as h(v),
 and a vertex without one is a ValueError naming it; only validity spares
 a vertex in no edge.
 
-Sizes, vertices, dimensions, degrees, heights and levels are ints (not
-bools or floats); anything else is a ValueError that names it, raised
-where it enters.
+Sizes, vertices, dimensions, degrees, heights, levels and the entries of
+a matrix given to `smith_invariants` are ints (not bools or floats);
+anything else is a ValueError that names it, raised where it enters.
 
 Faces are read off the maximal faces one size at a time, as they are
 asked for, and cached on the complex.  Full subcomplexes, links, mutual
@@ -78,10 +78,6 @@ class SimplicialComplex:
         self.vertices = vertices
         self.maximal_faces = frozenset(maximal)
         self._faces = None
-
-    @classmethod
-    def empty(cls, vertices=0):
-        return cls(vertices, ())
 
     @classmethod
     def simplex(cls, n_vertices):
@@ -227,14 +223,21 @@ def mutual_link(k: SimplicialComplex, x: int, y: int) -> SimplicialComplex:
 
 def smith_invariants(rows):
     """Invariant factors (positive, each dividing the next) of an integer
-    matrix given as a list of row lists, in arbitrary precision.  A pivot
-    of least absolute value in the undiagonalized block moves to (t, t) and
-    clears its column, then its row, by quotient multiples; |pivot| is
-    recorded once both are clear, else a smaller remainder is the next
-    pivot, so the loop ends.  diag(a, b) ~ diag(gcd(a, b), lcm(a, b)), so a
+    matrix given as a list of row lists, in arbitrary precision; a row
+    whose length differs from the first's, or an entry that is not an int,
+    is a ValueError.  A pivot of least absolute value in the undiagonalized
+    block moves to (t, t) and clears its column, then its row, by quotient
+    multiples; |pivot| is recorded once both are clear, else a smaller
+    remainder is the next pivot, so the loop ends.  diag(a, b) ~ diag(gcd(a, b), lcm(a, b)), so a
     last pass doing that to each diagonal pair leaves a divisibility chain."""
     a = [list(r) for r in rows]
     m, n = len(a), (len(a[0]) if a else 0)
+    for i, row in enumerate(a):
+        if len(row) != n:
+            raise ValueError("matrix row %d has length %d, row 0 has %d" % (i, len(row), n))
+        if set(map(type, row)) - {int}:
+            for x in row:
+                require_int(x, "matrix entry")
     diag, t = [], 0
     while t < m and t < n:
         nonzero = [(abs(v), i, j) for i in range(t, m)
@@ -601,7 +604,7 @@ _NO_HEIGHT = "vertex %d has no height"
 
 class HeightFunction:
     """Integer heights on the ambient vertices, read as h(v): a vertex
-    without one is a ValueError that names it.  Valid for a complex iff
+    that is not an int, or has no height, is a ValueError that names it.  Valid for a complex iff
     every face has a unique maximizing vertex (equivalently no edge is
     level), so a vertex in no edge needs no height to be valid."""
 
@@ -612,6 +615,8 @@ class HeightFunction:
         self.heights = {require_int(v, "vertex"): require_int(t, "height") for v, t in items}
 
     def __call__(self, v):
+        if type(v) is not int:
+            require_int(v, "vertex")
         try:
             return self.heights[v]
         except KeyError:

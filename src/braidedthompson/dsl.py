@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from .braids import BraidWord, is_pure
 from .diagrams import GroupContext, Spraige
-from .forests import decode as decode_forest, encode as encode_forest
+from .forests import decode as decode_forest
 from .labeled import Label, LabeledBraid, LabelGroupSpec
 
 _SPACED = [(c, " %s " % c) for c in "{}[],;:"]
@@ -189,7 +189,7 @@ class _Parser:
         letters = self.int_run("labels")
         self.expect_at(self.pos, _LABELS)
         self.pos += 2
-        labels = self._labels(len(ctx.spec.generators))
+        labels = self._labels(ctx.spec)
         self.expect_at(self.pos, _PLUS)
         plus = self._forest(self.pos + 2, ctx.d)
         self.expect_at(self.pos + 3, _CLOSE)
@@ -220,7 +220,7 @@ class _Parser:
             forest = self.forests[text] = self.check(at, decode_forest, text, d)
         return forest
 
-    def _labels(self, n_gens):
+    def _labels(self, spec):
         """The label words from the next token up to the first "plus".  The
         run is split at its ";" tokens into word texts (each padded with
         spaces, so that equal words have equal texts), and each new word
@@ -234,12 +234,12 @@ class _Parser:
         known, at = self.labels, start
         for word in words:
             if word not in known:
-                known[word] = self._new_label(word, at, n_gens)
+                known[word] = self._new_label(word, at, spec)
             at += len(word.split()) + 1  # its tokens and the ";" after them
         self.pos = stop
         return list(map(known.__getitem__, words))
 
-    def _new_label(self, text, at, n_gens):
+    def _new_label(self, text, at, spec):
         """The Label of word text `text`, whose first token has index `at`;
         raises at the first token that a label run does not accept."""
         word, parts = [], text.split()
@@ -251,9 +251,7 @@ class _Parser:
             j = len(parts)
         if j == 0:
             self.error("expected a label word", at)
-        for x in word:
-            if abs(x) > n_gens:
-                self.error("label references undeclared generator g%d" % abs(x), at)
+        self.check(at, spec._check_word, word)
         if j < len(parts):  # a token no label word takes ends the run: it must be "plus"
             self.pos = at + j
             self.expect(*_PLUS)
@@ -291,7 +289,7 @@ def format_header(ctx: GroupContext) -> str:
 def format_element(name: str, s: Spraige) -> str:
     labels = "; ".join(str(l) for l in s.lb.labels)
     return ("elem %s {\n  minus: %s\n  braid: %s\n  labels: %s\n  plus: %s\n}"
-            % (name, encode_forest(s.minus), s.lb.braid, labels, encode_forest(s.plus)))
+            % (name, s.minus, s.lb.braid, labels, s.plus))
 
 
 def format_session(ctx: GroupContext, elements) -> str:

@@ -35,7 +35,7 @@ _CLOSE = object()  # on the spelling stack, where a caret's ")" goes
 class Forest:
     """An ordered (d,r)-forest.  leaves == roots + (d-1) * carets.  It has
     no public constructor: it comes from a text or a named constructor (see
-    the module docstring), and its text (`encode`) is spelled then."""
+    the module docstring), and its text (`str(forest)`) is spelled then."""
 
     __slots__ = ("degree", "_trees", "_leaves", "_text")
 
@@ -126,11 +126,6 @@ def _spell(degree, trees):
 def leaf_counts(forest: Forest):
     """The number of leaves of each tree, root by root."""
     return tuple(part.count(".") for part in forest._text.split("|"))
-
-
-def encode(forest: Forest) -> str:
-    """The forest's text."""
-    return forest._text
 
 
 def decode(text: str, degree: int) -> Forest:
@@ -292,14 +287,14 @@ def _elementary_carets(text, d):
 def elementary_caret_spans(forest: Forest):
     """For each elementary caret, the global index of its first leaf, in
     increasing order; non-elementary carets are skipped."""
-    return [leaf for leaf, _ in _elementary_carets(encode(forest), forest.degree)]
+    return [leaf for leaf, _ in _elementary_carets(forest._text, forest.degree)]
 
 
 def remove_elementary_caret(forest: Forest, start: int) -> Forest:
     """Collapse the elementary caret whose leaves start at `start` back to
     a leaf."""
     require_int(start, "leaf index")
-    d, text = forest.degree, encode(forest)
+    d, text = forest.degree, forest._text
     for leaf, pos in _elementary_carets(text, d):
         if leaf == start:
             return decode(text[:pos] + "." + text[pos + d + 2:], d)

@@ -61,6 +61,14 @@ class LabelGroupSpec:
     def trivial(cls, degree):
         return cls(degree)
 
+    def _check_word(self, word):
+        """A ValueError unless every index of the generator word `word`
+        names a declared generator."""
+        n = len(self.generators)
+        for x in word:
+            if abs(x) > n:
+                raise ValueError("label references undeclared generator g%d" % abs(x))
+
     def __eq__(self, other):
         return (isinstance(other, LabelGroupSpec)
                 and self.degree == other.degree
@@ -136,18 +144,13 @@ class Label:
     def inverse(self):
         return Label(tuple(-x for x in reversed(self.word)))
 
-    def is_identity_word(self):
-        return not self.word
-
     def realize(self, spec: LabelGroupSpec) -> BraidWord:
         """Substitute generator words; the result lives in B_d.  Memoized
         per spec, so equal words give the same `BraidWord`."""
         w = spec._realized.get(self.word)
         if w is None:
+            spec._check_word(self.word)
             gens = spec.generators
-            for x in self.word:
-                if abs(x) > len(gens):
-                    raise ValueError("label references undeclared generator g%d" % abs(x))
             letters = []
             for x in self.word:
                 g = gens[abs(x) - 1]

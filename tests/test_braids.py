@@ -9,6 +9,7 @@ from braidedthompson import (BraidWord, Label, LabeledBraid, LabelGroupSpec,
                              delete_strands, half_twist, is_cyclic, is_pure,
                              is_trivial, permutation_of, shifted,
                              word_from_permutation)
+from braidedthompson import braids
 from braidedthompson.braids import (_dynnikov, _dynnikov_act, _free_reduce,
                                     _leftweight_pair, _tau)
 from braidedthompson.forests import decode
@@ -302,15 +303,9 @@ def test_word_serialization():
         BraidWord.from_string(2, "2")
     with pytest.raises(ValueError):
         BraidWord(2, [0])
-
-
-def test_word_serialization_with_strand_prefix():
-    w = BraidWord.from_string(None, "B4: 1 -2 3")
-    assert w.strands == 4 and str(w) == "1 -2 3"
-    assert w.to_prefixed_string() == "B4: 1 -2 3"
-    assert BraidWord.from_string(4, w.to_prefixed_string()) == w
+    # a word's text is its letters alone: the strand count is always passed
     with pytest.raises(ValueError):
-        BraidWord.from_string(3, "B4: 1")
+        BraidWord.from_string(4, "B4: 1")
     with pytest.raises(ValueError):
         BraidWord.from_string(None, "1 2")
 
@@ -888,4 +883,24 @@ def test_non_integer_entries_are_rejected_at_construction():
                              (delete_strands, {1, 2, 3}, "cannot delete every strand")):
         with pytest.raises(ValueError) as err:
             fn(w, arg)
+        assert str(err.value) == message
+
+
+def test_a_valid_word_checks_its_letters_in_bulk(monkeypatch):
+    # one pass over the word for the common case; the letter-by-letter walk
+    # that names the first bad letter runs only when that pass fails
+    real, calls = braids.require_int, []
+
+    def counting(value, what):
+        calls.append(what)
+        return real(value, what)
+
+    monkeypatch.setattr(braids, "require_int", counting)
+    assert len(BraidWord(6, [1, 2, -3, 4, -5] * 200)) == 1000
+    assert calls == ["strand count"]
+    for letters, message in (([1, 2, 1.0, 9], "letter 1.0 is not an integer"),
+                             ([1, -6, 1.0], "letter -6 out of range for B_6"),
+                             ([5, 0], "letter 0 out of range for B_6")):
+        with pytest.raises(ValueError) as err:
+            BraidWord(6, letters)
         assert str(err.value) == message

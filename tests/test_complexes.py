@@ -30,6 +30,21 @@ def test_smith_invariants_basics():
     assert smith_invariants([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]) == [2, 2, 156]
 
 
+@pytest.mark.parametrize("rows,message", [
+    ([[2, 4], [6]], "matrix row 1 has length 1, row 0 has 2"),
+    ([[1, 2], [3, 4, 5]], "matrix row 1 has length 3, row 0 has 2"),
+    ([[1.5]], "matrix entry 1.5 is not an integer"),
+    ([[True, 0], [0, 2]], "matrix entry True is not an integer"),
+    ([[1, 0], [0, 2.0], [0]], "matrix entry 2.0 is not an integer"),
+])
+def test_smith_invariants_rejects_ragged_and_non_integer_matrices(rows, message):
+    # a short row must not be read as cut short, nor a long one as cut to the
+    # first row's length; the first fault in row order is the one named
+    with pytest.raises(ValueError) as err:
+        smith_invariants(rows)
+    assert str(err.value) == message
+
+
 def test_homology_golden_values():
     h = reduced_homology(HOLLOW)
     assert h.betti_number(1) == 1 and h.betti_number(0) == 0
@@ -40,7 +55,7 @@ def test_homology_golden_values():
     h = reduced_homology(SimplicialComplex(2, [(0,), (1,)]))
     assert h.betti_number(0) == 1
 
-    h = reduced_homology(SimplicialComplex.empty())
+    h = reduced_homology(SimplicialComplex(0))
     assert h.betti_number(-1) == 1
     assert h.euler_characteristic() == 0
 
@@ -115,7 +130,7 @@ def test_relative_homology_of_cone_pair_shifts_reduced_homology():
     point = SimplicialComplex(1, [(0,)])
     rng = seeded("cone-pair")
     rp2 = complex_library()["rp2"]
-    cases = [SimplicialComplex.empty(), rp2] + [random_complex(rng) for _ in range(25)]
+    cases = [SimplicialComplex(0), rp2] + [random_complex(rng) for _ in range(25)]
     for k in cases:
         red = reduced_homology(k)
         rel = relative_homology(join(k, point), k)
@@ -124,7 +139,7 @@ def test_relative_homology_of_cone_pair_shifts_reduced_homology():
             assert rel.torsion_coefficients(p + 1) == red.torsion_coefficients(p), (k, p)
     # the cases that pin the torsion and the augmentation degree
     assert relative_homology(join(rp2, point), rp2).torsion_coefficients(2) == (2,)
-    assert relative_homology(point, SimplicialComplex.empty()).betti_number(0) == 1
+    assert relative_homology(point, SimplicialComplex(0)).betti_number(0) == 1
 
 
 # -- sparse elimination against the dense Smith form ---------------------------
@@ -342,7 +357,7 @@ def test_homology_matches_dense_reference():
     rng = random.Random("homology-vs-dense")
     rp2 = complex_library()["rp2"]
     s0 = SimplicialComplex(2, [(0,), (1,)])
-    cases = ([SimplicialComplex.empty(), rp2, join(rp2, s0)]
+    cases = ([SimplicialComplex(0), rp2, join(rp2, s0)]
              + list(complex_library().values())
              + [random_complex(rng, max_vertices=9, max_faces=8, max_size=5)
                 for _ in range(150)])
@@ -375,7 +390,7 @@ def clearing_cases():
     rng = seeded("clearing")
     rp2 = complex_library()["rp2"]
     s0 = SimplicialComplex(2, [(0,), (1,)])
-    return ([SimplicialComplex.empty(), join(rp2, s0), join(rp2, rp2),
+    return ([SimplicialComplex(0), join(rp2, s0), join(rp2, rp2),
              d_matching_linear(3, 12), d_matching_cyclic(2, 10)]
             + list(complex_library().values())
             + [random_complex(rng, max_vertices=9, max_faces=8, max_size=5) for _ in range(150)])
@@ -454,7 +469,7 @@ def test_constructor_checks_the_vertex_range():
         with pytest.raises(ValueError, match="out of vertex range 0..2"):
             SimplicialComplex(3, faces)
     # empty faces are dropped, so this is the empty complex on no vertices
-    assert SimplicialComplex(0, [()]) == SimplicialComplex.empty()
+    assert SimplicialComplex(0, [()]) == SimplicialComplex(0)
 
 
 # -- links, stars, joins -------------------------------------------------------
@@ -1033,7 +1048,7 @@ def oracle_cases():
     """The complex library, 150 random complexes and restricted linear
     matching complexes (full subcomplexes on random initial sets)."""
     rng = random.Random("maximal-face-oracles")
-    cases = list(complex_library().values()) + [SimplicialComplex.empty(3)]
+    cases = list(complex_library().values()) + [SimplicialComplex(3)]
     cases += [random_complex(rng) for _ in range(150)]
     for d, m in ((2, 7), (2, 9), (3, 9), (3, 11), (2, 11)):
         k = d_matching_linear(d, m)

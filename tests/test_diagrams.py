@@ -190,6 +190,8 @@ _RISING = HeightFunction(range(_PATH5.vertices))  # valid: no edge is level
                  id="height"),
     pytest.param(lambda: HeightFunction({0.5: 1}), "vertex 0.5 is not an integer",
                  id="height-vertex"),
+    pytest.param(lambda: _RISING(1.0), "vertex 1.0 is not an integer", id="height-of-float"),
+    pytest.param(lambda: _RISING(True), "vertex True is not an integer", id="height-of-bool"),
     pytest.param(lambda: complexes.morse_sweep(_PATH5, _RISING, [1.5]),
                  "level 1.5 is not an integer", id="sweep-level"),
     pytest.param(lambda: complexes.sublevel(_PATH5, _RISING, 1.5),
@@ -339,7 +341,7 @@ def test_identity_criterion_matches_reduction_route():
         red = ctx.reduce(s)
         via = (red.minus.is_trivial() and red.plus.is_trivial()
                and is_trivial(red.lb.braid)
-               and all(l.is_identity_word() or is_trivial(l.realize(ctx.spec))
+               and all(not l.word or is_trivial(l.realize(ctx.spec))
                        for l in red.lb.labels))
         assert direct == via
 

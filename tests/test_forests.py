@@ -10,7 +10,7 @@ from braidedthompson import (Forest, apply_path, attach_caret,
                              elementary_forest, expansion_path, forest_join,
                              forest_to_matching, is_prefix, matching_to_forest)
 from braidedthompson.forests import (_first_expandable_leaf, decode,
-                                    elementary_caret_spans, encode, leaf_counts,
+                                    elementary_caret_spans, leaf_counts,
                                     remove_elementary_caret)
 from conftest import seeded
 
@@ -204,12 +204,12 @@ def test_encoding_roundtrip():
         f = Forest.trivial(d, rng.randint(1, 4))
         for _ in range(rng.randint(0, 5)):
             f = attach_caret(f, rng.randint(1, f.leaves))
-        assert decode(encode(f), d) == f
+        assert decode(str(f), d) == f
         built.append(f)
     # two decoded forests compare by their texts, and agree with their trees
     for f, g in zip(built, built[:1] + built[:-1]):
         same = f.degree == g.degree and _oracle_trees(f) == _oracle_trees(g)
-        assert (decode(encode(f), f.degree) == decode(encode(g), g.degree)) == same
+        assert (decode(str(f), f.degree) == decode(str(g), g.degree)) == same
     assert decode(".|.", 2) != decode(".|.", 3)
     with pytest.raises(ValueError):
         decode("(.)", 2)
@@ -310,7 +310,7 @@ def random_forest_texts(rng, d):
             f = Forest.trivial(d, roots)
             for _ in range(rng.randint(0, 6)):
                 f = attach_caret(f, rng.randint(1, f.leaves))
-            yield encode(f)
+            yield str(f)
 
 
 DECODE_ERRORS = ("expected ')' at position", "unexpected end of tree encoding",
@@ -485,7 +485,7 @@ def test_caret_functions_agree_with_recursive_oracles():
     for built in caret_oracle_forests():
         d, trees = built.degree, _oracle_trees(built)
         text = _oracle_encode(trees)
-        assert str(built) == encode(built) == text and built.leaves == _oracle_leaves(trees)
+        assert str(built) == text and built.leaves == _oracle_leaves(trees)
         # the same forest decoded from its text, with blanks around each tree
         parsed = decode(" %s\t" % " | ".join(text.split("|")), d)
         assert parsed == built and str(parsed) == text
@@ -628,6 +628,13 @@ def test_integer_rule_is_spelled_in_one_module():
     spelled = {path.name for path in PACKAGE.glob("*.py")
                if "%r is not an integer" in path.read_text(encoding="utf-8")}
     assert spelled == {"_checks.py"}
+
+
+def test_undeclared_generator_rule_is_spelled_in_one_module():
+    # Label.realize and the session parser both ask LabelGroupSpec._check_word
+    spelled = {path.name for path in PACKAGE.glob("*.py")
+               if "references undeclared generator" in path.read_text(encoding="utf-8")}
+    assert spelled == {"labeled.py"}
 
 
 def test_recursion_scan_sees_nested_functions_and_methods():

@@ -67,8 +67,7 @@ class Permutation:
     def __call__(self, i):
         if type(i) is int and 0 < i <= len(self.image):
             return self.image[i - 1]
-        raise ValueError("permutation index %d out of range 1..%d"
-                         % (require_int(i, "permutation index"), len(self.image)))
+        return self.image[require_int(i, "permutation index", 1, len(self.image)) - 1]
 
     def __mul__(self, other):
         """Left-to-right composition: (p*q)(i) = q(p(i))."""
@@ -87,7 +86,7 @@ class Permutation:
 
     def is_cyclic(self):
         """True iff i |-> i + k (mod n) for some fixed k."""
-        first = self.image[0]
+        first = self.image[0] if self.image else 1
         return self.image == tuple(range(first, len(self.image) + 1)) + tuple(range(1, first))
 
     def __eq__(self, other):
@@ -112,8 +111,7 @@ class BraidWord:
     __slots__ = ("strands", "letters", "_nf", "_perm", "_esum", "_dyn")
 
     def __init__(self, strands, letters=()):
-        if require_int(strands, "strand count") < 1:
-            raise ValueError("need at least one strand")
+        require_int(strands, "strand count", 1)
         letters = tuple(letters)
         # one bulk pass (the range read off the distinct letters) for a valid
         # word; only an invalid one is walked, to name its first bad letter
@@ -288,8 +286,7 @@ def half_twist(d: int) -> BraidWord:
 
     Its square generates the center of B_d for d >= 3.
     """
-    if require_int(d, "strand count") < 2:
-        raise ValueError("half twist needs d >= 2")
+    require_int(d, "strand count", 2)
     letters = []
     for k in range(1, d):
         letters.extend(range(k, 0, -1))
@@ -317,8 +314,7 @@ def cable(w: BraidWord, widths) -> BraidWord:
     if len(widths) != w.strands:
         raise ValueError("need one width per strand")
     for x in widths:
-        if require_int(x, "width") < 1:
-            raise ValueError("widths must be positive")
+        require_int(x, "width", 1)
     order = list(range(w.strands))  # block ids by current position
     starts = [1] * w.strands  # first cable strand of the block at each position
     for k in range(1, w.strands):
@@ -346,9 +342,7 @@ def delete_strands(w: BraidWord, kill) -> BraidWord:
     """
     kill = set(kill)
     for i in kill:
-        require_int(i, "strand index")
-    if not kill <= set(range(1, w.strands + 1)):
-        raise ValueError("strand indices out of range")
+        require_int(i, "strand index", 1, w.strands)
     if len(kill) >= w.strands:
         raise ValueError("cannot delete every strand")
     dead = [i in kill for i in range(1, w.strands + 1)]  # by current position

@@ -230,7 +230,12 @@ def cmd_complex(args):
     else:
         k = cx.d_matching_cyclic(args.d, args.m)
     if args.z:
-        z = {int(x) for x in args.z.split(",") if x.strip()}
+        z = set()
+        for x in filter(None, map(str.strip, args.z.split(","))):
+            try:
+                z.add(int(x))
+            except ValueError:
+                raise CliError("--z takes comma separated integers, not %r" % x) from None
         k = cx.restrict_initial(k, z)
     return {"command": "complex", "ok": True, "complex": k.to_json_dict()}, True
 

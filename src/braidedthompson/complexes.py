@@ -57,8 +57,7 @@ class SimplicialComplex:
     __slots__ = ("vertices", "maximal_faces", "_faces")
 
     def __init__(self, vertices, maximal_faces=()):
-        if require_int(vertices, "vertex count") < 0:
-            raise ValueError("vertex count must be >= 0")
+        require_int(vertices, "vertex count", 0)
         cleaned = set()
         for f in maximal_faces:
             f = tuple(f)
@@ -87,8 +86,7 @@ class SimplicialComplex:
     @classmethod
     def sphere(cls, n):
         """The boundary of the (n+1)-simplex, a combinatorial n-sphere."""
-        if require_int(n, "sphere dimension") < -1:
-            raise ValueError("sphere dimension %d must be >= -1" % n)
+        require_int(n, "sphere dimension", -1)
         verts = tuple(range(n + 2))
         return cls(n + 2, combinations(verts, n + 1))
 
@@ -124,9 +122,6 @@ class SimplicialComplex:
 
     def vertex_set(self):
         return {v for v, in self._faces_of_size(1)}
-
-    def is_empty(self):
-        return not self.maximal_faces
 
     def face_counts(self):
         return [len(self._faces_of_size(size)) for size in range(1, self.dim + 2)]
@@ -483,18 +478,12 @@ def _disjoint_systems(supports):
     return systems
 
 
-def _check_matching_sizes(d, m):
-    if type(d) is not int or type(m) is not int:
-        raise ValueError("arity %r and length %r must be integers" % (d, m))
-    if d < 2 or m < 1:
-        raise ValueError("need d >= 2 and m >= 1")
-
-
 def d_matching_linear(d: int, m: int) -> SimplicialComplex:
     """Disjoint systems of intervals [p, p+d-1] inside the path on m
     vertices.  Complex vertex v is the interval with initial position
     v+1; there are m-d+1 of them (none if m < d)."""
-    _check_matching_sizes(d, m)
+    require_int(d, "arity", 2)
+    require_int(m, "length", 1)
     nv = max(0, m - d + 1)
     return SimplicialComplex(nv, _disjoint_systems([((1 << d) - 1) << v for v in range(nv)]))
 
@@ -502,7 +491,8 @@ def d_matching_linear(d: int, m: int) -> SimplicialComplex:
 def d_matching_cyclic(d: int, m: int) -> SimplicialComplex:
     """Same over the cycle on m vertices: intervals wrap modulo m and a
     face is a set of intervals with pairwise disjoint supports."""
-    _check_matching_sizes(d, m)
+    require_int(d, "arity", 2)
+    require_int(m, "length", 1)
     if m < d:
         return SimplicialComplex(0)
     return SimplicialComplex(m, _disjoint_systems(
@@ -636,9 +626,11 @@ class HeightFunction:
         return sorted(set(map(self, k.vertex_set())))
 
 
-def sublevel(k: SimplicialComplex, h: HeightFunction, t: int, strict=False) -> SimplicialComplex:
+def sublevel(k: SimplicialComplex, h: HeightFunction, t: int) -> SimplicialComplex:
+    """The full subcomplex K^{<=t} on the vertices of height at most t.
+    Heights and levels are integers, so K^{<t} is sublevel(k, h, t - 1)."""
     require_int(t, "level")
-    return k.full_subcomplex({v for v in k.vertex_set() if (h(v) < t if strict else h(v) <= t)})
+    return k.full_subcomplex({v for v in k.vertex_set() if h(v) <= t})
 
 
 def _descending_link(k: SimplicialComplex, h: HeightFunction, v: int) -> SimplicialComplex:

@@ -111,8 +111,7 @@ class GroupContext:
     __slots__ = ("d", "r", "spec", "flavor")
 
     def __init__(self, d, r, spec, flavor="V"):
-        if require_int(d, "arity") < 2:
-            raise ValueError("arity must be >= 2")
+        require_int(d, "arity", 2)
         if spec.degree != d:
             raise ValueError("label group lives in B_%d, context has d=%d" % (spec.degree, d))
         if flavor not in ("V", "F", "T"):
@@ -123,8 +122,7 @@ class GroupContext:
                              % (flavor, str(impure)))
         # after the purity check: a session header reports the context's
         # error at the first impure generator, when it has one
-        if require_int(r, "root count") < 1:
-            raise ValueError("need at least one root")
+        require_int(r, "root count", 1)
         self.d = d
         self.r = r
         self.spec = spec

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from ._checks import require_int
 
-LEAF = None
+_LEAF = None
 _CLOSE = object()  # on the spelling stack, where a caret's ")" goes
 
 
@@ -52,8 +52,9 @@ class Forest:
 
     @classmethod
     def trivial(cls, degree, roots):
-        _check_sizes(degree, roots)
-        return _spell(degree, (LEAF,) * roots)
+        require_int(degree, "arity", 2)
+        require_int(roots, "root count", 1)
+        return _spell(degree, (_LEAF,) * roots)
 
     @property
     def roots(self):
@@ -92,14 +93,6 @@ class Forest:
         return self._text
 
 
-def _check_sizes(degree, roots=1):
-    """An arity and a root count, checked where they enter."""
-    if require_int(degree, "arity") < 2:
-        raise ValueError("arity must be >= 2")
-    if require_int(roots, "root count") < 1:
-        raise ValueError("a forest needs at least one root")
-
-
 def _spell(degree, trees):
     """The forest of a tuple of trees the library built: its text spelled
     and its leaves counted in one pass over an explicit stack, so any
@@ -111,7 +104,7 @@ def _spell(degree, trees):
         stack = [tree]
         while stack:
             node = stack.pop()
-            if node is LEAF:
+            if node is _LEAF:
                 out.append(".")
                 leaves += 1
             elif node is _CLOSE:
@@ -133,7 +126,7 @@ def decode(text: str, degree: int) -> Forest:
 
     One pass per tree with an explicit stack of the open carets' children,
     so any depth parses under the recursion limit."""
-    _check_sizes(degree)
+    require_int(degree, "arity", 2)
     trees, leaves = [], 0
     parts = [part.strip() for part in text.split("|")]
     for part in parts:
@@ -151,7 +144,7 @@ def decode(text: str, degree: int) -> Forest:
             if ch != ".":
                 raise ValueError("unexpected character %r at position %d" % (ch, pos - 1))
             leaves += 1
-            node = LEAF
+            node = _LEAF
             # close every caret that this node completes
             while open_carets:
                 children = open_carets[-1]
@@ -173,15 +166,14 @@ def decode(text: str, degree: int) -> Forest:
 
 def attach_caret(forest: Forest, i: int) -> Forest:
     """Replace leaf i (global numbering) by a caret with d fresh leaves."""
-    if not 1 <= require_int(i, "leaf index") <= forest.leaves:
-        raise ValueError("leaf index %d out of range 1..%d" % (i, forest.leaves))
+    require_int(i, "leaf index", 1, forest.leaves)
     d = forest.degree
 
     def rebuild(tree, skip):
         # returns (new_tree or None, leaves consumed)
-        if tree is LEAF:
+        if tree is _LEAF:
             if skip == 0:
-                return (LEAF,) * d, 1
+                return (_LEAF,) * d, 1
             return None, 1
         used = 0
         for idx, c in enumerate(tree):
@@ -203,7 +195,8 @@ def attach_caret(forest: Forest, i: int) -> Forest:
 
 def elementary_forest(n: int, J, d: int) -> Forest:
     """n roots, with a single caret on root i for each i in J."""
-    _check_sizes(d, n)
+    require_int(d, "arity", 2)
+    require_int(n, "root count", 1)
     J = set(J)
     if not all(type(i) is int and 1 <= i <= n for i in J):
         raise ValueError("J must be a subset of 1..%d, got %r" % (n, J))
@@ -235,9 +228,9 @@ def _union(f: Forest, g: Forest) -> Forest:
         raise ValueError("root count mismatch: %d vs %d" % (f.roots, g.roots))
 
     def union(a, b):
-        if a is LEAF:
+        if a is _LEAF:
             return b
-        if b is LEAF:
+        if b is _LEAF:
             return a
         return tuple(union(x, y) for x, y in zip(a, b))
 
@@ -313,7 +306,7 @@ def forest_to_matching(forest: Forest):
 def matching_to_forest(intervals, m: int, d: int) -> Forest:
     """Inverse of forest_to_matching: rebuild the elementary forest with m
     leaves from disjoint intervals [i, i+d-1] inside [1, m]."""
-    _check_sizes(d)
+    require_int(d, "arity", 2)
     require_int(m, "leaf count")
     starts = []
     for iv in intervals:

@@ -41,8 +41,7 @@ class LabelGroupSpec:
     __slots__ = ("degree", "generators", "require_pure", "_realized")
 
     def __init__(self, degree, generators=(), require_pure=False):
-        if require_int(degree, "label group degree") < 2:
-            raise ValueError("label group lives in B_d with d >= 2")
+        require_int(degree, "label group degree", 2)
         generators = tuple(generators)
         for g in generators:
             if not isinstance(g, BraidWord):

@@ -213,6 +213,8 @@ def test_purity_and_cyclicity():
     assert not is_pure(BraidWord(3, [1])) and not is_cyclic(BraidWord(3, [1]))
     assert is_pure(half_twist(3) * half_twist(3))
     assert is_cyclic(BraidWord(3, [1, 2]))
+    # the empty permutation is the rotation by 0
+    assert Permutation(()).is_cyclic() and Permutation(()).is_identity()
 
 
 def test_word_from_permutation():
@@ -877,9 +879,9 @@ def test_non_integer_entries_are_rejected_at_construction():
     assert Permutation([2, 1]).inverse().image == (2, 1)
     w = BraidWord(3, [1, -2])
     for fn, arg, message in ((cable, [1, 2], "need one width per strand"),
-                             (cable, [1, 0, 2], "widths must be positive"),
-                             (delete_strands, {0}, "strand indices out of range"),
-                             (delete_strands, {4}, "strand indices out of range"),
+                             (cable, [1, 0, 2], "width 0 must be >= 1"),
+                             (delete_strands, {0}, "strand index 0 out of range 1..3"),
+                             (delete_strands, {4}, "strand index 4 out of range 1..3"),
                              (delete_strands, {1, 2, 3}, "cannot delete every strand")):
         with pytest.raises(ValueError) as err:
             fn(w, arg)
@@ -891,9 +893,9 @@ def test_a_valid_word_checks_its_letters_in_bulk(monkeypatch):
     # that names the first bad letter runs only when that pass fails
     real, calls = braids.require_int, []
 
-    def counting(value, what):
+    def counting(value, what, low=None, high=None):
         calls.append(what)
-        return real(value, what)
+        return real(value, what, low, high)
 
     monkeypatch.setattr(braids, "require_int", counting)
     assert len(BraidWord(6, [1, 2, -3, 4, -5] * 200)) == 1000

@@ -496,7 +496,7 @@ def test_mutual_link():
     assert mutual_link(k, 0, 1).faces == restrict_initial(k, {4, 5}).faces
     # vertices with disjoint stars in a two-edge complex
     two = SimplicialComplex(4, [(0, 1), (2, 3)])
-    assert mutual_link(two, 0, 2).is_empty()
+    assert not mutual_link(two, 0, 2).maximal_faces
     with pytest.raises(ValueError):
         mutual_link(k, 0, 99)
 
@@ -510,7 +510,7 @@ def test_linear_matching_shape():
     assert k.has_face((0, 3, 6))          # arcs starting at 1, 4, 7
     assert not k.has_face((0, 1))
     assert d_matching_linear(2, 2).vertices == 1
-    assert d_matching_linear(3, 2).is_empty()
+    assert not d_matching_linear(3, 2).maximal_faces
 
 
 def test_cyclic_matching_shape():
@@ -521,14 +521,14 @@ def test_cyclic_matching_shape():
     # wrap-around disjointness
     k5 = d_matching_cyclic(2, 5)
     assert k5.has_face((0, 2)) and not k5.has_face((0, 4))
-    assert d_matching_cyclic(3, 2).is_empty()
+    assert not d_matching_cyclic(3, 2).maximal_faces
     assert d_matching_cyclic(3, 3).dim == 0
 
 
 def test_restrict_initial():
     k = d_matching_linear(2, 6)
     assert restrict_initial(k, set(range(1, 6))) == k
-    assert restrict_initial(k, set()).is_empty()
+    assert not restrict_initial(k, set()).maximal_faces
     r = restrict_initial(k, {1, 4})
     assert r.has_face((0, 3))
     with pytest.raises(ValueError):
@@ -667,8 +667,8 @@ def test_sublevel_complexes():
     h = HeightFunction({v: v + 1 for v in range(5)})
     k = d_matching_linear(2, 6)
     assert sublevel(k, h, 5) == k
-    assert sublevel(k, h, 0).is_empty()
-    strict = sublevel(k, h, 3, strict=True)
+    assert not sublevel(k, h, 0).maximal_faces
+    strict = sublevel(k, h, 3 - 1)
     assert strict.vertex_set() == {0, 1}
 
 
@@ -809,7 +809,7 @@ def test_level_pair_homology_matches_the_sublevel_pair():
     for k, h in filtrations:
         levels = h.levels(k)
         for t in levels + [levels[0] - 1]:
-            want = relative_homology(sublevel(k, h, t), sublevel(k, h, t, strict=True))
+            want = relative_homology(sublevel(k, h, t), sublevel(k, h, t - 1))
             got = complexes._level_pair_homology(level_links(k, h, t), k.dim + 1)
             assert report_of(got) == report_of(want), (k, t)
             for through in range(-1, k.dim + 1):
@@ -832,7 +832,7 @@ def test_level_pair_chains_are_the_cones_over_the_descending_links(monkeypatch):
     for k, h in filtrations:
         levels = h.levels(k)
         for t in levels + [levels[0] - 1]:
-            upper, lower = sublevel(k, h, t), sublevel(k, h, t, strict=True)
+            upper, lower = sublevel(k, h, t), sublevel(k, h, t - 1)
             want = {size - 1: upper._faces_of_size(size) - lower._faces_of_size(size)
                     for size in range(1, k.dim + 2)}
             for through in range(-1, k.dim + 1):
@@ -1031,7 +1031,7 @@ def oracle_morse_sweep(k, h, levels, kk=None):
                 deg += 1
         holds = (not all(r.is_zero_through(deg - 1) for r in reports)
                  or relative_homology(sublevel(k, h, t),
-                                      sublevel(k, h, t, strict=True)).is_zero_through(deg))
+                                      sublevel(k, h, t - 1)).is_zero_through(deg))
         sweep.append((t, deg, holds))
     return sweep
 
@@ -1128,7 +1128,7 @@ def test_a_missing_height_is_a_value_error_naming_its_vertex():
         assert outcome(h.is_valid_for, k) == (missing if in_edge else ("value", True))
         asked = [(h.levels, k), (morse_sweep, k, h, levels), (morse_sweep, k, h, levels, 1)]
         for t in levels:
-            asked += [(sublevel, k, h, t), (sublevel, k, h, t, True),
+            asked += [(sublevel, k, h, t), (sublevel, k, h, t - 1),
                       (morse_check, k, h, t, 0), (morse_check, k, h, t, 2)]
         for fn, *args in asked:
             assert outcome(fn, *args) == missing, (k, u, fn, args)

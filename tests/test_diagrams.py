@@ -143,9 +143,9 @@ _RISING = HeightFunction(range(_PATH5.vertices))  # valid: no edge is level
                  "strand index 1.0 is not an integer", id="delete-strands"),
     # the complex lab
     pytest.param(lambda: complexes.d_matching_linear(2, 5.0),
-                 "arity 2 and length 5.0 must be integers", id="matching-linear"),
+                 "length 5.0 is not an integer", id="matching-linear"),
     pytest.param(lambda: complexes.d_matching_cyclic(2.0, 5),
-                 "arity 2.0 and length 5 must be integers", id="matching-cyclic"),
+                 "arity 2.0 is not an integer", id="matching-cyclic"),
     pytest.param(lambda: complexes.SimplicialComplex.simplex(2.5),
                  "vertex count 2.5 is not an integer", id="simplex"),
     pytest.param(lambda: complexes.SimplicialComplex.sphere(1.5),
@@ -209,6 +209,30 @@ _RISING = HeightFunction(range(_PATH5.vertices))  # valid: no edge is level
                  id="perm-index-past-end"),
     pytest.param(lambda: complexes.SimplicialComplex.sphere(-2),
                  "sphere dimension -2 must be >= -1", id="sphere-below"),
+    # every size and index below its bound, in the one wording of _checks
+    pytest.param(lambda: BraidWord(0), "strand count 0 must be >= 1", id="strands-below"),
+    pytest.param(lambda: half_twist(1), "strand count 1 must be >= 2", id="half-twist-below"),
+    pytest.param(lambda: cable(BraidWord(2, [1]), [1, 0]), "width 0 must be >= 1",
+                 id="cable-width-below"),
+    pytest.param(lambda: braids.delete_strands(BraidWord(2, [1]), [0]),
+                 "strand index 0 out of range 1..2", id="delete-strands-below"),
+    pytest.param(lambda: decode("(..)", 1), "arity 1 must be >= 2", id="decode-arity-below"),
+    pytest.param(lambda: Forest.trivial(2, 0), "root count 0 must be >= 1",
+                 id="trivial-roots-below"),
+    pytest.param(lambda: attach_caret(decode("(..)", 2), 0), "leaf index 0 out of range 1..2",
+                 id="leaf-index-below"),
+    pytest.param(lambda: LabelGroupSpec(1), "label group degree 1 must be >= 2",
+                 id="label-degree-below"),
+    pytest.param(lambda: GroupContext(1, 1, LabelGroupSpec(2)), "arity 1 must be >= 2",
+                 id="arity-below"),
+    pytest.param(lambda: GroupContext(2, 0, LabelGroupSpec(2)), "root count 0 must be >= 1",
+                 id="roots-below"),
+    pytest.param(lambda: complexes.SimplicialComplex(-1), "vertex count -1 must be >= 0",
+                 id="vertex-count-below"),
+    pytest.param(lambda: complexes.d_matching_linear(1, 5), "arity 1 must be >= 2",
+                 id="matching-linear-arity-below"),
+    pytest.param(lambda: complexes.d_matching_cyclic(2, 0), "length 0 must be >= 1",
+                 id="matching-cyclic-length-below"),
 ])
 def test_non_integer_sizes_and_indices_are_rejected_where_they_enter(call, message):
     # each of these calls used to return an object or answer holding the

@@ -153,12 +153,12 @@ MALFORMED = [
     # the impure generator is reported even with a bad root count as well
     (H.replace("flavor:V", "flavor:T").replace("r:1", "r:0").replace("[1 1]", "[1 1, -1]"),
      "flavor T needs a pure label group; generator '-1' is not pure", 1, 40),
-    (H.replace("r:1", "r:0"), "need at least one root", 1, 16),
-    (H.replace("r:1", "r:0") + E, "need at least one root", 1, 16),
-    (H.replace("d:2", "d:1").replace("[1 1]", "[]"), "label group lives in B_d with d >= 2",
+    (H.replace("r:1", "r:0"), "root count 0 must be >= 1", 1, 16),
+    (H.replace("r:1", "r:0") + E, "root count 0 must be >= 1", 1, 16),
+    (H.replace("d:2", "d:1").replace("[1 1]", "[]"), "label group degree 1 must be >= 2",
      1, 11),
     (H.replace("d:2", "d:-3").replace("r:1", "r:0").replace("[1 1]", "[]") + E,
-     "label group lives in B_d with d >= 2", 1, 11),
+     "label group degree -3 must be >= 2", 1, 11),
     (H + E.replace("elem", "elm"), "expected 'elem', found 'elm'", 2, 1),
     (H + E.replace("elem a {", "elem {"), "bad element name '{'", 2, 6),
     (H + E.replace("elem a", "elem group"), "bad element name 'group'", 2, 6),
@@ -423,6 +423,19 @@ def test_cli_complex_pipeline(capsys, tmp_path):
     code, data = run_cli(capsys, "morse", "--filter", "start", "--file", str(cpath))
     assert code == 0 and data["morse_ok"] is True
     assert [row["t"] for row in data["levels"]] == list(range(1, 8))
+
+
+def test_cli_complex_restricted_to_initial_positions(capsys):
+    argv = ["complex", "linear-matching", "--d", "2", "--m", "5"]
+    # M_2(P_5) has arcs starting at 1..4; keeping 1 and 3 leaves one edge
+    code, data = run_cli(capsys, *argv, "--z", "1,3")
+    assert code == 0 and data["complex"] == {"vertices": 4, "maximal_faces": [[0, 2]]}
+    for z, message in (("0", "initial positions must lie in 1..4"),
+                       ("a", "--z takes comma separated integers, not 'a'")):
+        code = main(argv + ["--z", z])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", z
+        assert json.loads(captured.err) == {"command": "complex", "ok": False, "error": message}
 
 
 def test_cli_join_check_explicit_map(capsys, tmp_path):

@@ -1,6 +1,7 @@
 import ast
 import math
 import pathlib
+import re
 import sys
 from itertools import combinations, product
 
@@ -84,7 +85,7 @@ def test_forests_come_only_from_text_and_the_named_constructors():
     # no public attribute of a forest holds its trees
     for name in (n for n in dir(f) if not n.startswith("_")):
         assert not isinstance(getattr(f, name), (tuple, list)), name
-    with pytest.raises(ValueError, match="^arity must be >= 2$"):
+    with pytest.raises(ValueError, match="^arity 1 must be >= 2$"):
         decode("(..)", 1)
 
 
@@ -94,7 +95,7 @@ def test_elementary_forest():
     assert elementary_forest(1, {1}, 2) == decode("(..)", 2)
     with pytest.raises(ValueError):
         elementary_forest(3, {4}, 2)
-    with pytest.raises(ValueError, match="^a forest needs at least one root$"):
+    with pytest.raises(ValueError, match="^root count 0 must be >= 1$"):
         elementary_forest(0, (), 2)
 
 
@@ -187,7 +188,7 @@ def test_matching_to_forest_rejections():
              (({(1, 3)}, 4, 2), "bad interval (1, 3) for d=2, m=4"),   # wrong length
              (({(4, 5)}, 4, 2), "bad interval (4, 5) for d=2, m=4"),   # out of range
              (({(0, 2)}, 4, 3), "bad interval (0, 2) for d=3, m=4")]   # out of range
-    cases += [(((), 0, d), "a forest needs at least one root") for d in (2, 3)]
+    cases += [(((), 0, d), "root count 0 must be >= 1") for d in (2, 3)]
     for args, message in cases:
         with pytest.raises(ValueError) as exc:
             matching_to_forest(*args)
@@ -628,6 +629,19 @@ def test_integer_rule_is_spelled_in_one_module():
     spelled = {path.name for path in PACKAGE.glob("*.py")
                if "%r is not an integer" in path.read_text(encoding="utf-8")}
     assert spelled == {"_checks.py"}
+
+
+def test_bound_rule_is_spelled_in_one_module():
+    # every size and index bound goes through require_int's low and high,
+    # so the two wordings of a value below or outside its bound live there,
+    # and no module spells a bound of its own ("must be >= 2", "1..%d")
+    for wording in ("must be >= %d", "out of range %d.."):
+        spelled = {path.name for path in PACKAGE.glob("*.py")
+                   if wording in path.read_text(encoding="utf-8")}
+        assert spelled == {"_checks.py"}, wording
+    own = {path.name for path in PACKAGE.glob("*.py")
+           if re.search(r"must be >= -?\d|out of range -?\d+\.\.", path.read_text(encoding="utf-8"))}
+    assert own == set()
 
 
 def test_undeclared_generator_rule_is_spelled_in_one_module():

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from itertools import groupby
 
-from ._checks import require_int
+from ._checks import int_prefix, require_int
 
 
 class Permutation:
@@ -137,8 +137,12 @@ class BraidWord:
     @classmethod
     def from_string(cls, strands, text):
         """Parse a whitespace-separated word like "1 -2 3" on `strands`
-        strands."""
-        return cls(strands, [int(p) for p in text.split()])
+        strands; each letter is an optional "-" and ASCII digits."""
+        parts = text.split()
+        letters = int_prefix(parts)
+        # the first token that is not an integer stays text, which the
+        # constructor reports as a letter that is not an integer
+        return cls(strands, letters + tuple(parts[len(letters):]))
 
     def __str__(self):
         return " ".join(str(a) for a in self.letters)

@@ -30,7 +30,7 @@ operations never decide a flavor again.
 from __future__ import annotations
 
 from ._checks import require_int
-from .braids import BraidWord, Permutation, is_pure, permutation_of
+from .braids import BraidWord, Permutation, is_cyclic, is_pure, permutation_of
 from .forests import (Forest, attach_caret, elementary_caret_spans,
                       elementary_forest, forest_to_matching, join, leaf_counts,
                       remove_elementary_caret)
@@ -164,9 +164,10 @@ class GroupContext:
         whose permutation is a cyclic rotation (see `in_bF`)."""
         if s.minus.degree != self.d:
             raise ValueError("element has arity %d, context %d" % (s.minus.degree, self.d))
-        if self.flavor != "V" and not _in_flavor(self.flavor, s.lb.braid):
+        pure = self.flavor == "F"
+        if self.flavor != "V" and not (is_pure if pure else is_cyclic)(s.lb.braid):
             raise ValueError("not an element of b%s: its braid is not %s"
-                             % (self.flavor, "pure" if self.flavor == "F" else "cyclic"))
+                             % (self.flavor, "pure" if pure else "cyclic"))
         return s
 
     # -- expansion and reduction -------------------------------------------
@@ -299,12 +300,12 @@ class GroupContext:
         undoes expansion, so every representative of an element agrees with
         its reduced one."""
         self._require_pure_labels("F membership")
-        return _in_flavor("F", self.validate(s).lb.braid)
+        return is_pure(self.validate(s).lb.braid)
 
     def in_bT(self, s: Spraige) -> bool:
         """Whether s lies in bT, read off any representative (see `in_bF`)."""
         self._require_pure_labels("T membership")
-        return _in_flavor("T", self.validate(s).lb.braid)
+        return is_cyclic(self.validate(s).lb.braid)
 
     def project_to_v(self, s: Spraige) -> PairedForestDiagram:
         """Forget braiding and labels, keep the leaf permutation.  Well
@@ -377,13 +378,6 @@ class GroupContext:
             raise ValueError("not a braige: splitting forest is nontrivial")
         if not x.plus.is_elementary():
             raise ValueError("merge forest is not elementary")
-
-
-def _in_flavor(flavor, braid: BraidWord) -> bool:
-    """Whether a diagram with this braid can lie in the group of flavor F
-    (the braid is pure) or T (it rotates the strands cyclically)."""
-    rho = permutation_of(braid)
-    return rho.is_identity() if flavor == "F" else rho.is_cyclic()
 
 
 def _keeps_slots(widths, rho: Permutation) -> bool:

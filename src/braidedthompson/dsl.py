@@ -11,10 +11,12 @@
 Each of the characters "{}[],;:" is a token by itself, and every other
 token is a run of characters without whitespace, which is free between
 tokens.  So a forest text is one token and holds no whitespace:
-"(..)|." parses, "(..) | ." does not.  A braid word is a run of signed
-integers, a label word is a run of "e" and g<i>[^-1] tokens separated by
-whitespace (an "e" among them stands for nothing, so "g1 e g2" is
-"g1 g2", as in `Label.parse`), and label words are separated by ";".
+"(..)|." parses, "(..) | ." does not.  A number is an optional "-" and
+then ASCII digits ("+1" and "1_0" are not numbers).  A braid word is a
+run of numbers, a label word is a run of "e" and g<i>[^-1] tokens
+separated by whitespace (an "e" among them stands for nothing, so
+"g1 e g2" is "g1 g2", as in `Label.parse`), and label words are
+separated by ";".
 `gens:[]` declares the trivial label group.  A header whose arity is
 below 2 or whose root count is below 1 is rejected at that number.  The
 F and T flavors require pure generators and reject the header otherwise,
@@ -24,7 +26,7 @@ rotation (T) is rejected at its name.
 
 Every element of a text is parsed and validated, a field at a time: the
 fixed tokens of an element are compared as slices, its braid run is
-converted with one `map(int, ...)` and range-checked once, and its label
+read with one `int_prefix` and range-checked once, and its label
 run is split into words at the ";" tokens.  Within one text each distinct
 label word is one shared `Label` and each distinct forest text one
 `Forest`.  When a field fails its bulk check, the same step walks it
@@ -35,6 +37,7 @@ its token, found only once the error is raised.
 
 from __future__ import annotations
 
+from ._checks import int_prefix
 from .braids import BraidWord, is_pure
 from .diagrams import GroupContext, Spraige
 from .forests import decode as decode_forest
@@ -119,34 +122,22 @@ class _Parser:
 
     def int_token(self, what):
         tok = self.next()
-        try:
-            return int(tok)
-        except ValueError:
+        values = int_prefix([tok])
+        if not values:
             self.error("expected %s, found %r" % (what, tok), self.pos - 1)
-
-    def int_prefix(self):
-        """Consume the integer tokens up to the first other token; return
-        their values."""
-        values = []
-        for tok in self.tokens[self.pos:]:
-            try:
-                values.append(int(tok))
-            except ValueError:
-                break
-        self.pos += len(values)
-        return tuple(values)
+        return values[0]
 
     def int_run(self, stop):
-        """Consume a run of integer tokens that should end at the next token
-        `stop`, converted in bulk; if a token before that one is not an
-        integer, the run ends at the first such token instead."""
+        """Consume the integer tokens from the next one up to the next token
+        `stop` (or the end), converted in bulk; a token before it that is
+        not an integer ends the run there."""
         tokens, start = self.tokens, self.pos
         try:
             end = tokens.index(stop, start)
-            values = tuple(map(int, tokens[start:end]))
-        except ValueError:  # no `stop`, or a token before it is not an integer
-            return self.int_prefix()
-        self.pos = end
+        except ValueError:
+            end = len(tokens)
+        values = int_prefix(tokens[start:end])
+        self.pos = start + len(values)
         return values
 
     # -- grammar -----------------------------------------------------------
@@ -208,7 +199,7 @@ class _Parser:
 
     def _generator(self, d):
         at = self.pos
-        return at, self.check(at, BraidWord, d, self.int_prefix())
+        return at, self.check(at, BraidWord, d, self.int_run("]"))
 
     def _forest(self, at, d):
         """The forest of token `at`, decoded once per distinct text."""

@@ -24,7 +24,7 @@ labeled h with the braid of h on top of the bundle, and
 
 from __future__ import annotations
 
-from ._checks import require_int
+from ._checks import int_prefix, require_int
 from .braids import (BraidWord, braid_equal, cable, delete_strands, half_twist,
                      is_pure, permutation_of, shifted)
 
@@ -113,12 +113,11 @@ class Label:
                 continue
             inv = tok.endswith("^-1")
             body = tok[:-3] if inv else tok
-            if not body.startswith("g"):
+            # "g", then an integer without a sign
+            idx = int_prefix([body[1:]]) if body[:1] == "g" and body[1:2] != "-" else ()
+            if not idx:
                 raise ValueError("bad label token %r" % tok)
-            digits = body[1:]
-            if not (digits.isascii() and digits.isdigit()):
-                raise ValueError("bad label token %r" % tok)
-            idx = int(digits)
+            idx = idx[0]
             if idx < 1:
                 raise ValueError("generator index must be positive in %r" % tok)
             word.append(-idx if inv else idx)

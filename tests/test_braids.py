@@ -310,6 +310,14 @@ def test_word_serialization():
         BraidWord.from_string(4, "B4: 1")
     with pytest.raises(ValueError):
         BraidWord.from_string(None, "1 2")
+    # a letter is an optional "-" and ASCII digits (leading zeros allowed),
+    # not whatever int() reads
+    assert BraidWord.from_string(11, "01 -02 10").letters == (1, -2, 10)
+    for strands, text, bad in ((11, "1_0 +2 \u0663", "1_0"), (11, "1 +2", "+2"),
+                               (11, "\u0663", "\u0663"), (2, "x", "x")):
+        with pytest.raises(ValueError) as err:
+            BraidWord.from_string(strands, text)
+        assert str(err.value) == "letter %r is not an integer" % bad
 
 
 # -- the normal form against its oracle ---------------------------------------

@@ -1,6 +1,10 @@
 import contextlib
+import io
 import json
+import os
+import random
 import re
+import subprocess
 import sys
 import tracemalloc
 from collections import Counter
@@ -20,6 +24,9 @@ from braidedthompson.dsl import _tokenize
 from braidedthompson.forests import decode as decode_forest
 from conftest import (context_full_twist, context_half_twist, context_trivial,
                       random_element, seeded)
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 
 HEADER = "group { d:2, r:2, flavor:V, gens:[1 1] }"
 
@@ -136,6 +143,8 @@ MALFORMED = [
     (H.replace("d:", "D:"), "expected 'd', found 'D'", 1, 9),
     (H.replace("d:", "d "), "expected ':', found '2'", 1, 11),
     (H.replace("d:2", "d:two"), "expected an arity, found 'two'", 1, 11),
+    # an integer is an optional "-" and ASCII digits, not whatever int() reads
+    (H.replace("d:2", "d:0_2"), "expected an arity, found '0_2'", 1, 11),
     (H.replace("2,", "2;", 1), "expected ',', found ';'", 1, 12),
     (H.replace("r:", "q:"), "expected 'r', found 'q'", 1, 14),
     (H.replace("r:1", "r:x"), "expected a root count, found 'x'", 1, 16),
@@ -179,6 +188,10 @@ MALFORMED = [
     (H + E.replace("minus: (..)", "minus: (...)"), "expected ')' at position 3 (is the arity 2?)",
      3, 10),
     (H + E.replace("braid: 1", "braid: 2"), "letter 2 out of range for B_2", 4, 10),
+    # a token that is not an integer ends the braid run
+    (H + E.replace("braid: 1", "braid: 1_0"), "expected 'labels', found '1_0'", 4, 10),
+    (H + E.replace("braid: 1", "braid: \u0663"), "expected 'labels', found '\u0663'", 4, 10),
+    (H + E.replace("braid: 1", "braid: +1"), "expected 'labels', found '+1'", 4, 10),
     (H + E.replace("plus: (..)", "plus: ((..).)"), "forests have 2 and 3 leaves", 2, 6),
     (H + E.replace("e; g1", "e; g1; e"), "3 labels for 2 leaves", 2, 6),
     (H + E + E, "duplicate element name 'a'", 8, 6),
@@ -189,10 +202,11 @@ MALFORMED = [
 
 @pytest.mark.parametrize("text,message,line,col", MALFORMED)
 def test_malformed_session_reports_message_line_and_column(text, message, line, col):
-    with pytest.raises(DslError) as err:
-        parse_session(text)
-    assert str(err.value) == "line %d, column %d: %s" % (line, col, message)
-    assert (err.value.line, err.value.col) == (line, col)
+    for parse in (parse_session, oracle_parse_session):
+        with pytest.raises(DslError) as err:
+            parse(text)
+        assert str(err.value) == "line %d, column %d: %s" % (line, col, message)
+        assert (err.value.line, err.value.col) == (line, col)
 
 
 def test_format_parse_roundtrip():
@@ -250,6 +264,12 @@ def test_cli_eq_and_strict_exit_codes(capsys, session_file):
     assert code == 1 and data["equal"] is False
     code, data = run_cli(capsys, "eq", "--input", session_file, "a", "g")
     assert code == 0
+    code, data = run_cli(capsys, "eq", "--input", str(GOLDEN / "case_00.dsl"), "e0", "e1")
+    assert code == 0
+    # a false equality in the half-twist context
+    code, data = run_cli(capsys, "--strict", "eq", "--input", str(GOLDEN / "case_03.dsl"),
+                         "e0", "e1")
+    assert code == 1 and data["equal"] is False
 
 
 def test_cli_errors_exit_2(capsys, session_file):
@@ -261,8 +281,9 @@ def test_cli_errors_exit_2(capsys, session_file):
 
 
 def usage_error(capsys, argv):
-    """Run a command that argparse rejects; return its JSON error, checked
-    against RESULT_SCHEMA, after checking exit code 2 and empty stdout."""
+    """Run a command that argparse or the input checks reject; return its
+    JSON error, checked against RESULT_SCHEMA, after checking exit code 2
+    and empty stdout."""
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == "", argv
@@ -321,7 +342,7 @@ def test_cli_retract_and_embed(capsys, session_file):
 
 
 def test_cli_embed_reads_e_in_a_label_word(capsys):
-    golden = str(Path(__file__).parent / "golden" / "case_02.dsl")
+    golden = str(GOLDEN / "case_02.dsl")
     for label in ("g1 e", "e g1", "g1"):
         code, data = run_cli(capsys, "embed", "--input", golden, "--label", label)
         assert code == 0 and data["element"]["labels"] == ["g1"]
@@ -367,10 +388,13 @@ def test_cli_member_and_project(capsys, tmp_path):
     assert code == 0 and data["member"] is True
     code, data = run_cli(capsys, "project-v", "--input", str(path), "x")
     assert code == 0 and data["diagram"]["permutation"] == [1]
+    code, data = run_cli(capsys, "member", "--sub", "F", "--input",
+                         str(GOLDEN / "case_04.dsl"), "e0")
+    assert code == 0 and data["member"] is True
 
     # The guard is on the generators, not on the flavor: V sessions with no
     # generators or pure ones answer, and one with an impure generator is refused.
-    golden = str(Path(__file__).parent / "golden" / "case_00.dsl")
+    golden = str(GOLDEN / "case_00.dsl")
     for sub in ("F", "T"):
         assert run_cli(capsys, "member", "--sub", sub, "--input", golden, "e0") == (
             0, {"command": "member", "member": True, "ok": True})
@@ -401,6 +425,93 @@ def test_cli_member_and_project(capsys, tmp_path):
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert json.loads(captured.err)["error"] == "%s needs a pure label group" % what
+
+
+# A malformed session or size, each a JSON error in the library's wording:
+# (arguments, session text or None, error).
+CLI_INPUT_ERRORS = [
+    (["mul", "a", "a"], "group { d:2, r:1, flavor:V, gens:[] }\n"
+     "elem a { minus: (..) braid: labels: g1; e plus: (..) }\n",
+     "line 2, column 37: label references undeclared generator g1"),
+    (["mul", "a", "a"], "group { d:2, r:1, flavor:V, gens:[] }\n"
+     "elem a { minus: (..) braid: 2 labels: e; e plus: (..) }\n",
+     "line 2, column 29: letter 2 out of range for B_2"),
+    (["embed", "--label", "e"], "group { d:2, r:0, flavor:V, gens:[] }\n",
+     "line 1, column 16: root count 0 must be >= 1"),
+    (["complex", "linear-matching", "--d", "1", "--m", "5"], None, "arity 1 must be >= 2"),
+]
+
+
+@pytest.mark.parametrize("argv,text,error", CLI_INPUT_ERRORS)
+def test_cli_input_error_is_the_library_message(capsys, tmp_path, argv, text, error):
+    if text is not None:
+        path = tmp_path / "s.dsl"
+        path.write_text(text, encoding="utf-8")
+        argv = argv + ["--input", str(path)]
+    assert usage_error(capsys, argv) == {"command": argv[0], "ok": False, "error": error}
+
+
+def test_cli_eq_on_a_long_braid(capsys, tmp_path):
+    # a and b differ only by Delta^2 (central) commuted past a random
+    # 4,000-letter braid on 60 strands, so they are equal although spelled
+    # differently; c flips one letter of a's braid (the exponent sum
+    # changes) and d a positive and a negative one (exponent sum and
+    # permutation stay, only the Dynnikov coordinates differ)
+    n = 60
+    rng = random.Random(1)
+    w = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(4000)]
+    delta2 = [k for _ in range(2) for j in range(1, n) for k in range(j, 0, -1)]
+    one = list(w)
+    one[0] = -w[0]
+    p = next(i for i, a in enumerate(w) if a > 0)
+    q = next(i for i, a in enumerate(w) if a < 0)
+    two = list(w)
+    two[p], two[q] = -w[p], -w[q]
+    forest = "|".join("." * n)
+    elem = "elem %s { minus: %s braid: %s labels: %s plus: %s }\n"
+    path = tmp_path / "twist.dsl"
+    with open(path, "w", encoding="utf-8") as out:
+        out.write("group { d:2, r:%d, flavor:V, gens:[] }\n" % n)
+        for name, letters in (("a", delta2 + w), ("b", w + delta2),
+                              ("c", delta2 + one), ("d", delta2 + two)):
+            out.write(elem % (name, forest, " ".join(map(str, letters)),
+                              "; ".join(["e"] * n), forest))
+    for other, code in (("b", 0), ("c", 1), ("d", 1)):
+        assert run_cli(capsys, "--strict", "eq", "--input", str(path), "a", other)[0] == code
+
+
+def test_bht_process_reads_stdin_and_exits_0_1_or_2():
+    # `python -m braidedthompson.cli` in a child process: a complex piped
+    # from one run into the next, and the exit codes and streams themselves
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+    def bht(*argv, stdin=None):
+        return subprocess.run([sys.executable, "-m", "braidedthompson.cli", *argv],
+                              input=stdin, env=env, cwd=ROOT, capture_output=True,
+                              text=True, timeout=120)
+
+    def complex_text(m):
+        run = bht("complex", "linear-matching", "--d", "2", "--m", str(m))
+        assert run.returncode == 0 and run.stderr == "", run.stderr
+        return run.stdout
+
+    answer = bht("homology", stdin=complex_text(6))
+    assert answer.returncode == 0 and answer.stderr == "", answer.stderr
+    data = json.loads(answer.stdout)
+    jsonschema.validate(data, RESULT_SCHEMA)
+    assert data["ok"] is True and data["command"] == "homology"
+    # M_2(P_7) is a circle, so not wCM of dimension 2 (homology computed
+    # only through the degree asked): a false --strict predicate exits with
+    # exactly 1
+    answer = bht("--strict", "wcm", "--n", "2", stdin=complex_text(7))
+    assert answer.returncode == 1 and answer.stderr == "", answer.stderr
+    assert json.loads(answer.stdout)["wcm"] is False
+    # a size below its bound: exit code exactly 2, nothing on stdout, and
+    # one JSON error on stderr
+    answer = bht("complex", "linear-matching", "--d", "1", "--m", "5")
+    assert answer.returncode == 2 and answer.stdout == ""
+    assert json.loads(answer.stderr) == {"command": "complex", "ok": False,
+                                         "error": "arity 1 must be >= 2"}
 
 
 def test_cli_complex_pipeline(capsys, tmp_path):
@@ -436,6 +547,85 @@ def test_cli_complex_restricted_to_initial_positions(capsys):
         captured = capsys.readouterr()
         assert code == 2 and captured.out == "", z
         assert json.loads(captured.err) == {"command": "complex", "ok": False, "error": message}
+
+
+def run_cli_stdin(capsys, monkeypatch, payload, *argv):
+    """run_cli with the JSON payload on stdin and no --file."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+    return run_cli(capsys, *argv)
+
+
+def matching_complex(capsys, *argv):
+    """What `bht complex ...` prints as the complex."""
+    code, data = run_cli(capsys, "complex", *argv)
+    assert code == 0
+    return data["complex"]
+
+
+# `bht complex ... | bht ...`: (the complex's arguments, the reader's
+# arguments, the reader's exit code).  The child process test below pipes
+# M_2(P_6) into `homology` and M_2(P_7) into `--strict wcm --n 2`.
+PIPELINES = [
+    (["linear-matching", "--d", "2", "--m", "6"], ["morse", "--filter", "start"], 0),
+    # homology computed only through the degree asked: M_2(P_8) is
+    # contractible, so it is wCM of dimension 2
+    (["linear-matching", "--d", "2", "--m", "8"], ["--strict", "wcm", "--n", "2"], 0),
+    (["linear-matching", "--d", "2", "--m", "8"], ["morse", "--filter", "start", "--k", "1"], 0),
+    # the cyclic matching complex on the odd initial positions 1, 3, 5, 7 is
+    # one 3-simplex, so it is wCM of dimension 3
+    (["cyclic-matching", "--d", "2", "--m", "8", "--z", "1,3,5,7"],
+     ["--strict", "wcm", "--n", "3"], 0),
+    # the duplicated cover of M_2(P_6) is a complete join
+    (["linear-matching", "--d", "2", "--m", "6"], ["--strict", "join-check", "--duplicated"], 0),
+]
+
+
+@pytest.mark.parametrize("source,argv,code", PIPELINES)
+def test_cli_pipeline_reads_the_complex_from_stdin(capsys, monkeypatch, source, argv, code):
+    k = matching_complex(capsys, *source)
+    assert run_cli_stdin(capsys, monkeypatch, k, *argv)[0] == code
+
+
+def test_cli_morse_sweep_on_m2_p8_reads_exact_degrees(capsys, monkeypatch):
+    # the Morse sweep reads each level pair off the descending links: exact
+    # degrees k for t = 1..7 on M_2(P_8), and every level holds
+    k = matching_complex(capsys, "linear-matching", "--d", "2", "--m", "8")
+    code, data = run_cli_stdin(capsys, monkeypatch, k, "morse", "--filter", "start")
+    assert code == 0
+    assert [(row["t"], row["k"], row["holds"]) for row in data["levels"]] == list(
+        zip(range(1, 8), [-1, -1, 5, 0, 0, 5, 1], [True] * 7))
+
+
+def test_cli_morse_with_heights_on_stdin(capsys, monkeypatch):
+    path3 = {"vertices": 3, "maximal_faces": [[0, 1], [1, 2]]}
+    # vertex 1 tops both edges, so the descending links at t = 0, 1, 2 are
+    # empty, empty and two points (k = -1, -1, 0)
+    code, data = run_cli_stdin(capsys, monkeypatch, path3, "morse", "--heights", "[0,2,1]")
+    assert code == 0
+    assert [(row["t"], row["k"], row["holds"]) for row in data["levels"]] == [
+        (0, -1, True), (1, -1, True), (2, 0, True)]
+    # one height short
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(path3)))
+    err = usage_error(capsys, ["morse", "--heights", "[0,2]"])
+    assert err["command"] == "morse" and "--heights" in err["error"]
+
+
+def test_cli_homology_on_stdin(capsys, monkeypatch):
+    # a hollow triangle listing a vertex inside an edge: one circle
+    hollow = {"vertices": 3, "maximal_faces": [[0, 1], [1, 2], [0, 2], [1]]}
+    code, data = run_cli_stdin(capsys, monkeypatch, hollow, "homology")
+    assert code == 0
+    assert {row["degree"]: row["betti"] for row in data["reduced_homology"]} == {
+        -1: 0, 0: 0, 1: 1}
+    # RP^2: no free part, Z/2 in degree 1; the sparse elimination leaves a
+    # 3x1 block, so this reaches the dense Smith form
+    rp2 = {"vertices": 6, "maximal_faces": [[0, 1, 2], [0, 1, 5], [0, 2, 3], [0, 3, 4],
+                                            [0, 4, 5], [1, 2, 4], [1, 3, 4], [1, 3, 5],
+                                            [2, 3, 5], [2, 4, 5]]}
+    code, data = run_cli_stdin(capsys, monkeypatch, rp2, "homology")
+    rows = data["reduced_homology"]
+    assert code == 0 and all(row["betti"] == 0 for row in rows)
+    assert {row["degree"]: row["torsion"] for row in rows if row["torsion"]} == {1: [2]}
 
 
 def test_cli_join_check_explicit_map(capsys, tmp_path):
@@ -586,6 +776,15 @@ def test_deep_vine_over_itself_reduces_to_the_identity():
     with recursion_limit(1000):
         red = ctx.reduce(elements["g"])
     assert red.leaves == 1 and ctx.is_identity(red)
+
+
+def test_cli_strict_exit_codes_on_deep_input(capsys, tmp_path):
+    # distinct deep representatives of one element compare by their forests'
+    # texts, and g is not the identity
+    path = deep_session(tmp_path)
+    with recursion_limit(1000):
+        assert run_cli(capsys, "--strict", "eq", "--input", path, "g", "h")[0] == 0
+        assert run_cli(capsys, "--strict", "is-identity", "--input", path, "g")[0] == 1
 
 
 def test_cli_too_deep_input_is_a_json_error(capsys, tmp_path):
@@ -823,6 +1022,10 @@ def test_header_formatting_roundtrip():
 # punctuation.  `\s` matches exactly the characters `str.isspace` accepts.
 _ORACLE_TOKEN = re.compile(r"[{}\[\],;:]|[^\s{}\[\],;:]+")
 
+# An integer: an optional "-", then ASCII digits ("+1", "1_0" and "\u0663",
+# which int() reads, are not integers).
+_ORACLE_INT = re.compile(r"-?[0-9]+")
+
 
 def test_tokenizer_agrees_with_the_oracle_token_pattern():
     # whitespace of each kind `str.isspace` accepts, and three non-spaces
@@ -894,18 +1097,14 @@ class _OracleParser:
 
     def int_token(self, what):
         tok = self.next()
-        try:
-            return int(tok.text)
-        except ValueError:
+        if not _ORACLE_INT.fullmatch(tok.text):
             self.error("expected %s, found %r" % (what, tok.text), tok)
+        return int(tok.text)
 
     def collect_ints(self):
         out = []
-        while self.pos < len(self.tokens):
-            try:
-                out.append(int(self.tokens[self.pos].text))
-            except ValueError:
-                break
+        while self.pos < len(self.tokens) and _ORACLE_INT.fullmatch(self.tokens[self.pos].text):
+            out.append(int(self.tokens[self.pos].text))
             self.pos += 1
         return out
 
@@ -1016,7 +1215,8 @@ def oracle_parse_element_text(ctx: GroupContext, text: str) -> Spraige:
 
 
 # Tokens a mutation may put in place of another: syntax, near-misses of
-# labels, letters and forests, and integers int() reads in unusual ways.
+# labels, letters and forests, and spellings that int() reads but that are
+# not integers here ("+1", "1_0", "\u0663").
 JUNK = ["x", "e", "g0", "g9", "g1^-2", "g", "-0", "0", "+1", "1_0", "99", "\u0663",
         "(..", "(...)", ".|.", "((..).)", "elem", "group", "{", "}", ";", ":", ",",
         "[", "]", "labels", "braid", "plus", "minus"]

@@ -631,6 +631,21 @@ def test_integer_rule_is_spelled_in_one_module():
     assert spelled == {"_checks.py"}
 
 
+def test_integer_text_is_read_in_one_module():
+    # session text, braid words and label tokens read their integers through
+    # _checks.int_prefix, so none of them accepts a spelling that int()
+    # reads and the rule refuses ("+1", "1_0"); only the CLI's own flags
+    # and JSON keys call int() themselves
+    def reads_int(node):
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and (
+            node.func.id == "int" or node.func.id == "map" and isinstance(node.args[0], ast.Name)
+            and node.args[0].id == "int")
+
+    readers = {path.name for path in PACKAGE.glob("*.py")
+               if any(map(reads_int, ast.walk(ast.parse(path.read_text(encoding="utf-8")))))}
+    assert readers == {"_checks.py", "cli.py"}
+
+
 def test_bound_rule_is_spelled_in_one_module():
     # every size and index bound goes through require_int's low and high,
     # so the two wordings of a value below or outside its bound live there,

@@ -17,6 +17,7 @@ import json
 import sys
 
 from . import complexes as cx
+from ._checks import int_prefix
 from .diagrams import Spraige, v_reduce
 from .dsl import format_element, parse_session
 from .labeled import Label
@@ -230,12 +231,10 @@ def cmd_complex(args):
     else:
         k = cx.d_matching_cyclic(args.d, args.m)
     if args.z:
-        z = set()
-        for x in filter(None, map(str.strip, args.z.split(","))):
-            try:
-                z.add(int(x))
-            except ValueError:
-                raise CliError("--z takes comma separated integers, not %r" % x) from None
+        tokens = [x for x in map(str.strip, args.z.split(",")) if x]
+        z = int_prefix(tokens)
+        if len(z) < len(tokens):
+            raise CliError("--z takes comma separated integers, not %r" % tokens[len(z)])
         k = cx.restrict_initial(k, z)
     return {"command": "complex", "ok": True, "complex": k.to_json_dict()}, True
 
@@ -331,6 +330,14 @@ def _emit(out, fh, plain):
         fh.write("%s\t%s\n" % (key, val))
 
 
+def _int_flag(text):
+    """An integer flag, in the one spelling of an integer in session text."""
+    value = int_prefix([text.strip()])
+    if not value:
+        raise argparse.ArgumentTypeError("expected an integer, not %r" % text)
+    return value[0]
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """A usage error raises CliError, so it is reported like any other
     failure; --help still prints help and exits 0."""
@@ -361,8 +368,8 @@ def build_parser():
 
     p = sub.add_parser("complex")
     p.add_argument("kind", choices=["linear-matching", "cyclic-matching"])
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--d", type=_int_flag, required=True)
+    p.add_argument("--m", type=_int_flag, required=True)
     p.add_argument("--z", help="comma separated initial positions to keep")
     p.set_defaults(fn=cmd_complex)
 
@@ -371,7 +378,7 @@ def build_parser():
     p.set_defaults(fn=cmd_homology)
 
     p = sub.add_parser("wcm")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_flag, required=True)
     p.add_argument("--file")
     p.set_defaults(fn=cmd_wcm)
 
@@ -386,8 +393,8 @@ def build_parser():
     p.add_argument("--filter", choices=["start"],
                    help="height = initial position (for matching complexes)")
     p.add_argument("--heights", help="JSON list of integer heights, one per vertex")
-    p.add_argument("--t", type=int, help="single level to check (default: all)")
-    p.add_argument("--k", type=int, help="connectivity degree (default: derived from links)")
+    p.add_argument("--t", type=_int_flag, help="single level to check (default: all)")
+    p.add_argument("--k", type=_int_flag, help="connectivity degree (default: derived from links)")
     p.set_defaults(fn=cmd_morse)
     return ap
 

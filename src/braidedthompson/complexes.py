@@ -10,7 +10,9 @@ form (`smith_invariants`).  The maps are reduced from the top degree down
 with clearing: a column whose face is a unit pivot row of the map above
 is skipped, which keeps the invariant factors exact (see `_homology`).
 A question about degrees <= q only (`reduced_homology(k, through=q)`)
-builds the faces of dimension <= q + 1 and stops there.  All arithmetic
+builds the faces of dimension <= q + 1 and stops there.  A cone (its
+maximal faces share a vertex) is contractible, so its report is zero in
+every degree and no boundary map is built for it.  All arithmetic
 is on Python integers, so torsion is exact and there is no overflow.
 Orientation: faces are ordered by ascending vertex id and boundary signs
 alternate accordingly.
@@ -35,10 +37,12 @@ a matrix given to `smith_invariants` are ints (not bools or floats);
 anything else is a ValueError that names it, raised where it enters.
 
 Faces are read off the maximal faces one size at a time, as they are
-asked for, and cached on the complex.  Full subcomplexes, links, mutual
-links and descending links come from one restriction (some faces of the
-complex cut down to a vertex set), and the chains of a Morse level pair
-are the cones over the faces of the descending links the sweep built.
+asked for, and cached on the complex.  Full subcomplexes, mutual links
+and descending links come from one restriction (some faces of the
+complex cut down to a vertex set, then filtered for maximality); links,
+stars and duplicated covers skip the filter, as their faces are maximal
+by construction.  The chains of a Morse level pair are the cones over
+the faces of the descending links the sweep built.
 """
 
 from __future__ import annotations
@@ -77,6 +81,16 @@ class SimplicialComplex:
         self.vertices = vertices
         self.maximal_faces = frozenset(maximal)
         self._faces = None
+
+    @classmethod
+    def _trusted(cls, vertices, maximal_faces):
+        """A complex from sorted, distinct, nonempty faces in 0..V-1 that
+        the library has proved maximal: no cleaning and no filter."""
+        k = object.__new__(cls)
+        k.vertices = vertices
+        k.maximal_faces = frozenset(maximal_faces)
+        k._faces = None
+        return k
 
     @classmethod
     def simplex(cls, n_vertices):
@@ -168,7 +182,8 @@ class SimplicialComplex:
 
 def _restrict(k: SimplicialComplex, faces, keep) -> SimplicialComplex:
     """The complex on k's ambient vertices spanned by the given faces of k
-    cut down to `keep`; every kind of link, and every full subcomplex, is one."""
+    cut down to `keep`, filtered for maximality: full subcomplexes, mutual
+    links and descending links are each one."""
     return SimplicialComplex(k.vertices, [tuple(v for v in f if v in keep) for f in faces])
 
 
@@ -183,13 +198,19 @@ def _cofaces(k: SimplicialComplex, sigma):
 
 
 def link(k: SimplicialComplex, sigma) -> SimplicialComplex:
+    """The faces that miss sigma and span a face with it.  Its maximal
+    faces are g - sigma for the maximal faces g containing sigma, with no
+    filter: g - sigma < h - sigma for another such h would give g < h."""
     cofaces = _cofaces(k, sigma)
-    return _restrict(k, cofaces, set().union(*cofaces).difference(sigma))
+    s = set(sigma)
+    rests = (tuple(v for v in g if v not in s) for g in cofaces)
+    return SimplicialComplex._trusted(k.vertices, [f for f in rests if f])
 
 
 def star(k: SimplicialComplex, sigma) -> SimplicialComplex:
-    """The closed star: all faces contained in a face containing sigma."""
-    return SimplicialComplex(k.vertices, _cofaces(k, sigma))
+    """The closed star: all faces contained in a face containing sigma.
+    Its maximal faces are those cofaces of sigma, maximal in k already."""
+    return SimplicialComplex._trusted(k.vertices, _cofaces(k, sigma))
 
 
 def join(k1: SimplicialComplex, k2: SimplicialComplex) -> SimplicialComplex:
@@ -386,7 +407,7 @@ def _eliminate(col, piv, r):
             del col[i]
 
 
-def _homology(chains, low, through=None):
+def _homology(chains, low, through=None, acyclic=False):
     """Homology of the chain complex with basis `chains` (degree ->
     faces), reported in degrees low .. top chain degree, or low .. through
     when `through` is lower (the report then says so; the chains above
@@ -401,13 +422,17 @@ def _homology(chains, low, through=None):
     +-1 at the skipped face and its others lie above, so the skipped
     column is an integer combination of earlier columns.  The column
     lattice of d_p, and with it the rank and the invariant factors, is
-    unchanged."""
-    for fs in chains.values():
-        fs.sort()
+    unchanged.  With `acyclic` (the caller knows the homology vanishes) no
+    map is built, and the report has the same degrees and face counts."""
     top = max(chains, default=-1)
     if through is not None and through >= top:
         through = None
     last = top if through is None else through
+    counts = [len(chains.get(p, ())) for p in range(0, top + 1)]
+    if acyclic:
+        return HomologyReport(dict.fromkeys(range(low, last + 1), 0), {}, counts, through)
+    for fs in chains.values():
+        fs.sort()
     invs = {}
     cleared = ()
     for p in range(last + 1, low - 1, -1):
@@ -430,8 +455,7 @@ def _homology(chains, low, through=None):
     degrees = range(low, last + 1)
     betti = {p: len(chains.get(p, ())) - len(invs[p]) - len(invs[p + 1]) for p in degrees}
     torsion = {p: [d for d in invs[p + 1] if d > 1] for p in degrees}
-    return HomologyReport(betti, torsion, [len(chains.get(p, ())) for p in range(0, top + 1)],
-                          through)
+    return HomologyReport(betti, torsion, counts, through)
 
 
 def reduced_homology(k: SimplicialComplex, through=None) -> HomologyReport:
@@ -439,13 +463,17 @@ def reduced_homology(k: SimplicialComplex, through=None) -> HomologyReport:
 
     With `through` = q only the faces of dimension <= q + 1 are read, and
     the report stops at degree q: the (q+1)-skeleton has the same homology
-    as k through degree q."""
+    as k through degree q.  A cone (maximal faces sharing a vertex) is
+    contractible (Kozlov, Combinatorial Algebraic Topology, 2008), so its
+    report is zero in every degree and builds no boundary map."""
     if through is not None:
         require_int(through, "degree")
     top = k.dim + 1 if through is None else min(through + 2, k.dim + 1)
     chains = {size - 1: list(k._faces_of_size(size)) for size in range(1, top + 1)}
     chains[-1] = [()]
-    return _homology(chains, -1, through)
+    faces = k.maximal_faces
+    cone = bool(faces) and bool(set(next(iter(faces))).intersection(*faces))
+    return _homology(chains, -1, through, cone)
 
 
 def relative_homology(k: SimplicialComplex, sub: SimplicialComplex):
@@ -577,10 +605,12 @@ def complete_join_check(source: SimplicialComplex, target: SimplicialComplex,
 def duplicated_cover(k: SimplicialComplex):
     """The double cover used as a stock complete join: each vertex v is
     duplicated into 2v and 2v+1, faces lift in all combinations.
-    Returns (cover, vertex_map)."""
-    cover = SimplicialComplex(2 * k.vertices, [tuple(2 * v + e for v, e in zip(f, eps))
-                                               for f in k.maximal_faces
-                                               for eps in product((0, 1), repeat=len(f))])
+    Returns (cover, vertex_map).  The lifts of the maximal faces are the
+    cover's maximal faces, unfiltered: a lift inside another would lie over
+    a face inside another, and the lifts of one face have one size."""
+    cover = SimplicialComplex._trusted(2 * k.vertices, [
+        tuple(2 * v + e for v, e in zip(f, eps))
+        for f in k.maximal_faces for eps in product((0, 1), repeat=len(f))])
     vmap = {2 * v + e: v for v in k.vertex_set() for e in (0, 1)}
     return cover, vmap
 

@@ -193,10 +193,15 @@ class GroupContext:
         inserted reproduces the braid.
         """
         require_int(start, "leaf index")
-        d = self.d
         self.validate(s)
         if start not in elementary_caret_spans(s.minus):
             raise ValueError("no elementary caret of the splitting forest at leaf %d" % start)
+        return self._reduce_at(s, start)
+
+    def _reduce_at(self, s: Spraige, start: int):
+        """try_reduce_at on a valid `s` whose splitting forest has an
+        elementary caret at leaf `start`, neither checked again."""
+        d = self.d
         rho = permutation_of(s.lb.braid)
         landing = sorted(rho(start + j) for j in range(d))
         p = landing[0]
@@ -218,7 +223,7 @@ class GroupContext:
         self.validate(s)
         while True:
             for start in elementary_caret_spans(s.minus):
-                t = self.try_reduce_at(s, start)
+                t = self._reduce_at(s, start)
                 if t is not None:
                     s = t
                     break

@@ -1230,3 +1230,147 @@ def test_morse_functions_validate_once_and_build_each_link_once(monkeypatch):
         vertices = sum(1 for v in k.vertex_set() if h(v) in swept)
         assert calls.count("valid") == 1
         assert calls.count("_descending_link") == calls.count("reduced_homology") == vertices
+
+
+# -- trusted constructions and the cone rule -----------------------------------
+# link, star and duplicated_cover store faces they know are maximal, and a
+# cone's homology is reported without elimination; the filtered
+# constructions and the elimination stay here as their oracles.
+
+def filtered_link(k, sigma):
+    s = set(sigma)
+    return SimplicialComplex(k.vertices, [tuple(v for v in g if v not in s)
+                                          for g in k.maximal_faces if s <= set(g)])
+
+
+def filtered_cover(k):
+    return SimplicialComplex(2 * k.vertices, [tuple(2 * v + e for v, e in zip(f, eps))
+                                              for f in k.maximal_faces
+                                              for eps in product((0, 1), repeat=len(f))])
+
+
+def is_stored_clean(k):
+    """The faces a complex stores are sorted, distinct, nonempty, in range
+    and pairwise incomparable: what the constructor's cleaning and filter
+    would leave."""
+    faces = k.maximal_faces
+    return (all(f and list(f) == sorted(set(f)) and 0 <= f[0] and f[-1] < k.vertices
+                for f in faces)
+            and not any(f != g and set(f) <= set(g) for f in faces for g in faces))
+
+
+def test_trusted_links_stars_and_covers_equal_the_filtered_constructions():
+    rng = seeded("trusted-constructions")
+    cases = list(complex_library().values()) + [SimplicialComplex(3)]
+    cases += [random_complex(rng, max_vertices=9, max_faces=8, max_size=5) for _ in range(150)]
+    cases += [d_matching_linear(2, 10), d_matching_linear(3, 12)]
+    checked = maximal_sigma = 0
+    for k in cases:
+        cover = duplicated_cover(k)[0]
+        assert cover == filtered_cover(k) and is_stored_clean(cover), k
+        for sigma in sorted(k.faces):
+            # oracle_star is the filtered construction of the star
+            lk, st = link(k, sigma), star(k, sigma)
+            assert lk == filtered_link(k, sigma) == oracle_link(k, sigma), (k, sigma)
+            assert st == oracle_star(k, sigma), (k, sigma)
+            assert is_stored_clean(lk) and is_stored_clean(st), (k, sigma)
+            checked += 1
+            maximal_sigma += sigma in k.maximal_faces
+    assert checked > 3000 and maximal_sigma > 300
+
+
+def cone_cases():
+    """Random complexes with an apex added to every maximal face, and
+    joins of the complex library with a point."""
+    rng = seeded("cones")
+    cones = []
+    for _ in range(120):
+        k = random_complex(rng, max_vertices=8, max_faces=7, max_size=4)
+        cones.append(SimplicialComplex(k.vertices + 1,
+                                       [f + (k.vertices,) for f in k.maximal_faces]))
+    point = SimplicialComplex(1, [(0,)])
+    cones += [join(k, point) for k in complex_library().values()]
+    cones += [join(point, SimplicialComplex(3)), SimplicialComplex.simplex(1)]
+    return cones
+
+
+def test_cone_rule_agrees_with_elimination_and_the_dense_reference(monkeypatch):
+    homology = complexes._homology
+    cones = cone_cases()
+    throughs = [None] + list(range(-2, max(c.dim for c in cones) + 2))
+    # elimination: the same report with the cone rule switched off
+    eliminated = {}
+    monkeypatch.setattr(complexes, "_homology",
+                        lambda chains, low, through=None, acyclic=False:
+                        homology(chains, low, through))
+    for i, c in enumerate(cones):
+        for q in throughs:
+            eliminated[i, q] = reduced_homology(c, q)
+    monkeypatch.undo()
+    # the cone rule builds no boundary map
+    monkeypatch.setattr(complexes, "_sparse_invariants", forbidden_invariants)
+    for i, c in enumerate(cones):
+        assert set.intersection(*map(set, c.maximal_faces)), c
+        for q in throughs:
+            got, want = reduced_homology(c, q), eliminated[i, q]
+            assert report_of(got) + (got.through,) == report_of(want) + (want.through,), (c, q)
+            assert not any(got.betti.values()) and not got.torsion
+        full = reduced_homology(c)
+        assert report_of(full) == dense_homology(chains_of(oracle_faces(c), -1), -1), c
+        assert full.euler_consistent()
+
+
+def forbidden_invariants(columns):
+    raise AssertionError("a boundary map was reduced")
+
+
+def test_a_complex_that_is_not_a_cone_reaches_elimination(monkeypatch):
+    rng = seeded("not-cones")
+    homology = complexes._homology
+    calls = []
+
+    def counted(chains, low, through=None, acyclic=False):
+        calls.append(acyclic)
+        return homology(chains, low, through, acyclic)
+
+    monkeypatch.setattr(complexes, "_homology", counted)
+    others = [SimplicialComplex(0), SimplicialComplex(3), HOLLOW, complex_library()["rp2"]]
+    others += [random_complex(rng, max_vertices=9, max_faces=8, max_size=5) for _ in range(100)]
+    others = [k for k in others if not k.maximal_faces
+              or not set.intersection(*map(set, k.maximal_faces))]
+    assert len(others) > 30
+    for k in others:
+        for q in (None, -1, 0, 1):
+            calls.clear()
+            reduced_homology(k, q)
+            assert calls == [False], k
+    calls.clear()
+    reduced_homology(cone_cases()[0])
+    assert calls == [True]
+
+
+def test_links_stars_covers_and_wcm_skip_the_maximality_filter(monkeypatch):
+    # link, star, duplicated_cover and wcm_violation (whose verdict here is
+    # None, so it builds the link of every face it reads) build no complex
+    # through SimplicialComplex.__init__; the constructions that need the
+    # maximality filter still do
+    k = restrict_initial(d_matching_linear(2, 12), set(range(1, 12)) - {5})
+    h = HeightFunction({v: v for v in range(k.vertices)})
+    verdict = oracle_wcm_violation(k, 3)
+    assert verdict is None
+    init = SimplicialComplex.__init__
+    calls = []
+    monkeypatch.setattr(SimplicialComplex, "__init__",
+                        lambda self, *args: calls.append(args) or init(self, *args))
+    trusted = [lambda: [link(k, f) for f in k.faces], lambda: [star(k, f) for f in k.faces],
+               lambda: duplicated_cover(k), lambda: wcm_violation(k, 3) == verdict]
+    for run in trusted:
+        calls.clear()
+        assert run()
+        assert calls == []
+    filtered = [lambda: d_matching_linear(2, 8), lambda: k.full_subcomplex(range(6)),
+                lambda: morse_descending_link(k, h, 6), lambda: mutual_link(k, 0, 6)]
+    for run in filtered:
+        calls.clear()
+        run()
+        assert calls

@@ -7,7 +7,7 @@ from braidedthompson import (BraidWord, Forest, GroupContext, Label,
                              elementary_forest, half_twist, is_cyclic, is_pure,
                              is_trivial, permutation_of, v_equal, v_expand,
                              v_multiply, v_reduce, word_from_permutation)
-from braidedthompson import braids, complexes
+from braidedthompson import braids, complexes, diagrams
 from braidedthompson.complexes import HeightFunction
 from braidedthompson.forests import (attach_caret, decode, matching_to_forest,
                                     remove_elementary_caret)
@@ -283,6 +283,41 @@ def test_reduce_is_scan_order_independent():
             for la, lb_ in zip(a.lb.labels, b.lb.labels):
                 assert la == lb_ or braid_equal(la.realize(ctx.spec),
                                                 lb_.realize(ctx.spec))
+
+
+def test_reduce_reads_the_splitting_forest_once_per_scan(monkeypatch):
+    # reduce takes each start from one reading of minus's elementary carets
+    # and does not check it again: a scan reads minus once, and only a
+    # block landing on consecutive positions reads plus
+    spans = diagrams.elementary_caret_spans
+    step = GroupContext._reduce_at
+    read, scanned = [], []
+
+    def reduce_at(ctx, s, start):
+        t = step(ctx, s, start)
+        if t is not None:
+            scanned.append(t)
+        return t
+
+    monkeypatch.setattr(diagrams, "elementary_caret_spans",
+                        lambda forest: read.append(forest) or spans(forest))
+    monkeypatch.setattr(GroupContext, "_reduce_at", reduce_at)
+    rng = seeded("reduce-reads")
+    steps = 0
+    for ctx in (context_full_twist(2, 1), context_half_twist(3, 1), context_trivial(3, 2)):
+        for _ in range(30):
+            t = random_element(ctx, rng, 2)
+            for _ in range(rng.randint(1, 4)):
+                t = ctx.expand(t, rng.randint(1, t.leaves))
+            read.clear()
+            scanned[:] = [t]
+            r = ctx.reduce(t)
+            assert r is scanned[-1]
+            for x in scanned:
+                assert x.minus is not x.plus
+                assert sum(f is x.minus for f in read) == 1
+            steps += len(scanned) - 1
+    assert steps > 100
 
 
 def test_reduce_is_idempotent():

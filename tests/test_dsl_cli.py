@@ -427,8 +427,10 @@ def test_cli_member_and_project(capsys, tmp_path):
         assert json.loads(captured.err)["error"] == "%s needs a pure label group" % what
 
 
-# A malformed session or size, each a JSON error in the library's wording:
-# (arguments, session text or None, error).
+# A malformed session, size or integer flag, each a JSON error in the
+# library's wording (a flag is read in the one spelling of an integer in
+# session text, so "+1", "1_0" and other scripts' digits are not integers
+# there either): (arguments, session text or None, error).
 CLI_INPUT_ERRORS = [
     (["mul", "a", "a"], "group { d:2, r:1, flavor:V, gens:[] }\n"
      "elem a { minus: (..) braid: labels: g1; e plus: (..) }\n",
@@ -439,6 +441,12 @@ CLI_INPUT_ERRORS = [
     (["embed", "--label", "e"], "group { d:2, r:0, flavor:V, gens:[] }\n",
      "line 1, column 16: root count 0 must be >= 1"),
     (["complex", "linear-matching", "--d", "1", "--m", "5"], None, "arity 1 must be >= 2"),
+    (["complex", "linear-matching", "--d", "2", "--m", "+1"], None,
+     "bht complex: argument --m: expected an integer, not '+1'"),
+    (["complex", "linear-matching", "--d", "2", "--m", "1_0"], None,
+     "bht complex: argument --m: expected an integer, not '1_0'"),
+    (["complex", "linear-matching", "--d", "2", "--m", "\u0663"], None,
+     "bht complex: argument --m: expected an integer, not '\u0663'"),
 ]
 
 
@@ -542,7 +550,10 @@ def test_cli_complex_restricted_to_initial_positions(capsys):
     code, data = run_cli(capsys, *argv, "--z", "1,3")
     assert code == 0 and data["complex"] == {"vertices": 4, "maximal_faces": [[0, 2]]}
     for z, message in (("0", "initial positions must lie in 1..4"),
-                       ("a", "--z takes comma separated integers, not 'a'")):
+                       ("a", "--z takes comma separated integers, not 'a'"),
+                       ("1,+3", "--z takes comma separated integers, not '+3'"),
+                       ("1_0", "--z takes comma separated integers, not '1_0'"),
+                       ("1,\u0663", "--z takes comma separated integers, not '\u0663'")):
         code = main(argv + ["--z", z])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == "", z

@@ -634,8 +634,9 @@ def test_integer_rule_is_spelled_in_one_module():
 def test_integer_text_is_read_in_one_module():
     # session text, braid words and label tokens read their integers through
     # _checks.int_prefix, so none of them accepts a spelling that int()
-    # reads and the rule refuses ("+1", "1_0"); only the CLI's own flags
-    # and JSON keys call int() themselves
+    # reads and the rule refuses ("+1", "1_0"), and the CLI's integer flags
+    # use it too; only the CLI's JSON keys, checked to be ASCII digits
+    # first, call int() themselves
     def reads_int(node):
         return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and (
             node.func.id == "int" or node.func.id == "map" and isinstance(node.args[0], ast.Name)

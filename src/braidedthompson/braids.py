@@ -34,7 +34,8 @@ on this choice; it only matters when reading a diagram off a word.
 
 from __future__ import annotations
 
-from itertools import groupby
+from itertools import accumulate, compress, groupby
+from operator import not_
 
 from ._checks import int_prefix, require_int
 
@@ -191,6 +192,9 @@ def permutation_of(w: BraidWord) -> Permutation:
     position rho(i) at the bottom; each letter contributes an adjacent
     transposition.  Cached on the word."""
     if w._perm is None:
+        if not w.letters:  # the identity, built without a loop over the strands
+            w._perm = Permutation._trusted(tuple(range(1, w.strands + 1)))
+            return w._perm
         cur = list(range(w.strands))  # cur[position] = strand, 0-based
         for k in map(abs, w.letters):
             cur[k - 1], cur[k] = cur[k], cur[k - 1]
@@ -319,10 +323,14 @@ def cable(w: BraidWord, widths) -> BraidWord:
         raise ValueError("need one width per strand")
     for x in widths:
         require_int(x, "width", 1)
+    return _cable(w, widths)
+
+
+def _cable(w: BraidWord, widths) -> BraidWord:
+    """`cable` by a list of widths that the library built: one per strand,
+    each a positive integer."""
     order = list(range(w.strands))  # block ids by current position
-    starts = [1] * w.strands  # first cable strand of the block at each position
-    for k in range(1, w.strands):
-        starts[k] = starts[k - 1] + widths[k - 1]
+    starts = list(accumulate(widths, initial=1))  # first cable strand of the block at each position
     out = []
     for a in w.letters:
         k = abs(a) - 1
@@ -349,10 +357,24 @@ def delete_strands(w: BraidWord, kill) -> BraidWord:
         require_int(i, "strand index", 1, w.strands)
     if len(kill) >= w.strands:
         raise ValueError("cannot delete every strand")
-    dead = [i in kill for i in range(1, w.strands + 1)]  # by current position
-    below = [0] * w.strands  # surviving strands left of each position
-    for p in range(1, w.strands):
-        below[p] = below[p - 1] + (not dead[p - 1])
+    return _forget(w, [i in kill for i in range(1, w.strands + 1)])
+
+
+def _forget(w: BraidWord, dead) -> BraidWord:
+    """`delete_strands` by a list that the library built, one flag per top
+    position, with some strand left alive; the list is used up.  When w's
+    permutation is cached, the result's is read off it: the surviving
+    strands end in the order of their bottom positions."""
+    alive = list(map(not_, dead))
+    below = list(accumulate(alive, initial=0))  # surviving strands left of each position
+    perm = None
+    if w._perm is not None:
+        image = w._perm.image
+        gone = [True] + [False] * w.strands  # by bottom position, from 1
+        for b in compress(image, dead):
+            gone[b] = True
+        rank = list(accumulate(map(not_, gone)))  # surviving bottom positions up to each
+        perm = Permutation._trusted(tuple(map(rank.__getitem__, compress(image, alive))))
     out = []
     for a in w.letters:
         k = abs(a) - 1
@@ -363,7 +385,9 @@ def delete_strands(w: BraidWord, kill) -> BraidWord:
         else:
             dead[k], dead[k + 1] = dv, du
             below[k + 1] = below[k] + du
-    return BraidWord._trusted(w.strands - len(kill), tuple(out))
+    result = BraidWord._trusted(below[-1], tuple(out))
+    result._perm = perm
+    return result
 
 
 def word_from_permutation(p: Permutation) -> BraidWord:

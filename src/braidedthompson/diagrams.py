@@ -31,17 +31,20 @@ from __future__ import annotations
 
 from ._checks import require_int
 from .braids import BraidWord, Permutation, is_cyclic, is_pure, permutation_of
-from .forests import (Forest, attach_caret, elementary_caret_spans,
-                      elementary_forest, forest_to_matching, join, leaf_counts,
-                      remove_elementary_caret)
-from .labeled import (Label, LabeledBraid, labeled_cable, labeled_uncable,
+from .forests import (Forest, _caret_above, _caret_at, _elementary_carets, _splice,
+                      attach_caret, elementary_caret_spans, elementary_forest,
+                      forest_to_matching, join, leaf_counts, remove_elementary_caret)
+from .labeled import (Label, LabeledBraid, _uncable_at, labeled_cable, labeled_uncable,
                       lb_equal, lb_invert, lb_multiply)
 
 
 class Spraige:
-    """An (n,m)-spraige: n heads (roots of minus), m feet (roots of plus)."""
+    """An (n,m)-spraige: n heads (roots of minus), m feet (roots of plus).
 
-    __slots__ = ("minus", "lb", "plus")
+    `GroupContext.reduce` marks what it returns with the label group spec
+    it is reduced for (`_reduced`), so that reducing it again is free."""
+
+    __slots__ = ("minus", "lb", "plus", "_reduced")
 
     def __init__(self, minus, lb, plus):
         if minus.degree != plus.degree:
@@ -53,6 +56,7 @@ class Spraige:
         self.minus = minus
         self.lb = lb
         self.plus = plus
+        self._reduced = None
 
     @property
     def heads(self):
@@ -194,41 +198,75 @@ class GroupContext:
         """
         require_int(start, "leaf index")
         self.validate(s)
-        if start not in elementary_caret_spans(s.minus):
+        pos = _caret_at(s.minus, start)
+        if pos < 0:
             raise ValueError("no elementary caret of the splitting forest at leaf %d" % start)
-        return self._reduce_at(s, start)
+        return self._reduce_at(s, start, pos)
 
-    def _reduce_at(self, s: Spraige, start: int):
+    def _reduce_at(self, s: Spraige, start: int, pos: int):
         """try_reduce_at on a valid `s` whose splitting forest has an
-        elementary caret at leaf `start`, neither checked again."""
+        elementary caret at leaf `start`, at offset `pos` of its text,
+        neither checked again.  Each attempt does work linear in the
+        texts: no Python loop here runs over the strands (the labels, the
+        forest texts and the permutation are sliced and copied in bulk,
+        and the loops run over the braid's letters), but the caret of plus
+        at the landing is found by a Python scan of plus's elementary
+        carets to its left."""
         d = self.d
-        rho = permutation_of(s.lb.braid)
-        landing = sorted(rho(start + j) for j in range(d))
+        landing = sorted(permutation_of(s.lb.braid).image[start - 1:start - 1 + d])
         p = landing[0]
-        if landing != list(range(p, p + d)):
+        if landing[-1] != p + d - 1:  # d distinct positions
             return None
-        if p not in elementary_caret_spans(s.plus):
+        at = _caret_at(s.plus, p)
+        if at < 0:
             return None
-        lb = labeled_uncable(self.spec, s.lb,
-                             [1] * (start - 1) + [d] + [1] * (s.leaves - start - d + 1))
+        lb = _uncable_at(self.spec, s.lb, start)
         if lb is None:
             return None
-        return Spraige(remove_elementary_caret(s.minus, start), lb,
-                       remove_elementary_caret(s.plus, p))
+        return Spraige(_splice(s.minus, pos), lb, _splice(s.plus, at))
 
     def reduce(self, s: Spraige) -> Spraige:
-        """Apply reductions, lowest caret first, until none is possible.
-        The reduced representative is unique, so the scan order only
-        affects the intermediate diagrams."""
+        """The reduced representative of s, marked as reduced for this
+        context's label group, so that s returns at once when it already
+        carries the mark.
+
+        One scan over the elementary carets of minus, lowest first; after
+        each success, the caret that has just become elementary, if any,
+        is tried next.  That is all a restart at the lowest caret would
+        find.  A reduction at a caret c of minus acts on the block of its
+        d strands, on the caret of minus over them and on the caret of
+        plus they land on; the block of another caret c' of minus is
+        disjoint from it at the top and at the bottom, so reducing at c
+        leaves each condition at c' as it was:
+          (a) the bottom positions of c' stay consecutive or not, since
+              c's block collapses to one position that c' does not reach,
+              and the caret of plus over them stays elementary or not,
+              since the only caret that removing c's can make elementary
+              holds the collapsed position;
+          (b) the labels of c' are untouched;
+          (c) the braid stays a labeled cable at c' or not, since cabling
+              at two disjoint blocks commutes, and forgetting strands is
+              well defined on braids.
+        So a caret that failed stays failed, and the only new candidate
+        is the caret of minus over the collapsed leaf.  Every success
+        happens left of the carets still pending, so those shift by d - 1
+        leaves and d + 1 characters per success.  The reduced
+        representative is unique anyway, so the order only affects the
+        intermediate diagrams."""
         self.validate(s)
-        while True:
-            for start in elementary_caret_spans(s.minus):
-                t = self._reduce_at(s, start)
-                if t is not None:
-                    s = t
+        if s._reduced == self.spec:
+            return s
+        d, removed = self.d, 0
+        for start, pos in list(_elementary_carets(s.minus)):
+            start, pos = start - removed * (d - 1), pos - removed * (d + 1)
+            while (t := self._reduce_at(s, start, pos)) is not None:
+                s, removed = t, removed + 1
+                above = _caret_above(s.minus, pos)
+                if above < 0:
                     break
-            else:
-                return s
+                start, pos = start - (pos - above - 1), above
+        s._reduced = self.spec
+        return s
 
     # -- groupoid operations -----------------------------------------------
 

@@ -15,9 +15,13 @@ comes from `decode`, `Forest.trivial`, `elementary_forest`,
 enter, and is spelled at birth; the text is its one canonical spelling
 per degree: forests compare and hash by it, every shape question reads
 it, its elementary carets are the substrings "(" + "."*d + ")", and each
-tree's leaves are its dots.  The trees as nested tuples (a leaf is None)
-are private, the working form of `attach_caret` and of the union behind
-`join` and `is_prefix`.
+tree's leaves are its dots.  Removing an elementary caret splices its
+substring to a single "." in the text, so it costs one copy of the text
+and no parse.  The trees as nested tuples (a leaf is None) are private,
+the working form of `attach_caret` and of the union behind `join` and
+`is_prefix`: a forest parsed or spelled from trees keeps them, and a
+spliced one has them parsed from its text on first use, by those two
+moves only.
 
 An expansion path is a tuple of leaf indices; applying carets at those
 leaves in order (indices refer to the forest as it grows) carries a
@@ -41,8 +45,9 @@ class Forest:
 
     @classmethod
     def _trusted(cls, degree, trees, leaves, text):
-        """The one constructor: a forest from a tuple of trees the library
-        built arity-checked, with its leaf count and its text."""
+        """The one constructor: a forest from a text the library built
+        arity-checked, with its leaf count and its tuple of trees, or None
+        for trees not built yet (see `_trees_of`)."""
         f = object.__new__(cls)
         f.degree = degree
         f._trees = trees
@@ -58,7 +63,7 @@ class Forest:
 
     @property
     def roots(self):
-        return len(self._trees)
+        return self._text.count("|") + 1
 
     @property
     def leaves(self):
@@ -122,13 +127,19 @@ def leaf_counts(forest: Forest):
 
 
 def decode(text: str, degree: int) -> Forest:
-    """Parse the dot/parenthesis/pipe encoding; arity-checked.
+    """Parse the dot/parenthesis/pipe encoding; arity-checked."""
+    require_int(degree, "arity", 2)
+    parts = [part.strip() for part in text.split("|")]
+    trees, leaves = _parse(parts, degree)
+    return Forest._trusted(degree, trees, leaves, "|".join(parts))
+
+
+def _parse(parts, degree):
+    """The trees of the tree texts `parts` and their leaf count.
 
     One pass per tree with an explicit stack of the open carets' children,
     so any depth parses under the recursion limit."""
-    require_int(degree, "arity", 2)
     trees, leaves = [], 0
-    parts = [part.strip() for part in text.split("|")]
     for part in parts:
         end = len(part)
         open_carets = []  # children read so far, one list per open caret
@@ -161,7 +172,14 @@ def decode(text: str, degree: int) -> Forest:
         if pos != end:
             raise ValueError("trailing characters in tree %r" % part)
         trees.append(node)
-    return Forest._trusted(degree, tuple(trees), leaves, "|".join(parts))
+    return tuple(trees), leaves
+
+
+def _trees_of(forest: Forest):
+    """The forest's tuple of trees, parsed from its text on first use."""
+    if forest._trees is None:
+        forest._trees = _parse(forest._text.split("|"), forest.degree)[0]
+    return forest._trees
 
 
 def attach_caret(forest: Forest, i: int) -> Forest:
@@ -184,7 +202,7 @@ def attach_caret(forest: Forest, i: int) -> Forest:
         return None, used
 
     skip = i - 1
-    trees = forest._trees
+    trees = _trees_of(forest)
     for idx, t in enumerate(trees):
         new, cnt = rebuild(t, skip)
         if new is not None:
@@ -234,7 +252,7 @@ def _union(f: Forest, g: Forest) -> Forest:
             return a
         return tuple(union(x, y) for x, y in zip(a, b))
 
-    return _spell(f.degree, tuple(union(a, b) for a, b in zip(f._trees, g._trees)))
+    return _spell(f.degree, tuple(union(a, b) for a, b in zip(_trees_of(f), _trees_of(g))))
 
 
 def expansion_path(f: Forest, g: Forest):
@@ -264,34 +282,58 @@ def _first_expandable_leaf(cur: Forest, target: Forest):
     return a.count(".", 0, pos) + 1
 
 
-def _elementary_carets(text, d):
-    """(first leaf, offset) of each elementary caret "(" + "."*d + ")" in text."""
+def _elementary_carets(forest: Forest):
+    """(first leaf, text offset) of each elementary caret "(" + "."*d + ")"
+    of the forest, left to right."""
+    d, text = forest.degree, forest._text
     caret = "(" + "." * d + ")"
-    out, leaves, counted = [], 0, 0
+    leaves, counted = 0, 0
     pos = text.find(caret)
     while pos >= 0:
         leaves += text.count(".", counted, pos)
-        out.append((leaves + 1, pos))
+        yield leaves + 1, pos
         counted = pos
         pos = text.find(caret, pos + d + 2)
-    return out
+
+
+def _caret_at(forest: Forest, start: int):
+    """The offset in the text of the elementary caret whose leaves start
+    at `start`, or -1; reads the text only up to that caret."""
+    for leaf, pos in _elementary_carets(forest):
+        if leaf >= start:
+            return pos if leaf == start else -1
+    return -1
+
+
+def _splice(forest: Forest, pos: int) -> Forest:
+    """The forest with the elementary caret at text offset `pos` collapsed
+    to a leaf: the text spliced, the trees left to `_trees_of`."""
+    d, text = forest.degree, forest._text
+    return Forest._trusted(d, None, forest._leaves - d + 1, text[:pos] + "." + text[pos + d + 2:])
+
+
+def _caret_above(forest: Forest, pos: int):
+    """The offset in the text of the elementary caret that holds the leaf
+    at offset `pos`, or -1: its "(" is the last one within d characters
+    before the leaf."""
+    d, text = forest.degree, forest._text
+    above = text.rfind("(", max(pos - d, 0), pos)
+    return above if above >= 0 and text.startswith("(" + "." * d + ")", above) else -1
 
 
 def elementary_caret_spans(forest: Forest):
     """For each elementary caret, the global index of its first leaf, in
     increasing order; non-elementary carets are skipped."""
-    return [leaf for leaf, _ in _elementary_carets(forest._text, forest.degree)]
+    return [leaf for leaf, _ in _elementary_carets(forest)]
 
 
 def remove_elementary_caret(forest: Forest, start: int) -> Forest:
     """Collapse the elementary caret whose leaves start at `start` back to
     a leaf."""
-    require_int(start, "leaf index")
-    d, text = forest.degree, forest._text
-    for leaf, pos in _elementary_carets(text, d):
-        if leaf == start:
-            return decode(text[:pos] + "." + text[pos + d + 2:], d)
-    raise ValueError("no elementary caret with leaves starting at %d" % start)
+    pos = _caret_at(forest, require_int(start, "leaf index"))
+    if pos < 0:
+        raise ValueError("no elementary caret with leaves starting at %d" % start)
+    return _splice(forest, pos)
 
 
 def forest_to_matching(forest: Forest):

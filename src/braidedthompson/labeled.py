@@ -25,7 +25,7 @@ labeled h with the braid of h on top of the bundle, and
 from __future__ import annotations
 
 from ._checks import int_prefix, require_int
-from .braids import (BraidWord, braid_equal, cable, delete_strands, half_twist,
+from .braids import (BraidWord, _cable, _forget, braid_equal, cable, half_twist,
                      is_pure, permutation_of, shifted)
 
 
@@ -179,6 +179,15 @@ class LabeledBraid:
         self.labels = labels
 
     @classmethod
+    def _trusted(cls, braid, labels):
+        """A labeled braid from a tuple of `Label`s, one per strand, that
+        the library built."""
+        x = object.__new__(cls)
+        x.braid = braid
+        x.labels = labels
+        return x
+
+    @classmethod
     def trivial(cls, strands):
         return cls(BraidWord(strands), (Label(),) * strands)
 
@@ -249,16 +258,21 @@ def labeled_cable(spec: LabelGroupSpec, x: LabeledBraid, widths) -> LabeledBraid
     empty gets the realized label braid in front of the cabled braid."""
     widths = list(widths)
     bundles = _bundles(spec, widths)
-    braid = cable(x.braid, widths)
+    braid = _label_braids_on_top(spec, x.labels, bundles, cable(x.braid, widths))
     labels = list(x.labels)
+    for j, _ in reversed(bundles):
+        labels[j:j + 1] = (x.labels[j],) * widths[j]
+    return LabeledBraid._trusted(braid, tuple(labels))
+
+
+def _label_braids_on_top(spec, labels, bundles, braid):
+    """The cabled `braid` with the realized label braid of each bundle's
+    strand in front of the bundle."""
     top = []
     for j, pos in reversed(bundles):
-        labels[j:j + 1] = (x.labels[j],) * widths[j]
-        if x.labels[j].word:
-            top.extend(shifted(x.labels[j].realize(spec), pos, braid.strands).letters)
-    if top:
-        braid = BraidWord._trusted(braid.strands, tuple(top) + braid.letters)
-    return LabeledBraid(braid, labels)
+        if labels[j].word:
+            top.extend(shifted(labels[j].realize(spec), pos, braid.strands).letters)
+    return BraidWord._trusted(braid.strands, tuple(top) + braid.letters) if top else braid
 
 
 def labeled_uncable(spec: LabelGroupSpec, x: LabeledBraid, widths):
@@ -267,15 +281,45 @@ def labeled_uncable(spec: LabelGroupSpec, x: LabeledBraid, widths):
     must agree per bundle up to label_equal (y keeps the leader's word)
     and re-cabling y must give x.braid."""
     widths = list(widths)
+    for w in widths:
+        require_int(w, "width", 1)
+    if sum(widths) != x.strands:
+        raise ValueError("widths cover %d strands, the braid has %d" % (sum(widths), x.strands))
+    return _uncable(spec, x, widths, _bundles(spec, widths))
+
+
+def _uncable_at(spec, x, start):
+    """`labeled_uncable` of x by one bundle, the d strands from strand
+    `start` on (1-based), which the library checked to fit in x."""
     d = spec.degree
-    killed = set()
-    for _, pos in _bundles(spec, widths):
-        lead = x.labels[pos]
-        if not all(label_equal(spec, lab, lead) for lab in x.labels[pos + 1:pos + d]):
+    widths = [1] * (start - 1) + [d] + [1] * (x.strands - start - d + 1)
+    return _uncable(spec, x, widths, [(start - 1, start - 1)])
+
+
+def _uncable(spec, x, widths, bundles):
+    """`labeled_uncable` by widths that the library built to cover x, and
+    their `_bundles`.  It walks the bundles, not the strands: the labels
+    and the flags of the deleted strands are cut and joined in slices."""
+    if not bundles:
+        return x
+    d = spec.degree
+    labels = x.labels
+    kept, dead, last = [], [], 0
+    for _, pos in bundles:
+        lead = labels[pos]
+        if not all(label_equal(spec, lab, lead) for lab in labels[pos + 1:pos + d]):
             return None
-        killed.update(range(pos + 2, pos + d + 1))
-    y = LabeledBraid(delete_strands(x.braid, killed) if killed else x.braid,
-                     [lab for i, lab in enumerate(x.labels, 1) if i not in killed])
-    if not braid_equal(x.braid, labeled_cable(spec, y, widths).braid):
+        kept += labels[last:pos + 1]
+        dead += [False] * (pos + 1 - last) + [True] * (d - 1)
+        last = pos + d
+    kept += labels[last:]
+    if x.braid.letters:
+        dead += [False] * (len(labels) - last)
+        y = LabeledBraid._trusted(_forget(x.braid, dead), tuple(kept))
+        cabled = _cable(y.braid, widths)
+    else:  # forgetting strands of the empty word, and cabling it, give empty words
+        y = LabeledBraid._trusted(BraidWord._trusted(len(kept), ()), tuple(kept))
+        cabled = BraidWord._trusted(x.strands, ())
+    if not braid_equal(x.braid, _label_braids_on_top(spec, y.labels, bundles, cabled)):
         return None
     return y

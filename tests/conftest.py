@@ -82,11 +82,15 @@ def random_element(ctx, rng, steps=3):
     return s
 
 
-def reduce_descending(ctx, s):
-    """ctx.reduce with the highest caret tried first: the other scan order,
-    as an oracle for the uniqueness of the reduced representative."""
+def reduce_by_restarts(ctx, s, descending=False):
+    """ctx.reduce as a restart scan: try the elementary carets of minus
+    lowest first (or highest first), and after each success scan again
+    from the start.  Lowest first, it is the oracle of the work-list scan,
+    letter for letter; highest first, the other order, it is an oracle for
+    the uniqueness of the reduced representative."""
     while True:
-        for start in reversed(elementary_caret_spans(s.minus)):
+        spans = elementary_caret_spans(s.minus)
+        for start in reversed(spans) if descending else spans:
             t = ctx.try_reduce_at(s, start)
             if t is not None:
                 s = t
@@ -151,6 +155,16 @@ def random_complex(rng, max_vertices=7, max_faces=6, max_size=4):
     faces = [tuple(rng.sample(range(nv), rng.randint(1, min(max_size, nv))))
              for _ in range(rng.randint(2, max_faces))]
     return SimplicialComplex(nv, faces)
+
+
+def random_non_cone(rng, **sizes):
+    """A `random_complex` whose maximal faces share no vertex, so that its
+    homology is not answered by the cone rule but by elimination: draws
+    are repeated until one is not a cone (about one in three is not)."""
+    while True:
+        k = random_complex(rng, **sizes)
+        if not set.intersection(*map(set, k.maximal_faces)):
+            return k
 
 
 def forbidden(word):

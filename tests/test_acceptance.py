@@ -25,7 +25,7 @@ from braidedthompson.forests import decode
 from conftest import (complex_library, context_full_twist, context_half_twist,
                       context_trivial, random_complex, random_element,
                       random_elementary_braige, random_label,
-                      reduce_descending, seeded, width_preserving_multiplier,
+                      reduce_by_restarts, seeded, width_preserving_multiplier,
                       make_context)
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
@@ -71,7 +71,7 @@ def test_criterion_02_unique_normal_form():
         for _ in range(rng.randint(1, 5)):
             t = ctx.expand(t, rng.randint(1, t.leaves))
         r_asc = ctx.reduce(t)
-        r_desc = reduce_descending(ctx, t)
+        r_desc = reduce_by_restarts(ctx, t, descending=True)
         r_orig = ctx.reduce(s)
         for a, b in ((r_asc, r_desc), (r_asc, r_orig)):
             assert a.minus == b.minus and a.plus == b.plus

@@ -807,6 +807,10 @@ def _assert_matches_oracles(w, widths, kill):
     assert d.strands == w.strands - len(kill)
     for v in (w, c, d):
         assert permutation_of(v).image == _oracle_permutation_of(v).image
+    # with w's permutation cached, as it is now, the deletion's is read off it
+    read = delete_strands(w, kill)
+    assert read._perm is not None and read.letters == d.letters
+    assert read._perm.image == _oracle_permutation_of(d).image
 
 
 def test_cable_delete_and_permutation_match_oracles_on_seeded_words():

@@ -16,7 +16,7 @@ from braidedthompson import (HeightFunction, SimplicialComplex,
                              smith_invariants, star, sublevel, wcm_violation)
 from braidedthompson import complexes
 from braidedthompson.complexes import _sparse_invariants
-from conftest import complex_library, random_complex, seeded
+from conftest import complex_library, random_complex, random_non_cone, seeded
 
 HOLLOW = SimplicialComplex(3, [(0, 1), (1, 2), (0, 2)])
 
@@ -361,6 +361,11 @@ def test_homology_matches_dense_reference():
              + list(complex_library().values())
              + [random_complex(rng, max_vertices=9, max_faces=8, max_size=5)
                 for _ in range(150)])
+    # about two random draws in three are cones, which the cone rule answers
+    # without elimination; these draws reach it
+    non_cones = seeded("homology-vs-dense-non-cones")
+    cases += [random_non_cone(non_cones, max_vertices=9, max_faces=8, max_size=5)
+              for _ in range(100)]
     for k in cases:
         closure = oracle_faces(k)
         assert report_of(reduced_homology(k)) == dense_homology(chains_of(closure, -1), -1), k
@@ -387,13 +392,15 @@ def boundary_columns(chains, p):
 
 
 def clearing_cases():
-    rng = seeded("clearing")
+    rng, non_cones = seeded("clearing"), seeded("clearing-non-cones")
     rp2 = complex_library()["rp2"]
     s0 = SimplicialComplex(2, [(0,), (1,)])
     return ([SimplicialComplex(0), join(rp2, s0), join(rp2, rp2),
              d_matching_linear(3, 12), d_matching_cyclic(2, 10)]
             + list(complex_library().values())
-            + [random_complex(rng, max_vertices=9, max_faces=8, max_size=5) for _ in range(150)])
+            + [random_complex(rng, max_vertices=9, max_faces=8, max_size=5) for _ in range(150)]
+            + [random_non_cone(non_cones, max_vertices=9, max_faces=8, max_size=5)
+               for _ in range(100)])
 
 
 def test_cleared_columns_keep_the_invariant_factors():

@@ -9,12 +9,12 @@ from braidedthompson import (BraidWord, Forest, GroupContext, Label,
                              v_multiply, v_reduce, word_from_permutation)
 from braidedthompson import braids, complexes, diagrams
 from braidedthompson.complexes import HeightFunction
-from braidedthompson.forests import (attach_caret, decode, matching_to_forest,
-                                    remove_elementary_caret)
+from braidedthompson.forests import (attach_caret, decode, elementary_caret_spans,
+                                    matching_to_forest, remove_elementary_caret)
 from braidedthompson.labeled import lb_equal
 from conftest import (context_full_twist, context_half_twist, context_trivial,
                       forbidden, make_context, random_element,
-                      random_elementary_braige, random_label, reduce_descending,
+                      random_elementary_braige, random_label, reduce_by_restarts,
                       seeded, width_preserving_multiplier)
 
 
@@ -275,7 +275,7 @@ def test_reduce_is_scan_order_independent():
         for _ in range(rng.randint(1, 4)):
             t = ctx.expand(t, rng.randint(1, t.leaves))
         r_asc = ctx.reduce(t)
-        r_desc = reduce_descending(ctx, t)
+        r_desc = reduce_by_restarts(ctx, t, descending=True)
         r_orig = ctx.reduce(s)
         for a, b in ((r_asc, r_desc), (r_asc, r_orig)):
             assert a.minus == b.minus and a.plus == b.plus
@@ -285,22 +285,73 @@ def test_reduce_is_scan_order_independent():
                                                 lb_.realize(ctx.spec))
 
 
-def test_reduce_reads_the_splitting_forest_once_per_scan(monkeypatch):
-    # reduce takes each start from one reading of minus's elementary carets
-    # and does not check it again: a scan reads minus once, and only a
-    # block landing on consecutive positions reads plus
-    spans = diagrams.elementary_caret_spans
-    step = GroupContext._reduce_at
-    read, scanned = [], []
+REDUCTION_CONTEXTS = (context_trivial(2, 1), context_trivial(3, 2), context_full_twist(2, 1),
+                      context_full_twist(3, 1), context_half_twist(2, 1), context_half_twist(3, 2))
 
-    def reduce_at(ctx, s, start):
-        t = step(ctx, s, start)
-        if t is not None:
-            scanned.append(t)
+
+def test_reduce_agrees_with_the_restart_scan_letter_for_letter():
+    # the work-list scan makes the successes the restart scan makes, in the
+    # same order, so the two representatives agree letter for letter
+    rng = seeded("work-list-vs-restart")
+    for ctx in REDUCTION_CONTEXTS:
+        for _ in range(40):
+            t = _scrambled(ctx, rng, random_element(ctx, rng, 3))
+            got, want = ctx.reduce(t), reduce_by_restarts(ctx, t)
+            assert (got.minus, got.lb.braid.letters, got.lb.labels, got.plus) == (
+                want.minus, want.lb.braid.letters, want.lb.labels, want.plus)
+
+
+def counted_reductions(monkeypatch):
+    """Counts GroupContext._reduce_at calls, and the successful ones."""
+    step = GroupContext._reduce_at
+    calls = {"tried": 0, "reduced": 0}
+
+    def reduce_at(ctx, *args):
+        t = step(ctx, *args)
+        calls["tried"] += 1
+        calls["reduced"] += t is not None
         return t
 
-    monkeypatch.setattr(diagrams, "elementary_caret_spans",
-                        lambda forest: read.append(forest) or spans(forest))
+    monkeypatch.setattr(GroupContext, "_reduce_at", reduce_at)
+    return calls
+
+
+def test_reduce_tries_each_caret_at_most_once(monkeypatch):
+    # a caret that failed stays failed, so reduce tries the elementary
+    # carets of its input, and after each success at most the one caret
+    # that has just become elementary
+    calls = counted_reductions(monkeypatch)
+    rng = seeded("reduce-count")
+    steps = 0
+    for ctx in REDUCTION_CONTEXTS:
+        for _ in range(30):
+            t = _scrambled(ctx, rng, random_element(ctx, rng, 2))
+            calls.update(tried=0, reduced=0)
+            r = ctx.reduce(t)
+            assert calls["tried"] <= len(elementary_caret_spans(t.minus)) + calls["reduced"]
+            assert (r.leaves - t.leaves) == -(ctx.d - 1) * calls["reduced"]
+            steps += calls["reduced"]
+    assert steps > 100
+
+
+def test_reduce_reads_the_splitting_forest_once_per_scan(monkeypatch):
+    # reduce reads the elementary carets of its input's minus once, and
+    # looks no caret of minus up again: only plus is searched, and only for
+    # a block landing on consecutive positions
+    carets, caret_at, step = diagrams._elementary_carets, diagrams._caret_at, GroupContext._reduce_at
+    read, searched, scanned, reduced = [], [], [], []
+
+    def reduce_at(ctx, s, *args):
+        scanned.append(s)
+        t = step(ctx, s, *args)
+        if t is not None:
+            reduced.append(t)
+        return t
+
+    monkeypatch.setattr(diagrams, "_elementary_carets",
+                        lambda forest: read.append(forest) or carets(forest))
+    monkeypatch.setattr(diagrams, "_caret_at",
+                        lambda forest, start: searched.append(forest) or caret_at(forest, start))
     monkeypatch.setattr(GroupContext, "_reduce_at", reduce_at)
     rng = seeded("reduce-reads")
     steps = 0
@@ -309,15 +360,44 @@ def test_reduce_reads_the_splitting_forest_once_per_scan(monkeypatch):
             t = random_element(ctx, rng, 2)
             for _ in range(rng.randint(1, 4)):
                 t = ctx.expand(t, rng.randint(1, t.leaves))
-            read.clear()
-            scanned[:] = [t]
+            for calls in (read, searched, scanned, reduced):
+                calls.clear()
             r = ctx.reduce(t)
-            assert r is scanned[-1]
-            for x in scanned:
-                assert x.minus is not x.plus
-                assert sum(f is x.minus for f in read) == 1
-            steps += len(scanned) - 1
+            assert r is (reduced[-1] if reduced else t)
+            assert len(read) == 1 and read[0] is t.minus
+            assert all(x.minus is not x.plus for x in scanned)
+            assert not any(f is x.minus for f in searched for x in scanned)
+            assert len(searched) <= len(scanned)
+            steps += len(reduced)
     assert steps > 100
+
+
+def test_equal_on_products_makes_no_reduction_attempt(monkeypatch):
+    # multiply returns a representative marked as reduced for the context's
+    # label group, so reduce, equal and key return or read it at once
+    rng = seeded("marked-products")
+    for ctx in REDUCTION_CONTEXTS:
+        for _ in range(5):
+            a, b = random_element(ctx, rng, 2), random_element(ctx, rng, 2)
+            p, q = ctx.multiply(a, b), ctx.multiply(ctx.multiply(a, b), ctx.identity())
+            calls = counted_reductions(monkeypatch)
+            assert ctx.equal(p, q) and ctx.reduce(p) is p and ctx.key(p) == ctx.key(q)
+            assert calls["tried"] == 0
+            monkeypatch.undo()
+
+
+def test_the_reduced_mark_belongs_to_one_label_group():
+    # a caret whose two strands carry g1 with an empty braid is reduced
+    # exactly when g1 realizes the trivial braid: not for the full twist,
+    # yes for a generator spelled as the empty word
+    twist, trivial = context_full_twist(2, 1), make_context(2, 1, (BraidWord(2),), pure=True)
+    caret = decode("(..)", 2)
+    s = Spraige(caret, LabeledBraid(BraidWord(2), (Label((1,)),) * 2), caret)
+    r = twist.reduce(s)
+    assert r is s and twist.reduce(r) is r
+    red = trivial.reduce(r)
+    assert red.leaves == 1 and red.lb.labels == (Label((1,)),)
+    assert twist.reduce(red) is red  # one leaf: no caret left to try
 
 
 def test_reduce_is_idempotent():
@@ -325,7 +405,8 @@ def test_reduce_is_idempotent():
     rng = seeded("idem")
     for _ in range(50):
         s = ctx.reduce(random_element(ctx, rng, 2))
-        assert ctx.reduce(s) == s
+        # a copy without the reduced mark is scanned again
+        assert ctx.reduce(Spraige(s.minus, s.lb, s.plus)) == s
 
 
 def test_group_axioms_per_context():
@@ -947,7 +1028,7 @@ def test_reduce_is_idempotent_and_undoes_expansion(name):
     @given(_element(ctx), st.integers(1, 20))
     def check(a, i):
         r = ctx.reduce(a)
-        again = ctx.reduce(r)
+        again = ctx.reduce(Spraige(r.minus, r.lb, r.plus))  # without the reduced mark
         assert (again.minus, again.plus, again.lb) == (r.minus, r.plus, r.lb)
         assert _same_representative(ctx, ctx.reduce(ctx.expand(a, (i - 1) % a.leaves + 1)), r)
 

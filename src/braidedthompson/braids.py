@@ -303,10 +303,8 @@ def half_twist(d: int) -> BraidWord:
 
 def shifted(w: BraidWord, offset: int, strands: int) -> BraidWord:
     """Embed w on strands offset+1 .. offset+w.strands inside B_strands."""
-    if type(offset) is not int or type(strands) is not int:
-        raise ValueError("offset %r and strand count %r must be integers" % (offset, strands))
-    if offset < 0 or offset + w.strands > strands:
-        raise ValueError("shift out of range")
+    require_int(strands, "strand count", w.strands)
+    require_int(offset, "offset", 0, strands - w.strands)
     return BraidWord._trusted(strands, tuple([a + offset if a > 0 else a - offset
                                               for a in w.letters]))
 

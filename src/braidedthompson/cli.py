@@ -107,13 +107,6 @@ def _element_json(name, s: Spraige):
     }
 
 
-def _load_session(args):
-    if not getattr(args, "input", None):
-        raise CliError("this command needs --input FILE with a group header and elements")
-    with open(args.input, "r", encoding="utf-8") as fh:
-        return parse_session(fh.read())
-
-
 def _get(elements, name):
     if name not in elements:
         raise CliError("no element named %r in the input file" % name)
@@ -217,7 +210,8 @@ ELEMENT_COMMANDS = {
 def cmd_element(args):
     """Any command of ELEMENT_COMMANDS, on the elements named in --input."""
     operands, fn = ELEMENT_COMMANDS[args.command]
-    ctx, elements = _load_session(args)
+    with open(args.input, "r", encoding="utf-8") as fh:
+        ctx, elements = parse_session(fh.read())
     fields, truth = fn(ctx, args, *[_get(elements, getattr(args, n)) for n in operands])
     return dict(fields, command=args.command, ok=True), truth
 
@@ -357,7 +351,7 @@ def build_parser():
     elem = {}
     for name, (operands, _) in ELEMENT_COMMANDS.items():
         p = elem[name] = sub.add_parser(name)
-        p.add_argument("--input", required=False, help="DSL file with header and elements")
+        p.add_argument("--input", required=True, help="DSL file with header and elements")
         for n in operands:
             p.add_argument(n)
         p.set_defaults(fn=cmd_element)

@@ -40,8 +40,8 @@ Faces are read off the maximal faces one size at a time, as they are
 asked for, and cached on the complex.  Full subcomplexes, mutual links
 and descending links come from one restriction (some faces of the
 complex cut down to a vertex set, then filtered for maximality); links,
-stars and duplicated covers skip the filter, as their faces are maximal
-by construction.  The chains of a Morse level pair are the cones over
+stars, joins and duplicated covers skip the filter, as their faces are
+maximal by construction.  The chains of a Morse level pair are the cones over
 the faces of the descending links the sweep built.
 """
 
@@ -165,16 +165,14 @@ class SimplicialComplex:
 
     @classmethod
     def from_json_dict(cls, data):
-        """Inverse of to_json_dict; ValueError on anything of another shape."""
+        """Inverse of to_json_dict; ValueError on anything of another shape.
+        The vertex count and the face vertices are checked by __init__."""
         if not isinstance(data, dict) or not {"vertices", "maximal_faces"} <= data.keys():
             raise ValueError('a complex is an object with "vertices" and "maximal_faces"')
-        vertices, faces = data["vertices"], data["maximal_faces"]
-        if type(vertices) is not int:
-            raise ValueError("vertices must be an integer, got %r" % (vertices,))
-        if not isinstance(faces, list) or not all(
-                isinstance(f, list) and all(type(v) is int for v in f) for f in faces):
-            raise ValueError("maximal_faces must be a list of lists of integers")
-        return cls(vertices, faces)
+        faces = data["maximal_faces"]
+        if not isinstance(faces, list) or not all(isinstance(f, list) for f in faces):
+            raise ValueError("maximal_faces must be a list of lists")
+        return cls(data["vertices"], faces)
 
 
 # -- restriction: link, star, join, mutual link ------------------------------
@@ -215,20 +213,28 @@ def star(k: SimplicialComplex, sigma) -> SimplicialComplex:
 
 def join(k1: SimplicialComplex, k2: SimplicialComplex) -> SimplicialComplex:
     """Simplicial join on the disjoint union of the vertex sets (the
-    second complex is shifted by k1.vertices)."""
+    second complex is shifted by k1.vertices).  Its maximal faces are a + b
+    for a, b maximal in k1 and the shifted k2, or () in one with no face
+    (never the empty face): disjoint vertex sets make a + b sorted, and
+    maximal with no filter, as a + b < a' + b' would give a < a' or b < b'."""
     off = k1.vertices
     m1 = list(k1.maximal_faces) or [()]
     m2 = [tuple(v + off for v in f) for f in k2.maximal_faces] or [()]
-    return SimplicialComplex(k1.vertices + k2.vertices,
-                             {tuple(sorted(a + b)) for a in m1 for b in m2 if a or b})
+    return SimplicialComplex._trusted(k1.vertices + k2.vertices,
+                                      [a + b for a in m1 for b in m2 if a or b])
+
+
+def _require_vertex(k: SimplicialComplex, v) -> None:
+    """A ValueError unless v is an int that is a vertex of k."""
+    if not k.has_face((require_int(v, "vertex"),)):
+        raise ValueError("%d is not a vertex" % v)
 
 
 def mutual_link(k: SimplicialComplex, x: int, y: int) -> SimplicialComplex:
     """Lk(x) intersected with Lk(y), the complex seen from both vertices:
     the intersections of a coface of x with a coface of y, minus x and y."""
-    for v in (x, y):
-        if not k.has_face((require_int(v, "vertex"),)):
-            raise ValueError("%d is not a vertex" % v)
+    _require_vertex(k, x)
+    _require_vertex(k, y)
     xs, ys = _cofaces(k, (x,)), [set(b) for b in _cofaces(k, (y,))]
     return _restrict(k, [tuple(v for v in a if v in b) for a in xs for b in ys],
                      set().union(*xs).difference((x, y)))
@@ -530,10 +536,8 @@ def d_matching_cyclic(d: int, m: int) -> SimplicialComplex:
 def restrict_initial(k: SimplicialComplex, z) -> SimplicialComplex:
     """Full subcomplex of a matching complex on the arcs whose initial
     position lies in z (positions are 1-based, vertex ids 0-based)."""
-    z = set(z)
-    if not all(type(p) is int and 1 <= p <= k.vertices for p in z):
-        raise ValueError("initial positions must lie in 1..%d" % k.vertices)
-    return k.full_subcomplex({p - 1 for p in z})
+    return k.full_subcomplex({require_int(p, "initial position", 1, k.vertices) - 1
+                              for p in set(z)})
 
 
 def simplex_counts(d: int, m: int):
@@ -675,8 +679,7 @@ def morse_descending_link(k: SimplicialComplex, h: HeightFunction, v: int) -> Si
     the parts below h(v) of the maximal faces through v."""
     if not h.is_valid_for(k):
         raise ValueError(_INVALID_HEIGHTS)
-    if not k.has_face((require_int(v, "vertex"),)):
-        raise ValueError("%d is not a vertex" % v)
+    _require_vertex(k, v)
     return _descending_link(k, h, v)
 
 

@@ -215,9 +215,7 @@ def elementary_forest(n: int, J, d: int) -> Forest:
     """n roots, with a single caret on root i for each i in J."""
     require_int(d, "arity", 2)
     require_int(n, "root count", 1)
-    J = set(J)
-    if not all(type(i) is int and 1 <= i <= n for i in J):
-        raise ValueError("J must be a subset of 1..%d, got %r" % (n, J))
+    J = {require_int(i, "caret root", 1, n) for i in J}
     caret = "(" + "." * d + ")"
     return decode("|".join(caret if i in J else "." for i in range(1, n + 1)), d)
 
@@ -349,11 +347,12 @@ def matching_to_forest(intervals, m: int, d: int) -> Forest:
     """Inverse of forest_to_matching: rebuild the elementary forest with m
     leaves from disjoint intervals [i, i+d-1] inside [1, m]."""
     require_int(d, "arity", 2)
-    require_int(m, "leaf count")
+    require_int(m, "leaf count", 1)
     starts = []
     for iv in intervals:
         a, b = iv
-        if type(a) is not int or type(b) is not int or b != a + d - 1 or a < 1 or b > m:
+        require_int(a, "interval start", 1, m - d + 1)
+        if type(b) is not int or b != a + d - 1:
             raise ValueError("bad interval %r for d=%d, m=%d" % (iv, d, m))
         starts.append(a)
     starts.sort()

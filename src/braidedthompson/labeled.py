@@ -25,8 +25,8 @@ labeled h with the braid of h on top of the bundle, and
 from __future__ import annotations
 
 from ._checks import int_prefix, require_int
-from .braids import (BraidWord, _cable, _forget, braid_equal, cable, half_twist,
-                     is_pure, permutation_of, shifted)
+from .braids import (BraidWord, _cable, _forget, braid_equal, half_twist, is_pure,
+                     permutation_of, shifted)
 
 
 class LabelGroupSpec:
@@ -244,9 +244,10 @@ def lb_equal(spec: LabelGroupSpec, x: LabeledBraid, y: LabeledBraid) -> bool:
 
 def _bundles(spec, widths):
     """(strand, first cable strand), 0-based, of each strand that `widths`
-    (one per uncabled strand) widens; a bundle carries B_d, so it is d wide."""
+    (one per uncabled strand) widens; a bundle carries B_d, so it is d wide.
+    Each width is an int >= 1, then 1 or d; else a ValueError."""
     d = spec.degree
-    wide = [j for j, w in enumerate(widths) if w > 1]
+    wide = [j for j, w in enumerate(widths) if require_int(w, "width", 1) > 1]
     if any(widths[j] != d for j in wide):
         raise ValueError("a cabled strand must become %d strands" % d)
     return [(j, j + k * (d - 1)) for k, j in enumerate(wide)]
@@ -257,8 +258,10 @@ def labeled_cable(spec: LabelGroupSpec, x: LabeledBraid, widths) -> LabeledBraid
     all labeled x.labels[j], and each bundle whose label word is not
     empty gets the realized label braid in front of the cabled braid."""
     widths = list(widths)
+    if len(widths) != x.strands:
+        raise ValueError("need one width per strand")
     bundles = _bundles(spec, widths)
-    braid = _label_braids_on_top(spec, x.labels, bundles, cable(x.braid, widths))
+    braid = _label_braids_on_top(spec, x.labels, bundles, _cable(x.braid, widths))
     labels = list(x.labels)
     for j, _ in reversed(bundles):
         labels[j:j + 1] = (x.labels[j],) * widths[j]
@@ -281,11 +284,10 @@ def labeled_uncable(spec: LabelGroupSpec, x: LabeledBraid, widths):
     must agree per bundle up to label_equal (y keeps the leader's word)
     and re-cabling y must give x.braid."""
     widths = list(widths)
-    for w in widths:
-        require_int(w, "width", 1)
+    bundles = _bundles(spec, widths)
     if sum(widths) != x.strands:
         raise ValueError("widths cover %d strands, the braid has %d" % (sum(widths), x.strands))
-    return _uncable(spec, x, widths, _bundles(spec, widths))
+    return _uncable(spec, x, widths, bundles)
 
 
 def _uncable_at(spec, x, start):

@@ -1,6 +1,8 @@
 """The benchmark's smoke run passes against the library in src/: every
 workload at tiny sizes, untraced and traced, so a library change that
-breaks the benchmark or the tracer's name lookups fails here."""
+breaks the benchmark or the tracer's name lookups fails here.  It runs in
+development mode with warnings as errors, as the test suite does in CI,
+so a warning raised inside the library during a benchmark run fails too."""
 
 import pathlib
 import subprocess
@@ -10,6 +12,6 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_benchmark_smoke_run_passes():
-    proc = subprocess.run([sys.executable, "benchmarks/smoke.py"], cwd=ROOT,
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "benchmarks/smoke.py"], cwd=ROOT,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr

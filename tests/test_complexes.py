@@ -709,9 +709,9 @@ def test_cost_follows_the_faces_not_the_declared_vertex_count():
         sublevel(small, h, 2).maximal_faces, restrict_initial(small, {1, 3}).maximal_faces]
     assert got[2][0].maximal_faces == duplicated_cover(small)[0].maximal_faces
     assert got[2][1] == duplicated_cover(small)[1]
-    with pytest.raises(ValueError, match="initial positions must lie in 1..1000000"):
+    with pytest.raises(ValueError, match=r"^initial position 0 out of range 1\.\.1000000$"):
         restrict_initial(big, {0, 1})
-    with pytest.raises(ValueError, match="initial positions must lie in 1..1000000"):
+    with pytest.raises(ValueError, match=r"^initial position 1000001 out of range 1\.\.1000000$"):
         restrict_initial(big, {10 ** 6 + 1})
 
 
@@ -867,15 +867,23 @@ def test_non_integer_vertices_are_rejected():
         assert str(err.value) == message
     # a position 1.5 used to give an empty complex
     k = d_matching_linear(2, 5)
-    for z in ([1.5], [2, True]):
-        with pytest.raises(ValueError, match=r"^initial positions must lie in 1\.\.4$"):
+    for z, message in (([1.5], "initial position 1.5 is not an integer"),
+                       ([2, True], "initial position True is not an integer"),
+                       ([0], "initial position 0 out of range 1..4")):
+        with pytest.raises(ValueError) as err:
             restrict_initial(k, z)
+        assert str(err.value) == message
     assert restrict_initial(k, [1, 3]) == k.full_subcomplex({0, 2})
-    # the JSON reader keeps its own messages
+    # the JSON reader checks the shape; the constructor, the vertex count
+    # and the face vertices
     for data, message in (({"vertices": 2.5, "maximal_faces": []},
-                           "vertices must be an integer, got 2.5"),
+                           "vertex count 2.5 is not an integer"),
                           ({"vertices": 3, "maximal_faces": [[0, 1.5]]},
-                           "maximal_faces must be a list of lists of integers")):
+                           "face (0, 1.5) has a vertex that is not an integer"),
+                          ({"vertices": 3, "maximal_faces": [0, 1]},
+                           "maximal_faces must be a list of lists"),
+                          ({"vertices": 3}, 'a complex is an object with "vertices" and '
+                                            '"maximal_faces"')):
         with pytest.raises(ValueError) as err:
             SimplicialComplex.from_json_dict(data)
         assert str(err.value) == message
@@ -1240,7 +1248,7 @@ def test_morse_functions_validate_once_and_build_each_link_once(monkeypatch):
 
 
 # -- trusted constructions and the cone rule -----------------------------------
-# link, star and duplicated_cover store faces they know are maximal, and a
+# link, star, join and duplicated_cover store faces they know are maximal, and a
 # cone's homology is reported without elimination; the filtered
 # constructions and the elimination stay here as their oracles.
 
@@ -1254,6 +1262,13 @@ def filtered_cover(k):
     return SimplicialComplex(2 * k.vertices, [tuple(2 * v + e for v, e in zip(f, eps))
                                               for f in k.maximal_faces
                                               for eps in product((0, 1), repeat=len(f))])
+
+
+def filtered_join(k1, k2):
+    m1 = list(k1.maximal_faces) or [()]
+    m2 = [tuple(v + k1.vertices for v in f) for f in k2.maximal_faces] or [()]
+    return SimplicialComplex(k1.vertices + k2.vertices,
+                             {tuple(sorted(a + b)) for a in m1 for b in m2 if a or b})
 
 
 def is_stored_clean(k):
@@ -1272,9 +1287,14 @@ def test_trusted_links_stars_and_covers_equal_the_filtered_constructions():
     cases += [random_complex(rng, max_vertices=9, max_faces=8, max_size=5) for _ in range(150)]
     cases += [d_matching_linear(2, 10), d_matching_linear(3, 12)]
     checked = maximal_sigma = 0
-    for k in cases:
+    for i, k in enumerate(cases):
         cover = duplicated_cover(k)[0]
         assert cover == filtered_cover(k) and is_stored_clean(cover), k
+        # joins with the next case, with itself, and with complexes without a face
+        for k1, k2 in ((k, cases[i - 1]), (k, k), (k, SimplicialComplex(2)),
+                       (SimplicialComplex(0), k)):
+            kj = join(k1, k2)
+            assert kj == filtered_join(k1, k2) and is_stored_clean(kj), (k1, k2)
         for sigma in sorted(k.faces):
             # oracle_star is the filtered construction of the star
             lk, st = link(k, sigma), star(k, sigma)
@@ -1357,8 +1377,8 @@ def test_a_complex_that_is_not_a_cone_reaches_elimination(monkeypatch):
 
 
 def test_links_stars_covers_and_wcm_skip_the_maximality_filter(monkeypatch):
-    # link, star, duplicated_cover and wcm_violation (whose verdict here is
-    # None, so it builds the link of every face it reads) build no complex
+    # link, star, join, duplicated_cover and wcm_violation (whose verdict here
+    # is None, so it builds the link of every face it reads) build no complex
     # through SimplicialComplex.__init__; the constructions that need the
     # maximality filter still do
     k = restrict_initial(d_matching_linear(2, 12), set(range(1, 12)) - {5})
@@ -1370,7 +1390,8 @@ def test_links_stars_covers_and_wcm_skip_the_maximality_filter(monkeypatch):
     monkeypatch.setattr(SimplicialComplex, "__init__",
                         lambda self, *args: calls.append(args) or init(self, *args))
     trusted = [lambda: [link(k, f) for f in k.faces], lambda: [star(k, f) for f in k.faces],
-               lambda: duplicated_cover(k), lambda: wcm_violation(k, 3) == verdict]
+               lambda: join(k, k), lambda: duplicated_cover(k),
+               lambda: wcm_violation(k, 3) == verdict]
     for run in trusted:
         calls.clear()
         assert run()

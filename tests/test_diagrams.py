@@ -11,7 +11,7 @@ from braidedthompson import braids, complexes, diagrams
 from braidedthompson.complexes import HeightFunction
 from braidedthompson.forests import (attach_caret, decode, elementary_caret_spans,
                                     matching_to_forest, remove_elementary_caret)
-from braidedthompson.labeled import lb_equal
+from braidedthompson.labeled import labeled_cable, lb_equal
 from conftest import (context_full_twist, context_half_twist, context_trivial,
                       forbidden, make_context, random_element,
                       random_elementary_braige, random_label, reduce_by_restarts,
@@ -93,9 +93,17 @@ _RISING = HeightFunction(range(_PATH5.vertices))  # valid: no edge is level
     pytest.param(lambda: GroupContext(True, 1, LabelGroupSpec(2)),
                  "arity True is not an integer", id="arity"),
     pytest.param(lambda: braids.shifted(BraidWord(2, [1]), 0.5, 3),
-                 "offset 0.5 and strand count 3 must be integers", id="shift-offset"),
+                 "offset 0.5 is not an integer", id="shift-offset"),
+    pytest.param(lambda: braids.shifted(BraidWord(2, [1]), True, 3),
+                 "offset True is not an integer", id="shift-offset-bool"),
+    pytest.param(lambda: braids.shifted(BraidWord(2, [1]), 2, 3),
+                 "offset 2 out of range 0..1", id="shift-offset-past-end"),
     pytest.param(lambda: braids.shifted(BraidWord(2, [1]), 1, 3.0),
-                 "offset 1 and strand count 3.0 must be integers", id="shift-strands"),
+                 "strand count 3.0 is not an integer", id="shift-strands"),
+    pytest.param(lambda: braids.shifted(BraidWord(2, [1]), 0, True),
+                 "strand count True is not an integer", id="shift-strands-bool"),
+    pytest.param(lambda: braids.shifted(BraidWord(2, [1]), 0, 1),
+                 "strand count 1 must be >= 2", id="shift-strands-below"),
     pytest.param(lambda: attach_caret(decode("(..)", 2), 1.0),
                  "leaf index 1.0 is not an integer", id="leaf-index"),
     # forests: every way in checks its sizes
@@ -106,16 +114,28 @@ _RISING = HeightFunction(range(_PATH5.vertices))  # valid: no edge is level
                  id="trivial-roots"),
     pytest.param(lambda: Forest.trivial(2, True), "root count True is not an integer",
                  id="trivial-roots-bool"),
-    pytest.param(lambda: elementary_forest(3, {1.0}, 2), "J must be a subset of 1..3, got {1.0}",
+    pytest.param(lambda: elementary_forest(3, {1.0}, 2), "caret root 1.0 is not an integer",
                  id="elementary-J"),
+    pytest.param(lambda: elementary_forest(3, {True}, 2), "caret root True is not an integer",
+                 id="elementary-J-bool"),
+    pytest.param(lambda: elementary_forest(3, {4}, 2), "caret root 4 out of range 1..3",
+                 id="elementary-J-past-end"),
     pytest.param(lambda: elementary_forest(2.0, {1}, 2), "root count 2.0 is not an integer",
                  id="elementary-roots"),
     pytest.param(lambda: elementary_forest(3, {1}, 2.0), "arity 2.0 is not an integer",
                  id="elementary-arity"),
     pytest.param(lambda: matching_to_forest({(1.0, 2.0)}, 4, 2),
-                 "bad interval (1.0, 2.0) for d=2, m=4", id="matching-interval"),
+                 "interval start 1.0 is not an integer", id="matching-interval"),
+    pytest.param(lambda: matching_to_forest({(True, 2)}, 4, 2),
+                 "interval start True is not an integer", id="matching-interval-bool"),
+    pytest.param(lambda: matching_to_forest({(0, 1)}, 4, 2),
+                 "interval start 0 out of range 1..3", id="matching-interval-below"),
     pytest.param(lambda: matching_to_forest({(1, 2)}, 4.0, 2),
                  "leaf count 4.0 is not an integer", id="matching-leaves"),
+    pytest.param(lambda: matching_to_forest({(1, 2)}, True, 2),
+                 "leaf count True is not an integer", id="matching-leaves-bool"),
+    pytest.param(lambda: matching_to_forest((), 0, 2),
+                 "leaf count 0 must be >= 1", id="matching-leaves-below"),
     pytest.param(lambda: matching_to_forest({(1, 2)}, 4, 2.0), "arity 2.0 is not an integer",
                  id="matching-arity"),
     pytest.param(lambda: remove_elementary_caret(decode("(..)", 2), 1.0),
@@ -132,12 +152,18 @@ _RISING = HeightFunction(range(_PATH5.vertices))  # valid: no edge is level
     pytest.param(lambda: context_trivial(2, 1).identity(1.0), "root count 1.0 is not an integer",
                  id="identity"),
     pytest.param(lambda: context_trivial(2, 1).lambda_spraige(1, {True}),
-                 "J must be a subset of 1..1, got {True}", id="lambda"),
+                 "caret root True is not an integer", id="lambda"),
     pytest.param(lambda: context_trivial(2, 1).mu_spraige(1.5, {1}),
                  "root count 1.5 is not an integer", id="mu"),
     # the braid layer
     pytest.param(lambda: cable(BraidWord(2, [1]), [1.5, 1]), "width 1.5 is not an integer",
                  id="cable-width"),
+    pytest.param(lambda: labeled_cable(LabelGroupSpec(2), LabeledBraid.trivial(2), [1, 2.0]),
+                 "width 2.0 is not an integer", id="labeled-cable-width"),
+    pytest.param(lambda: labeled_cable(LabelGroupSpec(2), LabeledBraid.trivial(2), [True, 1]),
+                 "width True is not an integer", id="labeled-cable-width-bool"),
+    pytest.param(lambda: labeled_cable(LabelGroupSpec(2), LabeledBraid.trivial(2), [0, 2]),
+                 "width 0 must be >= 1", id="labeled-cable-width-below"),
     pytest.param(lambda: half_twist(3.0), "strand count 3.0 is not an integer", id="half-twist"),
     pytest.param(lambda: braids.delete_strands(BraidWord(2, [1]), [1.0]),
                  "strand index 1.0 is not an integer", id="delete-strands"),
@@ -150,6 +176,21 @@ _RISING = HeightFunction(range(_PATH5.vertices))  # valid: no edge is level
                  "vertex count 2.5 is not an integer", id="simplex"),
     pytest.param(lambda: complexes.SimplicialComplex.sphere(1.5),
                  "sphere dimension 1.5 is not an integer", id="sphere"),
+    pytest.param(lambda: complexes.restrict_initial(_PATH5, [1.0]),
+                 "initial position 1.0 is not an integer", id="restrict-initial"),
+    pytest.param(lambda: complexes.restrict_initial(_PATH5, [True]),
+                 "initial position True is not an integer", id="restrict-initial-bool"),
+    pytest.param(lambda: complexes.restrict_initial(_PATH5, [5]),
+                 "initial position 5 out of range 1..4", id="restrict-initial-past-end"),
+    pytest.param(lambda: complexes.SimplicialComplex.from_json_dict(
+        {"vertices": 2.5, "maximal_faces": []}), "vertex count 2.5 is not an integer",
+                 id="json-vertices"),
+    pytest.param(lambda: complexes.SimplicialComplex.from_json_dict(
+        {"vertices": True, "maximal_faces": []}), "vertex count True is not an integer",
+                 id="json-vertices-bool"),
+    pytest.param(lambda: complexes.SimplicialComplex.from_json_dict(
+        {"vertices": -1, "maximal_faces": []}), "vertex count -1 must be >= 0",
+                 id="json-vertices-below"),
     pytest.param(lambda: complexes.wcm_violation(_PATH5, 1.5), "dimension 1.5 is not an integer",
                  id="wcm"),
     pytest.param(lambda: complexes.reduced_homology(_PATH5, 0.5), "degree 0.5 is not an integer",

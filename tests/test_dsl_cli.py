@@ -20,7 +20,7 @@ from braidedthompson import (BraidWord, DslError, GroupContext, Label,
                              format_session, half_twist, is_pure,
                              parse_element_text, parse_session)
 from braidedthompson import complexes as cx
-from braidedthompson.cli import RESULT_SCHEMA, main
+from braidedthompson.cli import ELEMENT_COMMANDS, RESULT_SCHEMA, main
 from braidedthompson.dsl import _tokenize
 from braidedthompson.forests import decode as decode_forest
 from conftest import (context_full_twist, context_half_twist, context_trivial,
@@ -300,6 +300,18 @@ def test_cli_missing_operand_is_a_json_error(capsys, session_file):
                    "error": "bht eq: the following arguments are required: b"}
 
 
+def test_cli_missing_input_is_a_json_error(capsys):
+    # argparse owns the rule: every element command requires --input
+    err = usage_error(capsys, ["eq", "a", "b"])
+    assert err == {"command": "eq", "ok": False,
+                   "error": "bht eq: the following arguments are required: --input"}
+    for command, (operands, _) in ELEMENT_COMMANDS.items():
+        flags = {"member": ["--sub", "F"], "embed": ["--label", "e"]}.get(command, [])
+        err = usage_error(capsys, [command] + flags + ["x"] * len(operands))
+        assert err == {"command": command, "ok": False, "error":
+                       "bht %s: the following arguments are required: --input" % command}
+
+
 def test_cli_unknown_option_is_a_json_error(capsys, session_file):
     err = usage_error(capsys, ["eq", "--input", session_file, "a", "b", "--bogus"])
     assert err == {"command": "eq", "ok": False,
@@ -550,7 +562,7 @@ def test_cli_complex_restricted_to_initial_positions(capsys):
     # M_2(P_5) has arcs starting at 1..4; keeping 1 and 3 leaves one edge
     code, data = run_cli(capsys, *argv, "--z", "1,3")
     assert code == 0 and data["complex"] == {"vertices": 4, "maximal_faces": [[0, 2]]}
-    for z, message in (("0", "initial positions must lie in 1..4"),
+    for z, message in (("0", "initial position 0 out of range 1..4"),
                        ("a", "--z takes comma separated integers, not 'a'"),
                        ("1,+3", "--z takes comma separated integers, not '+3'"),
                        ("1_0", "--z takes comma separated integers, not '1_0'"),

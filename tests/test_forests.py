@@ -186,9 +186,11 @@ def test_matching_bijection_exhaustive(d):
 def test_matching_to_forest_rejections():
     cases = [(({(1, 2), (2, 3)}, 4, 2), "overlapping intervals"),
              (({(1, 3)}, 4, 2), "bad interval (1, 3) for d=2, m=4"),   # wrong length
-             (({(4, 5)}, 4, 2), "bad interval (4, 5) for d=2, m=4"),   # out of range
-             (({(0, 2)}, 4, 3), "bad interval (0, 2) for d=3, m=4")]   # out of range
-    cases += [(((), 0, d), "root count 0 must be >= 1") for d in (2, 3)]
+             (({(1, 2.0)}, 4, 2), "bad interval (1, 2.0) for d=2, m=4"),
+             (({(4, 5)}, 4, 2), "interval start 4 out of range 1..3"),
+             (({(0, 2)}, 4, 3), "interval start 0 out of range 1..2"),
+             (({(1, 2)}, 1, 2), "interval start 1 out of range 1..0")]
+    cases += [(((), 0, d), "leaf count 0 must be >= 1") for d in (2, 3)]
     for args, message in cases:
         with pytest.raises(ValueError) as exc:
             matching_to_forest(*args)
@@ -659,6 +661,12 @@ def test_integer_rule_is_spelled_in_one_module():
     spelled = {path.name for path in PACKAGE.glob("*.py")
                if "%r is not an integer" in path.read_text(encoding="utf-8")}
     assert spelled == {"_checks.py"}
+    # the ways in that once spelled the rule in words of their own
+    for wording in ("offset %r and strand count %r must be integers",
+                    "vertices must be an integer, got"):
+        spelled = {path.name for path in PACKAGE.glob("*.py")
+                   if wording in path.read_text(encoding="utf-8")}
+        assert spelled == set(), wording
 
 
 def test_integer_text_is_read_in_one_module():
@@ -688,6 +696,12 @@ def test_bound_rule_is_spelled_in_one_module():
     own = {path.name for path in PACKAGE.glob("*.py")
            if re.search(r"must be >= -?\d|out of range -?\d+\.\.", path.read_text(encoding="utf-8"))}
     assert own == set()
+    # the ways in that once spelled a bound in words of their own
+    for wording in ("shift out of range", "initial positions must lie in 1..%d",
+                    "J must be a subset of 1..%d"):
+        spelled = {path.name for path in PACKAGE.glob("*.py")
+                   if wording in path.read_text(encoding="utf-8")}
+        assert spelled == set(), wording
 
 
 def test_undeclared_generator_rule_is_spelled_in_one_module():

@@ -261,6 +261,30 @@ def test_cable_copies_labels_and_inserts_label_braid():
     assert y.braid == BraidWord(3, [2, 2, 1, 2])
 
 
+def test_cable_and_labeled_cable_and_uncable_read_one_width_rule():
+    # a bad width is the same ValueError at the three ways in, never a
+    # TypeError, and its message names the width, not the bundle rule
+    spec = spec_full_twist_b2()
+    x = LabeledBraid(BraidWord(2, [1]), (Label(), Label((1,))))
+    for w, message in (("a", "width 'a' is not an integer"),
+                       (None, "width None is not an integer"),
+                       (1.5, "width 1.5 is not an integer"),
+                       (True, "width True is not an integer"),
+                       (0, "width 0 must be >= 1")):
+        for call in (lambda: cable(x.braid, [1, w]), lambda: labeled_cable(spec, x, [1, w]),
+                     lambda: labeled_uncable(spec, x, [1, w])):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == message, (w, call)
+    # an integer width >= 1 that is neither 1 nor d names d
+    for spec, w in ((spec, 3), (spec_half_twist_b3(), 2)):
+        for call in (lambda: labeled_cable(spec, x, [1, w]),
+                     lambda: labeled_uncable(spec, x, [1, w])):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == "a cabled strand must become %d strands" % spec.degree
+
+
 def test_uncable_accepts_labels_equal_after_realization():
     spec = spec_full_twist_b2()
     g = Label((1,))
